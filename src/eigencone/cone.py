@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
+from operator import mul
 
 from . import linalg
 from .linalg import clear_denominators
@@ -45,14 +47,14 @@ Ray = tuple  # primitive integer tuple
 
 
 def _normalize_rows(rows):
-    seen = []
+    seen = set()
     out = []
     for row in rows:
         prim = clear_denominators(row)
         if all(x == 0 for x in prim):
             continue
         if prim not in seen:
-            seen.append(prim)
+            seen.add(prim)
             out.append(prim)
     return out
 
@@ -69,14 +71,17 @@ class HRep:
         self.inequalities = _normalize_rows(self.inequalities)
         self.equalities = _normalize_rows(self.equalities)
         for row in self.inequalities + self.equalities:
-            assert len(row) == self.dim
+            if len(row) != self.dim:
+                raise ValueError(
+                    f"row {row} has length {len(row)}, expected {self.dim}"
+                )
 
     def copy(self):
         return HRep(self.dim, list(self.inequalities), list(self.equalities))
 
 
 def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def contains(h, x):
@@ -120,11 +125,24 @@ def _independent_rows(rows, ncols):
     return chosen
 
 
+def _bits(x):
+    """Positions of the set bits of x, lowest first."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
 def _dd(rows, n):
     """Double description for {y in Q^n : row . y >= 0}, rows spanning rank n.
 
-    Returns (rays, zerosets) where zerosets[i] is the bitmask of rows tight
-    at ray i.
+    Rows are added in the caller's order. Each ray lives in a slot; zsets[s]
+    is the bitmask of processed rows tight at the ray in slot s, and
+    tight[p] is the bitmask of slots tight at processed row p. Both are
+    kept up to date as rays come and go, so the combinatorial adjacency
+    test of Fukuda and Prodon ("Double description method revisited",
+    1996) costs a few big-integer ANDs per pair. Returns the extremal rays
+    as primitive integer tuples, in no particular order.
     """
     start = _independent_rows(rows, n)
     if len(start) < n:
@@ -132,72 +150,86 @@ def _dd(rows, n):
         raise NotPointedError(clear_denominators(null[0]))
     init = [rows[i] for i in start]
     inv = linalg.inverse(init)
-    rays = [
-        clear_denominators([inv[r][c] for r in range(n)]) for c in range(n)
-    ]
+    rays = {
+        c: clear_denominators([inv[r][c] for r in range(n)]) for c in range(n)
+    }
     order = start + [i for i in range(len(rows)) if i not in start]
-    zsets = []
-    for ray in rays:
+    zsets = {}
+    tight = [0] * n
+    for s, ray in rays.items():
         z = 0
         for pos, idx in enumerate(order[:n]):
             if _dot(rows[idx], ray) == 0:
                 z |= 1 << pos
-        zsets.append(z)
-    nproc = n
+                tight[pos] |= 1 << s
+        zsets[s] = z
+    slot_of = {ray: s for s, ray in rays.items()}
+    free = []
+    # adjacent rays share at least n - 2 tight rows
+    need = max(n - 2, 0)
     for pos in range(n, len(order)):
         row = rows[order[pos]]
-        vals = [_dot(row, r) for r in rays]
-        pos_i = [i for i, v in enumerate(vals) if v > 0]
-        neg_i = [i for i, v in enumerate(vals) if v < 0]
-        zer_i = [i for i, v in enumerate(vals) if v == 0]
-        if not neg_i:
-            for i in zer_i:
-                zsets[i] |= 1 << pos
-            nproc += 1
-            continue
-        new_rays = []
-        new_z = []
-        for i in pos_i:
-            for j in neg_i:
-                common = zsets[i] & zsets[j]
-                if bin(common).count("1") < n - 2:
-                    continue
-                adjacent = True
-                for t in range(len(rays)):
-                    if t != i and t != j and common & ~zsets[t] == 0:
-                        adjacent = False
-                        break
-                if not adjacent:
-                    continue
-                combo = tuple(
-                    vals[i] * rays[j][c] - vals[j] * rays[i][c]
-                    for c in range(n)
-                )
-                prim = clear_denominators(combo)
-                z = 0
-                for p, idx in enumerate(order[: pos + 1]):
-                    if _dot(rows[idx], prim) == 0:
-                        z |= 1 << p
-                new_rays.append(prim)
-                new_z.append(z)
-        keep_r = [rays[i] for i in pos_i + zer_i]
-        keep_z = [
-            zsets[i] | ((1 << pos) if i in zer_i else 0) for i in pos_i + zer_i
-        ]
-        # the zero bit for kept positive rays stays 0 for this row
-        rays = keep_r + new_rays
-        zsets = keep_z + new_z
-        nproc += 1
-        # dedupe (combinatorially distinct parents can give the same ray)
-        seen = {}
-        for r, z in zip(rays, zsets):
-            if r in seen:
-                seen[r] |= z
+        vals = {s: _dot(row, ray) for s, ray in rays.items()}
+        positive = zero = negative = 0
+        for s, v in vals.items():
+            if v > 0:
+                positive |= 1 << s
+            elif v < 0:
+                negative |= 1 << s
             else:
-                seen[r] = z
-        rays = list(seen.keys())
-        zsets = [seen[r] for r in rays]
-    return rays, zsets
+                zero |= 1 << s
+                zsets[s] |= 1 << pos
+        if not negative:
+            tight.append(zero)
+            continue
+        alive = positive | zero | negative
+        new = []
+        for j in _bits(negative):
+            zj = zsets[j]
+            # at_least[k] = positive rays tight at >= k of j's tight rows
+            at_least = [positive] + [0] * need
+            for p in _bits(zj):
+                for k in range(need, 0, -1):
+                    at_least[k] |= at_least[k - 1] & tight[p]
+            for i in _bits(at_least[need]):
+                # i and j are adjacent iff no other ray is tight at every
+                # row where both are; stop as soon as only the pair is left
+                common = zsets[i] & zj
+                pair = (1 << i) | (1 << j)
+                acc = alive
+                for p in _bits(common):
+                    acc &= tight[p]
+                    if acc == pair:
+                        break
+                if acc != pair:
+                    continue
+                combo = [
+                    vals[i] * b - vals[j] * a for a, b in zip(rays[i], rays[j])
+                ]
+                g = gcd(*combo)
+                # Both coefficients are positive and both parents are >= 0
+                # on every processed row, so the combination is zero on a
+                # processed row exactly where both parents are; it is zero
+                # on this row by construction.
+                new.append((tuple(x // g for x in combo), common | (1 << pos)))
+        for s in _bits(negative):
+            del slot_of[rays.pop(s)], zsets[s]
+            free.append(s)
+        for p in range(pos):
+            tight[p] &= ~negative
+        tight.append(zero)
+        for ray, z in new:
+            # dedupe (combinatorially distinct parents can give the same
+            # ray; equal rays have equal zero sets)
+            if ray in slot_of:
+                continue
+            s = free.pop() if free else len(rays)
+            rays[s] = ray
+            zsets[s] = z
+            slot_of[ray] = s
+            for p in _bits(z):
+                tight[p] |= 1 << s
+    return list(rays.values())
 
 
 def extremal_rays(h):
@@ -223,7 +255,7 @@ def extremal_rays(h):
                 for v in linalg.nullspace([list(r) for r in proj], ncols=n)
             ]
         raise NotPointedError(null[0])
-    rays_sub, _ = _dd(proj, n)
+    rays_sub = _dd(proj, n)
     out = set()
     for r in rays_sub:
         amb = tuple(
@@ -278,7 +310,8 @@ def hrep_from_text(text):
         elif comment == "inequalities":
             target = ineqs
         if body:
-            assert target is not None, "row before a section header"
+            if target is None:
+                raise ValueError("row before a section header")
             target.append(tuple(int(x) for x in body.split()))
     if dim is None:
         dim = len((eqs + ineqs)[0])

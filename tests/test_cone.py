@@ -143,3 +143,15 @@ def test_rays_text_round_trip():
     text = cone.rays_to_text(rays)
     assert cone.rays_from_text(text) == rays
     assert cone.rays_from_text("# comment\n1 0 2 # note\n") == [(1, 0, 2)]
+
+
+def test_row_length_mismatch_is_value_error():
+    with pytest.raises(ValueError, match="length 2, expected 3"):
+        cone.HRep(3, inequalities=[(1, 0, 0), (0, 1)])
+    with pytest.raises(ValueError):
+        cone.HRep(2, equalities=[(1, 1, 1)])
+
+
+def test_hrep_text_row_before_header_is_value_error():
+    with pytest.raises(ValueError, match="row before a section header"):
+        cone.hrep_from_text("# hrep dim=2\n1 0\n# inequalities\n0 1\n")
