@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from importlib import resources
 
 from . import cone, faces, rays, schubert
 from .rootdata import CartanLabelError, ParabolicSpec, build_root_system
-from .weyl import parse_word, simple_reflection
+from .weyl import parse_word, require_minimal_rep, simple_reflection
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -29,7 +28,6 @@ class ParseFailure(Exception):
 
 def _parser():
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--cache-dir", help="product-table cache directory")
     shared.add_argument(
         "--format", choices=("text", "json"), default="text", dest="fmt"
     )
@@ -106,10 +104,10 @@ def _parabolic(rs, text):
         dropped = {int(t) for t in text.split(",")}
     except ValueError:
         raise ParseFailure(f"cannot parse parabolic spec {text!r}")
-    for k in dropped:
-        if not 1 <= k <= rs.rank:
-            raise ParseFailure(f"simple index {k} out of range")
-    return ParabolicSpec(rs, set(range(1, rs.rank + 1)) - dropped)
+    try:
+        return ParabolicSpec.dropping(rs, dropped)
+    except ValueError as e:
+        raise ParseFailure(str(e))
 
 
 def _words(rs, text, s):
@@ -127,8 +125,7 @@ def _face(args):
     P = _parabolic(rs, args.parabolic)
     words = _words(rs, args.words, args.s)
     for w in words:
-        if not w.is_minimal_rep(P):
-            raise ValueError(f"{w.word_str()} is not in W^P")
+        require_minimal_rep(w, P)
     return faces.FaceSpec(args.s, P, words)
 
 
@@ -316,18 +313,9 @@ class _Checks:
         return EXIT_OK
 
 
-def _golden_face(g):
-    rs = build_root_system(g["type"])
-    P = ParabolicSpec(
-        rs, set(range(1, rs.rank + 1)) - set(g["parabolic"])
-    )
-    words = tuple(parse_word(rs, t) for t in g["words"])
-    return faces.FaceSpec(g["s"], P, words)
-
-
 def _reproduce_ex1():
     g = _golden("ex1")
-    face = _golden_face(g)
+    face = faces.face_from_json(g)
     rs = face.root_system
     ck = _Checks()
     movable, c = schubert.levi_movable(list(face.words), face.P)
@@ -353,7 +341,7 @@ def _reproduce_ex1():
 
 def _reproduce_subbie():
     g = _golden("subbie")
-    face = _golden_face(g).validate()
+    face = faces.face_from_json(g).validate()
     rep = rays.classify_face(face)
     ck = _Checks()
     ck.check("q", rep.q, g["q"])
@@ -377,7 +365,7 @@ def _reproduce_subbie():
 
 def _reproduce_apples():
     g = _golden("apples")
-    face = _golden_face(g)
+    face = faces.face_from_json(g)
     rs = face.root_system
     ck = _Checks()
     om2 = rs.omega(2)
@@ -413,7 +401,7 @@ def _reproduce_apples():
 def _reproduce_p4():
     g = _golden("p4_table")
     rs = build_root_system(g["type"])
-    P = ParabolicSpec(rs, set(range(1, rs.rank + 1)) - set(g["parabolic"]))
+    P = ParabolicSpec.dropping(rs, g["parabolic"])
     ck = _Checks()
     ck.check(
         "Levi ray count", len(rays.levi_cone_rays(P, g["s"])), g["levi_ray_count"]
@@ -471,8 +459,6 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as e:
         return e.code if e.code is not None else EXIT_PARSE
-    if args.cache_dir:
-        os.environ[schubert.CACHE_ENV_VAR] = args.cache_dir
     handlers = {
         "facets": _cmd_facets,
         "face-rays": _cmd_face_rays,

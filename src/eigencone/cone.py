@@ -314,6 +314,8 @@ def hrep_from_text(text):
                 raise ValueError("row before a section header")
             target.append(tuple(int(x) for x in body.split()))
     if dim is None:
+        if not eqs + ineqs:
+            raise ValueError("no rows and no dim header")
         dim = len((eqs + ineqs)[0])
     return HRep(dim, ineqs, eqs)
 

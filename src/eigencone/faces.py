@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .rootdata import ParabolicSpec, build_root_system, eval_x
-from .weyl import minimal_reps, parse_word, covers
+from .weyl import covers, minimal_reps, parse_word, require_minimal_rep
 from . import schubert
 
 __all__ = [
@@ -40,7 +40,8 @@ class FaceSpec:
     words: tuple  # s WeylElems in W^P
 
     def __post_init__(self):
-        assert len(self.words) == self.s
+        if len(self.words) != self.s:
+            raise ValueError(f"expected {self.s} words, got {len(self.words)}")
 
     def validate(self):
         """Check the defining condition: deformed product is the point class."""
@@ -74,12 +75,10 @@ def face_from_json(data):
     if isinstance(data, str):
         data = json.loads(data)
     rs = build_root_system(data["type"])
-    delta_p = set(range(1, rs.rank + 1)) - set(data["parabolic"])
-    P = ParabolicSpec(rs, delta_p)
+    P = ParabolicSpec.dropping(rs, data["parabolic"])
     words = tuple(parse_word(rs, w) for w in data["words"])
     for w in words:
-        if not w.is_minimal_rep(P):
-            raise ValueError(f"{w.word_str()} is not in W^P")
+        require_minimal_rep(w, P)
     return FaceSpec(data["s"], P, words)
 
 
@@ -123,7 +122,8 @@ def enumerate_regular_facets(s, rs, quotient_symmetry=False):
     With ``quotient_symmetry`` only the lexicographically least
     representative of each orbit under permuting the s factors is kept.
     """
-    assert s >= 3
+    if s < 3:
+        raise ValueError(f"regular facets need s >= 3 factors, got s = {s}")
     return list(_facets_cached(rs, s, bool(quotient_symmetry)))
 
 

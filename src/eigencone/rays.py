@@ -28,6 +28,7 @@ from .rootdata import (
     Weight,
     build_root_system,
     eval_x,
+    invariant_form,
     kappa,
     kappa_inv,
     pair,
@@ -229,8 +230,7 @@ def induction_image(face, x):
     moved = [w.act(mu) for w, mu in zip(face.words, x.weights)]
     result = RayTuple(tuple(moved), "induced")
     for j, v, ell, delta in _face_basic_rays(face):
-        alpha = tuple(int(i == ell - 1) for i in range(rs.rank))
-        coeff = pair(moved[j - 1], alpha)
+        coeff = pair(moved[j - 1], rs.simple_roots[ell - 1])
         if coeff:
             result = result - delta.scale(coeff)
     return RayTuple(result.weights, "induced")
@@ -260,7 +260,7 @@ def induct_coweights(face, hs):
     moved = [w.act(mu) for w, mu in zip(face.words, x.weights)]
     direct = [kappa(m) for m in moved]
     for j, v, ell, delta in _face_basic_rays(face):
-        alpha = tuple(int(i == ell - 1) for i in range(rs.rank))
+        alpha = rs.simple_roots[ell - 1]
         c = Fraction(2) / (2 * rs.root_norm_half(alpha))
         coeff = c * kappa(moved[j - 1]).eval_root(alpha)
         if coeff:
@@ -330,8 +330,7 @@ def _pair_evals(face, x):
     rs = face.root_system
     out = []
     for j, v, ell, _ in _face_basic_rays(face):
-        alpha = tuple(int(i == ell - 1) for i in range(rs.rank))
-        out.append(pair(x.weights[j - 1], alpha))
+        out.append(pair(x.weights[j - 1], rs.simple_roots[ell - 1]))
     return out
 
 
@@ -474,19 +473,14 @@ def _weight_mults(rs, lam_coords):
             dominants.append((sum(ks), tuple(int(c) for c in coords)))
     dominants.sort()
     mults = {}
-
-    def norm2(coords):
-        w = rs.weight(coords)
-        m = w.to_root_basis()
-        return sum(w.coords[i] * rs.d[i] * m[i] for i in range(n))
-
-    rho = tuple(1 for _ in range(n))
-    top = norm2(tuple(a + b for a, b in zip(lam.coords, rho)))
+    rho = rs.rho
+    top = invariant_form(lam + rho, lam + rho)
     for depth, mu in dominants:
         if depth == 0:
             mults[mu] = 1
             continue
-        denom = top - norm2(tuple(a + b for a, b in zip(mu, rho)))
+        shifted = rs.weight(mu) + rho
+        denom = top - invariant_form(shifted, shifted)
         acc = Fraction(0)
         for beta in rs.positive_roots:
             bw = rs.root_to_weight(beta)

@@ -35,7 +35,6 @@ __all__ = [
     "eval_x",
     "kappa",
     "kappa_inv",
-    "rho_L",
 ]
 
 
@@ -114,10 +113,9 @@ def _symmetrizer(cartan):
     return tuple(d)
 
 
-def _positive_roots(cartan):
+def _positive_roots(cartan, simples):
     """Closure of the simple roots under simple reflections, positives only."""
     n = len(cartan)
-    simples = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     seen = set(simples)
     frontier = list(simples)
     while frontier:
@@ -143,7 +141,11 @@ class RootSystem:
         self.rank = len(cartan)
         self.cartan_matrix = tuple(tuple(int(x) for x in row) for row in cartan)
         self.d = _symmetrizer(self.cartan_matrix)
-        self.positive_roots = _positive_roots(self.cartan_matrix)
+        # simple_roots[i - 1] is alpha_i as a vector in the simple-root basis
+        self.simple_roots = tuple(
+            tuple(int(i == j) for j in range(self.rank)) for i in range(self.rank)
+        )
+        self.positive_roots = _positive_roots(self.cartan_matrix, self.simple_roots)
         self._positive_set = set(self.positive_roots)
         self._cartan_inv = tuple(
             tuple(row) for row in linalg.inverse(self.cartan_matrix)
@@ -181,9 +183,6 @@ class RootSystem:
     def is_root(self, beta):
         beta = tuple(beta)
         return beta in self._positive_set or tuple(-x for x in beta) in self._positive_set
-
-    def is_positive_root(self, beta):
-        return tuple(beta) in self._positive_set
 
     def root_pairing(self, beta, i):
         """<beta, alpha_i^vee> for a root-basis vector beta (1-based i)."""
@@ -335,11 +334,6 @@ def build_root_system(label):
     return RootSystem(cartan, "x".join(parts), factor_slices=slices)
 
 
-def root_system_from_cartan(cartan, label):
-    """Root system directly from a (symmetrizable) Cartan matrix."""
-    return RootSystem(cartan, label)
-
-
 def pair(lam, beta):
     """<lam, beta^vee> = 2 (lam, beta) / (beta, beta), exact.
 
@@ -396,9 +390,18 @@ class ParabolicSpec:
                 raise ValueError(f"simple-root index {i} out of range")
 
     @classmethod
+    def dropping(cls, root_system, nodes):
+        """The standard parabolic whose Delta(P) omits exactly ``nodes``."""
+        nodes = set(nodes)
+        for k in nodes:
+            if not 1 <= k <= root_system.rank:
+                raise ValueError(f"simple index {k} out of range")
+        return cls(root_system, set(range(1, root_system.rank + 1)) - nodes)
+
+    @classmethod
     def maximal(cls, root_system, k):
         """The standard maximal parabolic P_k with Delta(P) = Delta - {alpha_k}."""
-        return cls(root_system, set(range(1, root_system.rank + 1)) - {k})
+        return cls.dropping(root_system, {k})
 
     @classmethod
     def borel(cls, root_system):
@@ -463,7 +466,7 @@ class ParabolicSpec:
             for i in nodes
         ]
         label = classify_cartan(sub)
-        return root_system_from_cartan(sub, label), nodes
+        return RootSystem(sub, label), nodes
 
     def levi_labels(self):
         """Cartan labels of the Levi components, e.g. ["A1", "A1", "A1"]."""
@@ -487,11 +490,6 @@ class ParabolicSpec:
 
     def __hash__(self):
         return hash((id(self.root_system), self.delta_P))
-
-
-def rho_L(P):
-    """Half sum of the positive roots of the Levi of ``P``."""
-    return P.rho_L()
 
 
 def classify_cartan(cartan):

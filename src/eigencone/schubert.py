@@ -14,7 +14,6 @@ degree by degree, and arbitrary products recurse through that expression.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -22,10 +21,10 @@ from functools import lru_cache
 from . import linalg
 from .rootdata import ParabolicSpec, pair, eval_x
 from .weyl import (
-    WeylElem,
     identity,
+    longest_minimal_rep,
     reflection,
-    simple_reflection,
+    require_minimal_rep,
     weyl_group,
 )
 
@@ -39,9 +38,6 @@ __all__ = [
     "levi_movable",
     "CodimensionError",
 ]
-
-CACHE_ENV_VAR = "EIGENCONE_CACHE_DIR"
-CACHE_FORMAT_VERSION = 1
 
 
 class CodimensionError(ValueError):
@@ -73,16 +69,6 @@ class SchubertClass:
         )
 
 
-def _default_cache_dir():
-    env = os.environ.get(CACHE_ENV_VAR)
-    if env:
-        return env
-    return os.path.join(
-        os.environ.get("XDG_CACHE_HOME", os.path.expanduser("~/.cache")),
-        "eigencone",
-    )
-
-
 class ProductTable:
     """Memoized H*(G/B) structure constants for one root system.
 
@@ -90,10 +76,9 @@ class ProductTable:
     canonical enumeration of W.
     """
 
-    def __init__(self, rs, cache_dir=None):
+    def __init__(self, rs):
         self.root_system = rs
         self.W = weyl_group(rs)
-        self.cache_dir = cache_dir if cache_dir is not None else _default_cache_dir()
         self._products = {}  # (id_u, id_v) sorted -> dict id -> int
         self._chevalley = {}  # id_x -> list of (beta, id_xs)
         self._expressions = {}  # id_u -> list of (Fraction, k, id_shorter)
@@ -103,54 +88,6 @@ class ProductTable:
         self._reflections = [
             self.W.id_of(reflection(rs, beta)) for beta in rs.positive_roots
         ]
-        self._dirty = False
-        self._load_cache()
-
-    # -- cache ---------------------------------------------------------
-
-    def _cache_path(self):
-        return os.path.join(
-            self.cache_dir, f"products-{self.root_system.cartan_label}.txt"
-        )
-
-    def _load_cache(self):
-        path = self._cache_path()
-        try:
-            with open(path) as fh:
-                header = fh.readline().split()
-                if header != [
-                    "eigencone-products",
-                    self.root_system.cartan_label,
-                    f"v{CACHE_FORMAT_VERSION}",
-                    str(len(self.W)),
-                ]:
-                    return
-                for line in fh:
-                    parts = line.split()
-                    u, v, npairs = int(parts[0]), int(parts[1]), int(parts[2])
-                    vec = {}
-                    for t in range(npairs):
-                        vec[int(parts[3 + 2 * t])] = int(parts[4 + 2 * t])
-                    self._products[(u, v)] = vec
-        except (OSError, ValueError, IndexError):
-            self._products = {}
-
-    def save_cache(self):
-        if not self._dirty:
-            return
-        path = self._cache_path()
-        os.makedirs(self.cache_dir, exist_ok=True)
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            fh.write(
-                f"eigencone-products {self.root_system.cartan_label} "
-                f"v{CACHE_FORMAT_VERSION} {len(self.W)}\n"
-            )
-            for (u, v), vec in sorted(self._products.items()):
-                items = " ".join(f"{w} {c}" for w, c in sorted(vec.items()))
-                fh.write(f"{u} {v} {len(vec)} {items}\n")
-        os.replace(tmp, path)
-        self._dirty = False
 
     # -- internal multiplication --------------------------------------
 
@@ -249,7 +186,6 @@ class ProductTable:
                     assert c.denominator == 1
                     result[w] = int(c)
         self._products[key] = result
-        self._dirty = True
         return result
 
     def product_vec(self, vec_a, vec_b):
@@ -262,29 +198,15 @@ class ProductTable:
 
 
 @lru_cache(maxsize=None)
-def product_table(rs, cache_dir=None):
-    return ProductTable(rs, cache_dir=cache_dir)
+def product_table(rs):
+    return ProductTable(rs)
 
 
 @lru_cache(maxsize=None)
 def _longest_levi(P):
-    """Longest element of W_P."""
-    gens = [simple_reflection(P.root_system, i) for i in sorted(P.delta_P)]
-    best = identity(P.root_system)
-    frontier = [best]
-    seen = {best}
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for s in gens:
-                ws = w.compose(s)
-                if ws not in seen:
-                    seen.add(ws)
-                    nxt.append(ws)
-                    if ws.length > best.length:
-                        best = ws
-        frontier = nxt
-    return best
+    """Longest element of W_P: w_0 = w_0^P w_{0,P} with w_0^P longest in W^P."""
+    W = weyl_group(P.root_system)
+    return longest_minimal_rep(P).inverse().compose(W.longest)
 
 
 def _dual_id(w, P, table):
@@ -310,8 +232,7 @@ def codim(w, P):
 def cup(u, v, P):
     """Ordinary cup product of the classes of u and v in H*(G/P)."""
     for x in (u, v):
-        if not x.is_minimal_rep(P):
-            raise ValueError(f"{x.word_str()} is not in W^P")
+        require_minimal_rep(x, P)
     table = product_table(P.root_system)
     vec = table.product_ids(_dual_id(u, P, table), _dual_id(v, P, table))
     coeffs = {_undual(xid, P, table): c for xid, c in vec.items()}
@@ -325,8 +246,7 @@ def multi_coeff(words, P):
     error, not zero.
     """
     for x in words:
-        if not x.is_minimal_rep(P):
-            raise ValueError(f"{x.word_str()} is not in W^P")
+        require_minimal_rep(x, P)
     total = sum(codim(w, P) for w in words)
     if total != P.dim_flag:
         raise CodimensionError(
@@ -343,8 +263,7 @@ def multi_coeff(words, P):
 
 def chi(w, P):
     """The weight rho - 2 rho^L + w^-1 rho."""
-    if not w.is_minimal_rep(P):
-        raise ValueError(f"{w.word_str()} is not in W^P")
+    require_minimal_rep(w, P)
     rs = P.root_system
     return rs.rho - P.rho_L().scale(2) + w.inverse().act(rs.rho)
 

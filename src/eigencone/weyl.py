@@ -20,7 +20,7 @@ import re
 from functools import lru_cache
 
 from . import linalg
-from .rootdata import ParabolicSpec, RootSystem, Weight
+from .rootdata import Weight
 
 __all__ = [
     "WeylElem",
@@ -30,10 +30,7 @@ __all__ = [
     "simple_reflection",
     "reflection",
     "parse_word",
-    "act",
-    "compose",
-    "inverse",
-    "length",
+    "require_minimal_rep",
     "minimal_reps",
     "covers",
     "cover_test",
@@ -65,10 +62,6 @@ class WeylElem:
         self._length = None
         self._root_matrix = None
         self._word = word
-
-    @property
-    def canonical_form(self):
-        return self.matrix
 
     def __eq__(self, other):
         return (
@@ -124,9 +117,6 @@ class WeylElem:
             self.root_system, [[int(x) for x in row] for row in inv]
         )
 
-    def __mul__(self, other):
-        return self.compose(other)
-
     @property
     def length(self):
         if self._length is None:
@@ -146,9 +136,9 @@ class WeylElem:
 
     def is_minimal_rep(self, P):
         """w in W^P: w(alpha) positive for every alpha in Delta(P)."""
+        alphas = self.root_system.simple_roots
         for i in P.delta_P:
-            beta = tuple(int(j == i - 1) for j in range(self.root_system.rank))
-            if any(x < 0 for x in self.act_root(beta)):
+            if any(x < 0 for x in self.act_root(alphas[i - 1])):
                 return False
         return True
 
@@ -162,11 +152,9 @@ class WeylElem:
         w = self
         winv = self.inverse()
         while True:
-            n = rs.rank
             found = None
-            for i in range(1, n + 1):
-                beta = tuple(int(j == i - 1) for j in range(n))
-                if any(x < 0 for x in winv.act_root(beta)):
+            for i, alpha in enumerate(rs.simple_roots, start=1):
+                if any(x < 0 for x in winv.act_root(alpha)):
                     found = i
                     break
             if found is None:
@@ -296,20 +284,10 @@ def weyl_group(rs):
     return WeylGroup(rs)
 
 
-def act(w, lam):
-    return w.act(lam)
-
-
-def compose(w, u):
-    return w.compose(u)
-
-
-def inverse(w):
-    return w.inverse()
-
-
-def length(w):
-    return w.length
+def require_minimal_rep(w, P):
+    """Raise ValueError unless w lies in W^P."""
+    if not w.is_minimal_rep(P):
+        raise ValueError(f"{w.word_str()} is not in W^P")
 
 
 def minimal_reps(P):
@@ -326,8 +304,7 @@ def longest_minimal_rep(P):
 
 def covers(w, P):
     """All Bruhat covers v -> w with v in W^P (w = s_beta v, codimension one)."""
-    if not w.is_minimal_rep(P):
-        raise ValueError(f"{w.word_str()} is not in W^P")
+    require_minimal_rep(w, P)
     rs = P.root_system
     out = []
     for beta in rs.positive_roots:
@@ -346,10 +323,8 @@ def cover_test(u, ell, P):
     asserted to agree.
     """
     rs = P.root_system
-    if not u.is_minimal_rep(P):
-        raise ValueError(f"{u.word_str()} is not in W^P")
-    alpha = tuple(int(j == ell - 1) for j in range(rs.rank))
-    img = u.inverse().act_root(alpha)
+    require_minimal_rep(u, P)
+    img = u.inverse().act_root(rs.simple_roots[ell - 1])
     root_crit = all(x >= 0 for x in img) and any(
         img[k - 1] != 0 for k in P.complement
     )
@@ -374,14 +349,11 @@ def inversion_set(v):
 def delta_sets(w, P):
     """(Delta_w, Delta'_w): simple roots whose w-preimage is a Levi-positive
     or negative root, resp. a negative root."""
-    if not w.is_minimal_rep(P):
-        raise ValueError(f"{w.word_str()} is not in W^P")
-    rs = P.root_system
+    require_minimal_rep(w, P)
     winv = w.inverse()
     big, small = set(), set()
     levi = set(P.levi_positive_roots)
-    for i in range(1, rs.rank + 1):
-        alpha = tuple(int(j == i - 1) for j in range(rs.rank))
+    for i, alpha in enumerate(P.root_system.simple_roots, start=1):
         img = winv.act_root(alpha)
         if any(x < 0 for x in img):
             big.add(i)

@@ -1,17 +1,8 @@
-import os
-
 import pytest
 
 from eigencone import faces
 from eigencone.rootdata import ParabolicSpec, build_root_system
 from eigencone.weyl import parse_word
-
-
-@pytest.fixture(scope="session", autouse=True)
-def cache_dir(tmp_path_factory):
-    path = tmp_path_factory.mktemp("product-cache")
-    os.environ["EIGENCONE_CACHE_DIR"] = str(path)
-    return str(path)
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from eigencone import cli
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 MAIN_WORDS = "s4 s3 s1 s2; s3 s1 s2 s4 s3 s1 s2; s1 s2 s4 s2 s3 s1 s2"
 
@@ -25,6 +31,25 @@ def test_facets_json(capsys):
     data = json.loads(out)
     assert len(data) == 3
     assert all(d["type"] == "A1" for d in data)
+
+
+@pytest.mark.parametrize("command", ["facets", "cone-rays"])
+def test_too_few_factors_is_math_error(capsys, command):
+    code, _ = run(capsys, command, "--type", "A1", "--s", "2")
+    assert code == 3
+
+
+def test_too_few_factors_is_math_error_under_optimize():
+    # asserts vanish under -O; the typed error must not
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    argv = ["-O", "-m", "eigencone.cli", "facets", "--type", "A1", "--s", "2"]
+    proc = subprocess.run(
+        [sys.executable, *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 3, proc.stdout + proc.stderr
 
 
 def test_bad_type_is_parse_error(capsys):

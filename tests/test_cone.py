@@ -155,3 +155,8 @@ def test_row_length_mismatch_is_value_error():
 def test_hrep_text_row_before_header_is_value_error():
     with pytest.raises(ValueError, match="row before a section header"):
         cone.hrep_from_text("# hrep dim=2\n1 0\n# inequalities\n0 1\n")
+
+
+def test_hrep_text_without_rows_or_dim_is_value_error():
+    with pytest.raises(ValueError, match="no rows and no dim header"):
+        cone.hrep_from_text("# inequalities\n")

@@ -122,3 +122,22 @@ def test_face_from_json_rejects_bad_word(d4):
     }
     with pytest.raises(ValueError):
         faces.face_from_json(blob)
+
+
+def test_fewer_than_three_factors_is_value_error():
+    a1 = build_root_system("A1")
+    with pytest.raises(ValueError, match="s >= 3"):
+        faces.enumerate_regular_facets(2, a1)
+
+
+def test_face_from_json_rejects_out_of_range_node():
+    blob = {"type": "D4", "s": 3, "parabolic": [9], "words": ["e", "e", "e"]}
+    with pytest.raises(ValueError, match="out of range"):
+        faces.face_from_json(blob)
+
+
+def test_face_from_json_rejects_wrong_word_count(main_face):
+    blob = faces.face_to_json(main_face)
+    blob["words"] = blob["words"][:2]
+    with pytest.raises(ValueError, match="expected 3 words, got 2"):
+        faces.face_from_json(blob)

@@ -146,9 +146,9 @@ def test_form_positive_on_roots(d4):
 
 def test_rho_l_cases(d4):
     borel = rd.ParabolicSpec.borel(d4)
-    assert rd.rho_L(borel).is_zero()
+    assert borel.rho_L().is_zero()
     full = rd.ParabolicSpec(d4, {1, 2, 3, 4})
-    assert rd.rho_L(full).coords == d4.rho.coords
+    assert full.rho_L().coords == d4.rho.coords
     p134 = rd.ParabolicSpec(d4, {1, 3, 4})
     expected = tuple(
         Fraction(1, 2) * x
@@ -159,7 +159,7 @@ def test_rho_l_cases(d4):
             )
         )
     )
-    assert rd.rho_L(p134).coords == expected
+    assert p134.rho_L().coords == expected
 
 
 def test_parabolic_levi_structure(d4):

@@ -200,11 +200,15 @@ def test_degree_gaps_nonpositive_when_nonzero(d4, k):
                 assert all(g <= 0 for g in gaps.values())
 
 
-def test_cache_round_trip(tmp_path, d4):
-    table = sc.ProductTable(d4, cache_dir=str(tmp_path))
-    uid = table.W.id_of(parse_word(d4, "s2 s1"))
-    vid = table.W.id_of(parse_word(d4, "s3 s4"))
-    vec = table.product_ids(uid, vid)
-    table.save_cache()
-    reload = sc.ProductTable(d4, cache_dir=str(tmp_path))
-    assert reload._products[(min(uid, vid), max(uid, vid))] == vec or reload._products[(uid, vid)] == vec
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", "B3"])
+def test_longest_levi_element(label):
+    # w_{0,P} is the only element of W_P of length |R^+_L|, and W_P fixes
+    # every omega_k with k outside Delta(P)
+    rs = build_root_system(label)
+    for size in range(rs.rank + 1):
+        for delta in itertools.combinations(range(1, rs.rank + 1), size):
+            P = ParabolicSpec(rs, delta)
+            w0p = sc._longest_levi(P)
+            assert w0p.length == len(P.levi_positive_roots)
+            for k in P.complement:
+                assert w0p.act(rs.omega(k)) == rs.omega(k)
