@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 from importlib import resources
 
 from . import cone, faces, rays, schubert
@@ -137,12 +138,28 @@ def _weight_tuple(rs, text, s):
     if (
         not isinstance(rows, list)
         or len(rows) != s
-        or any(len(r) != rs.rank for r in rows)
+        or any(not isinstance(r, list) or len(r) != rs.rank for r in rows)
     ):
         raise ParseFailure(
             f"expected {s} rows of {rs.rank} coordinates"
         )
-    return rays.RayTuple(tuple(rs.weight(r) for r in rows))
+    return rays.RayTuple(
+        tuple(rs.weight([_coordinate(c) for c in r]) for r in rows)
+    )
+
+
+def _coordinate(value):
+    """A JSON integer (not a bool), or a string such as "1/2"."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ParseFailure(
+        f"bad coordinate {value!r}: use an integer or a string like \"1/2\""
+    )
 
 
 def _ray_text(rt):
@@ -288,7 +305,7 @@ def _golden(name):
 
 def _coords(rt):
     prim = rt.primitive()
-    return [[int(c) for c in w.coords] for w in prim.weights]
+    return [list(w.coords) for w in prim.weights]
 
 
 class _Checks:
@@ -372,7 +389,7 @@ def _reproduce_apples():
     for j, w in enumerate(face.words):
         ck.check(
             f"w_{j + 1} . omega_2",
-            [int(c) for c in w.act(om2).coords],
+            list(w.act(om2).coords),
             g["moved_omega2"][j],
         )
     zero = rs.zero_weight()
@@ -383,7 +400,7 @@ def _reproduce_apples():
         out = rays.induction_image(face, rays.RayTuple(tuple(entries)))
         ck.check(
             f"single-entry induction, slot {j + 1}",
-            [[int(c) for c in w.coords] for w in out.weights],
+            [list(w.coords) for w in out.weights],
             g["induced"],
         )
         induced = out

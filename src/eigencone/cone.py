@@ -13,7 +13,6 @@ dominant chamber, so this is not a restriction in practice.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd
 from operator import mul
 
@@ -248,7 +247,7 @@ def extremal_rays(h):
             null = [
                 clear_denominators(
                     [
-                        sum(Fraction(v[i]) * basis[i][c] for i in range(n))
+                        sum(v[i] * basis[i][c] for i in range(n))
                         for c in range(h.dim)
                     ]
                 )

@@ -114,7 +114,7 @@ class RayTuple:
     def to_json(self):
         prim = self.primitive()
         return {
-            "weights": [[int(c) for c in w.coords] for w in prim.weights],
+            "weights": [list(w.coords) for w in prim.weights],
             "tag": self.tag,
         }
 
@@ -142,11 +142,14 @@ class FaceReport:
 
 
 def _find_cover(face, j, v):
-    """The CoverDatum v -> w_j, or None."""
+    """The CoverDatum v -> w_j; ValueError if there is none."""
     for c in covers(face.words[j - 1], face.P):
         if c.lower == v:
             return c
-    return None
+    raise ValueError(
+        f"{v.word_str()} is not a codimension-one sub-cell of "
+        f"{face.words[j - 1].word_str()} in W^P"
+    )
 
 
 def _divisor_formula(face, j, v):
@@ -172,11 +175,6 @@ def _divisor_formula(face, j, v):
 def basic_divisor_class(face, j, v):
     """The ray D(j, v) attached to a simple cover v -> w_j of the face."""
     c = _find_cover(face, j, v)
-    if c is None:
-        raise ValueError(
-            f"{v.word_str()} is not a codimension-one sub-cell of "
-            f"{face.words[j - 1].word_str()} in W^P"
-        )
     if not c.simple:
         raise ValueError(
             f"cover through non-simple root {c.beta}; no divisor class"
@@ -188,11 +186,6 @@ def classify_nonsimple(face, j, v):
     """Run the divisor formulas on a NON-simple cover; the result is a
     consistency check and should always be the zero tuple."""
     c = _find_cover(face, j, v)
-    if c is None:
-        raise ValueError(
-            f"{v.word_str()} is not a codimension-one sub-cell of "
-            f"{face.words[j - 1].word_str()} in W^P"
-        )
     if c.simple:
         raise ValueError("simple cover: use basic_divisor_class")
     return _divisor_formula(face, j, v)
@@ -422,29 +415,13 @@ def classify_face(face):
 
 
 def _dominant_rep(rs, coords):
-    """The dominant W-translate of a weight (no sign tracking)."""
-    c = list(coords)
-    a = rs.cartan_matrix
-    n = rs.rank
-    while True:
-        i = next((i for i in range(n) if c[i] < 0), None)
-        if i is None:
-            return tuple(c)
-        ci = c[i]
-        for r in range(n):
-            c[r] -= ci * a[r][i]
-
-
-def _dominant_rep_signed(rs, coords):
-    """(dominant translate, sign) for a regular weight; (None, 0) if some
-    reflection fixes it."""
+    """(dominant W-translate, sign): the walk applies s_i at the first
+    negative coordinate until none is left; sign is (-1)^(steps taken)."""
     c = list(coords)
     a = rs.cartan_matrix
     n = rs.rank
     sign = 1
     while True:
-        if any(x == 0 for x in c):
-            return None, 0
         i = next((i for i in range(n) if c[i] < 0), None)
         if i is None:
             return tuple(c), sign
@@ -470,7 +447,7 @@ def _weight_mults(rs, lam_coords):
                 for r in range(n):
                     coords[r] -= k * rs.cartan_matrix[r][i]
         if all(c >= 0 for c in coords):
-            dominants.append((sum(ks), tuple(int(c) for c in coords)))
+            dominants.append((sum(ks), tuple(coords)))
     dominants.sort()
     mults = {}
     rho = rs.rho
@@ -486,10 +463,8 @@ def _weight_mults(rs, lam_coords):
             bw = rs.root_to_weight(beta)
             t = 1
             while True:
-                cand = tuple(
-                    int(a + t * b) for a, b in zip(mu, bw.coords)
-                )
-                dom = _dominant_rep(rs, cand)
+                cand = tuple(a + t * b for a, b in zip(mu, bw.coords))
+                dom, _ = _dominant_rep(rs, cand)
                 m = mults.get(dom, 0)
                 if m:
                     # (mu + t beta, beta)
@@ -559,8 +534,12 @@ def _tensor_decompose(rs, acc, lam_coords):
             shifted = tuple(
                 a + b + c for a, b, c in zip(nu, mu, rho)
             )
-            dom, sign = _dominant_rep_signed(rs, shifted)
-            if sign == 0:
+            dom, sign = _dominant_rep(rs, shifted)
+            # the shifted weight is singular (fixed by some reflection) iff
+            # its dominant translate is, and the stabilizer of a dominant
+            # weight is generated by the s_i it fixes, i.e. its zero
+            # coordinates; singular terms contribute nothing
+            if 0 in dom:
                 continue
             res = tuple(a - b for a, b in zip(dom, rho))
             out[res] = out.get(res, 0) + sign * mult * m
@@ -587,7 +566,5 @@ def invariant_dim(x, max_height=20):
     for lam in coords[1:-1]:
         acc = _tensor_decompose(rs, acc, lam)
     w0 = weyl_group(rs).longest
-    dual = tuple(
-        int(c) for c in w0.act(rs.weight(last)).scale(-1).coords
-    )
+    dual = (-w0.act(rs.weight(last))).coords
     return acc.get(dual, 0)

@@ -13,7 +13,9 @@ Conventions:
 * roots are integer vectors in the simple-root basis;
 * weights are canonically stored in the fundamental-weight basis, so the
   i-th coordinate of a weight ``lam`` is ``<lam, alpha_i^vee>``;
-* coweights are stored in the basis {x_i} dual to the simple roots.
+* coweights are stored in the basis {x_i} dual to the simple roots;
+* integral coordinates stay ``int``; a ``Fraction`` appears only where a
+  division makes one (rho^L, simple-root coordinates of a weight, kappa).
 """
 
 from __future__ import annotations
@@ -146,7 +148,16 @@ class RootSystem:
             tuple(int(i == j) for j in range(self.rank)) for i in range(self.rank)
         )
         self.positive_roots = _positive_roots(self.cartan_matrix, self.simple_roots)
-        self._positive_set = set(self.positive_roots)
+        # beta^vee = sum_i c_i alpha_i^vee with c_i = m_i d_i / ((beta, beta)/2)
+        # for beta = sum_i m_i alpha_i; the c_i are integers for every root
+        self._coroots = {}
+        for beta in self.positive_roots:
+            half = self.root_norm_half(beta)
+            co = [m * di / half for m, di in zip(beta, self.d)]
+            assert all(c.denominator == 1 for c in co), (beta, co)
+            co = tuple(int(c) for c in co)
+            self._coroots[beta] = co
+            self._coroots[tuple(-m for m in beta)] = tuple(-c for c in co)
         self._cartan_inv = tuple(
             tuple(row) for row in linalg.inverse(self.cartan_matrix)
         )
@@ -158,10 +169,10 @@ class RootSystem:
     # -- basic vectors -------------------------------------------------
 
     def weight(self, coords):
-        return Weight(self, tuple(Fraction(c) for c in coords))
+        return Weight(self, tuple(coords))
 
     def coweight(self, coords):
-        return Coweight(self, tuple(Fraction(c) for c in coords))
+        return Coweight(self, tuple(coords))
 
     def zero_weight(self):
         return self.weight([0] * self.rank)
@@ -181,8 +192,14 @@ class RootSystem:
     # -- root utilities (roots are tuples in the simple-root basis) ----
 
     def is_root(self, beta):
-        beta = tuple(beta)
-        return beta in self._positive_set or tuple(-x for x in beta) in self._positive_set
+        return tuple(beta) in self._coroots
+
+    def coroot(self, beta):
+        """Integer coordinates c of beta^vee = sum_i c_i alpha_i^vee."""
+        co = self._coroots.get(tuple(beta))
+        if co is None:
+            raise ValueError(f"{tuple(beta)} is not a root of {self.cartan_label}")
+        return co
 
     def root_pairing(self, beta, i):
         """<beta, alpha_i^vee> for a root-basis vector beta (1-based i)."""
@@ -221,15 +238,10 @@ class RootSystem:
 
 @dataclass(frozen=True)
 class Weight:
-    """Exact rational weight, stored in the fundamental-weight basis."""
+    """Exact weight (int or Fraction coordinates), in the fundamental-weight basis."""
 
     root_system: RootSystem
     coords: tuple
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "coords", tuple(Fraction(c) for c in self.coords)
-        )
 
     def __add__(self, other):
         assert self.root_system is other.root_system
@@ -249,11 +261,10 @@ class Weight:
         return Weight(self.root_system, tuple(-a for a in self.coords))
 
     def __rmul__(self, scalar):
-        scalar = Fraction(scalar)
         return Weight(self.root_system, tuple(scalar * a for a in self.coords))
 
     def scale(self, scalar):
-        return Fraction(scalar) * self
+        return scalar * self
 
     def is_zero(self):
         return all(c == 0 for c in self.coords)
@@ -282,19 +293,14 @@ class Weight:
 
 @dataclass(frozen=True)
 class Coweight:
-    """Exact rational coweight in the basis {x_i} dual to the simple roots."""
+    """Exact coweight in the basis {x_i} dual to the simple roots."""
 
     root_system: RootSystem
     coords: tuple
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "coords", tuple(Fraction(c) for c in self.coords)
-        )
-
     def eval_root(self, beta):
         """alpha(h) for a root-basis vector beta: linear in the coordinates."""
-        return sum(Fraction(m) * c for m, c in zip(beta, self.coords))
+        return sum(m * c for m, c in zip(beta, self.coords))
 
     def __repr__(self):
         return f"Coweight({self.coords})"
@@ -339,14 +345,8 @@ def pair(lam, beta):
 
     ``beta`` is a root in the simple-root basis; rejects non-roots.
     """
-    rs = lam.root_system
-    beta = tuple(beta)
-    if not rs.is_root(beta):
-        raise ValueError(f"{beta} is not a root of {rs.cartan_label}")
-    num = sum(
-        lam.coords[i] * Fraction(beta[i]) * rs.d[i] for i in range(rs.rank)
-    )
-    return num / rs.root_norm_half(beta)
+    co = lam.root_system.coroot(beta)
+    return sum(c * x for c, x in zip(co, lam.coords))
 
 
 def eval_x(lam, k):
@@ -470,10 +470,10 @@ class ParabolicSpec:
 
     def levi_labels(self):
         """Cartan labels of the Levi components, e.g. ["A1", "A1", "A1"]."""
-        return [classify_cartan(
-            [[self.root_system.cartan_matrix[i - 1][j - 1] for j in comp]
-             for i in comp])
-            for comp in self.levi_components()]
+        return [
+            self.levi_factor(comp)[0].cartan_label
+            for comp in self.levi_components()
+        ]
 
     def __repr__(self):
         return (

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
-from .rootdata import ParabolicSpec, pair, eval_x
+from .rootdata import ParabolicSpec, eval_x
 from .weyl import (
     identity,
     longest_minimal_rep,
@@ -108,15 +108,14 @@ class ProductTable:
 
     def _mult_degree_one(self, k, vec):
         """Multiply a basis combination by the degree-one class of s_k."""
-        rs = self.root_system
-        omega = rs.omega(k)
+        coroot = self.root_system.coroot
         out = {}
         for xid, c in vec.items():
             for beta, yid in self._chev_data(xid):
-                coeff = pair(omega, beta)
-                assert coeff.denominator == 1
+                # Chevalley: the coefficient is <omega_k, beta^vee>
+                coeff = coroot(beta)[k - 1]
                 if coeff:
-                    out[yid] = out.get(yid, 0) + c * int(coeff)
+                    out[yid] = out.get(yid, 0) + c * coeff
         return {w: c for w, c in out.items() if c}
 
     def _expression(self, uid):

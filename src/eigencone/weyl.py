@@ -210,20 +210,12 @@ def simple_reflection(rs, i):
 
 def reflection(rs, beta):
     """s_beta for any root beta (simple-root basis)."""
-    if not rs.is_root(beta):
-        raise ValueError(f"{beta} is not a root of {rs.cartan_label}")
-    # s_beta(omega_j) = omega_j - <omega_j, beta^vee> beta
-    n = rs.rank
+    # s_beta(omega_j) = omega_j - <omega_j, beta^vee> beta, and
+    # <omega_j, beta^vee> is the j-th coroot coordinate
+    co = rs.coroot(beta)
     bw = rs.root_to_weight(beta).coords
-    half = rs.root_norm_half(beta)
-    cols = []
-    for j in range(n):
-        # <omega_j, beta^vee> = m_j d_j / (beta,beta)/2
-        pairing = beta[j] * rs.d[j] / half
-        cols.append(
-            tuple(int(int(r == j) - pairing * bw[r]) for r in range(n))
-        )
-    mat = [[cols[j][r] for j in range(n)] for r in range(n)]
+    n = rs.rank
+    mat = [[int(r == j) - bw[r] * co[j] for j in range(n)] for r in range(n)]
     return WeylElem(rs, mat)
 
 

@@ -259,12 +259,30 @@ def test_cone_rays_a1(capsys):
     assert len(data) == 3
 
 
-def test_reproduce_ex1(capsys):
-    code, out = run(capsys, "reproduce", "ex1")
-    assert code == 0
-    assert "ok" in out
+@pytest.mark.parametrize(
+    "text,code",
+    [
+        ("[1,2,3]", 2),
+        ("[[1],[1],[null]]", 2),
+        ('[["a"],[1],[1]]', 2),
+        ("[[true],[1],[1]]", 2),
+        ("[[0.1],[0.1],[0.2]]", 2),
+        ('[["1/0"],[1],[1]]', 2),
+        ('[["1/2"],[1],[1]]', 0),
+        ("[[1],[1],[2]]", 0),
+    ],
+    ids=[
+        "flat-list", "null", "word", "bool", "float", "zero-denominator",
+        "fraction-string", "integers",
+    ],
+)
+def test_input_entries_are_validated(capsys, text, code):
+    got, _ = run(capsys, "membership", "--type", "A1", "--input", text)
+    assert got == code
 
 
-def test_reproduce_apples(capsys):
-    code, out = run(capsys, "reproduce", "apples")
+@pytest.mark.parametrize("target", ["ex1", "subbie", "apples", "p4-table"])
+def test_reproduce(capsys, target):
+    code, out = run(capsys, "reproduce", target)
     assert code == 0
+    assert "ok" in out and "FAIL" not in out

@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from eigencone import rays, schubert
 from eigencone import rootdata as rd
+from eigencone.weyl import identity, minimal_reps, reflection, weyl_group
 
 
 @pytest.mark.parametrize(
@@ -190,3 +192,63 @@ def test_classifier_on_levis():
     d4 = rd.build_root_system("D4")
     p = rd.ParabolicSpec(d4, {1, 2, 3})
     assert p.levi_labels() == ["A3"]
+
+
+@pytest.mark.parametrize("label", ["A2", "B3", "C3", "G2", "F4", "D4"])
+def test_coroot_table_against_invariant_form(label):
+    # the stored integer coroot against 2 (lam, beta) / (beta, beta) from the
+    # invariant form, for every root of both signs
+    rs = rd.build_root_system(label)
+    roots = list(rs.positive_roots) + [
+        tuple(-m for m in b) for b in rs.positive_roots
+    ]
+    e = identity(rs)
+    for beta in roots:
+        bw = rs.root_to_weight(beta)
+        norm = rd.invariant_form(bw, bw)
+        for i in range(1, rs.rank + 1):
+            om = rs.omega(i)
+            assert rd.pair(om, beta) == 2 * rd.invariant_form(om, bw) / norm
+            assert rd.pair(om, beta) == rs.coroot(beta)[i - 1]
+        assert rd.pair(bw, beta) == 2
+        s = reflection(rs, beta)
+        assert s.compose(s) == e
+        assert s.act(bw).coords == (-bw).coords
+        assert s.act_root(beta) == tuple(-m for m in beta)
+
+
+def test_coroot_rejects_nonroot(d4):
+    with pytest.raises(ValueError, match="not a root"):
+        d4.coroot((1, 0, 0, 1))
+
+
+@pytest.mark.parametrize("label", ["A2", "B3", "G2", "D4"])
+def test_integral_values_are_int(label):
+    # integral data stays int; Fraction appears only where a division makes
+    # one, and never float
+    def exact(values):
+        return all(type(c) in (int, Fraction) for c in values)
+
+    rs = rd.build_root_system(label)
+    n = rs.rank
+    for i in range(1, n + 1):
+        assert all(type(c) is int for c in rs.omega(i).coords)
+    for w in weyl_group(rs):
+        for i in range(1, n + 1):
+            assert all(type(c) is int for c in w.act(rs.omega(i)).coords)
+    for beta in rs.positive_roots:
+        mat = reflection(rs, beta).matrix
+        assert all(type(x) is int for row in mat for x in row)
+        assert type(rd.pair(rs.rho, beta)) is int
+    vec = tuple(range(3 * n))
+    back = rays.RayTuple.from_vector(rs, 3, vec)
+    assert all(type(c) is int for c in back.to_vector())
+    for k in range(1, n + 1):
+        P = rd.ParabolicSpec.maximal(rs, k)
+        assert exact(P.rho_L().coords)
+        assert exact(rd.kappa_inv(rd.kappa(rs.omega(k))).coords)
+        x = rays.RayTuple((rs.omega(k), rs.rho, rs.zero_weight()))
+        for w in rays.shift_to_degree0(x, P).weights:
+            assert exact(w.coords)
+        for w in minimal_reps(P):
+            assert exact(schubert.chi(w, P).coords)
