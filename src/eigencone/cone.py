@@ -75,9 +75,6 @@ class HRep:
                     f"row {row} has length {len(row)}, expected {self.dim}"
                 )
 
-    def copy(self):
-        return HRep(self.dim, list(self.inequalities), list(self.equalities))
-
 
 def _dot(a, b):
     return sum(map(mul, a, b))
@@ -132,21 +129,18 @@ def _bits(x):
         x ^= low
 
 
-def _dd(rows, n):
+def _dd(rows, n, start):
     """Double description for {y in Q^n : row . y >= 0}, rows spanning rank n.
 
-    Rows are added in the caller's order. Each ray lives in a slot; zsets[s]
-    is the bitmask of processed rows tight at the ray in slot s, and
-    tight[p] is the bitmask of slots tight at processed row p. Both are
-    kept up to date as rays come and go, so the combinatorial adjacency
-    test of Fukuda and Prodon ("Double description method revisited",
-    1996) costs a few big-integer ANDs per pair. Returns the extremal rays
+    ``start`` indexes n linearly independent rows, whose inverse gives the
+    first n rays; the other rows are then added in the caller's order. Each
+    ray lives in a slot; zsets[s] is the bitmask of processed rows tight at
+    the ray in slot s, and tight[p] is the bitmask of slots tight at
+    processed row p. Both are kept up to date as rays come and go, so the
+    combinatorial adjacency test of Fukuda and Prodon ("Double description
+    method revisited", 1996) costs a few big-integer ANDs per pair. Returns the extremal rays
     as primitive integer tuples, in no particular order.
     """
-    start = _independent_rows(rows, n)
-    if len(start) < n:
-        null = linalg.nullspace([list(r) for r in rows], ncols=n)
-        raise NotPointedError(clear_denominators(null[0]))
     init = [rows[i] for i in start]
     inv = linalg.inverse(init)
     rays = {
@@ -240,21 +234,17 @@ def extremal_rays(h):
     proj = _normalize_rows(
         [[_dot(row, b) for b in basis] for row in h.inequalities]
     )
-    if linalg.rank([list(r) for r in proj]) < n:
-        if not proj:
-            null = basis
-        else:
-            null = [
-                clear_denominators(
-                    [
-                        sum(v[i] * basis[i][c] for i in range(n))
-                        for c in range(h.dim)
-                    ]
-                )
-                for v in linalg.nullspace([list(r) for r in proj], ncols=n)
-            ]
-        raise NotPointedError(null[0])
-    rays_sub = _dd(proj, n)
+    start = _independent_rows(proj, n)
+    if len(start) < n:
+        # a line in the cone: a null vector of the independent rows, mapped
+        # back to ambient coordinates
+        v = linalg.nullspace([list(proj[i]) for i in start], ncols=n)[0]
+        raise NotPointedError(
+            clear_denominators(
+                [sum(v[i] * basis[i][c] for i in range(n)) for c in range(h.dim)]
+            )
+        )
+    rays_sub = _dd(proj, n, start)
     out = set()
     for r in rays_sub:
         amb = tuple(

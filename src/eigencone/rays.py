@@ -349,12 +349,12 @@ def decompose_on_face(face, x):
 def face_extremal_rays(face):
     """All extremal rays of the face, via the polyhedral engine."""
     rs = face.root_system
-    h = gamma_hrep(rs, face.s).copy()
-    for k in face.P.complement:
-        h.equalities.append(
-            clear_denominators(faces.inequality_row(face, k))
-        )
-    h = cone.HRep(h.dim, h.inequalities, h.equalities)
+    full = gamma_hrep(rs, face.s)
+    h = cone.HRep(
+        full.dim,
+        full.inequalities,
+        [faces.inequality_row(face, k) for k in face.P.complement],
+    )
     return [
         RayTuple.from_vector(rs, face.s, r, "dd")
         for r in cone.extremal_rays(h)
@@ -414,23 +414,6 @@ def classify_face(face):
 # -- tensor-invariant oracle ------------------------------------------
 
 
-def _dominant_rep(rs, coords):
-    """(dominant W-translate, sign): the walk applies s_i at the first
-    negative coordinate until none is left; sign is (-1)^(steps taken)."""
-    c = list(coords)
-    a = rs.cartan_matrix
-    n = rs.rank
-    sign = 1
-    while True:
-        i = next((i for i in range(n) if c[i] < 0), None)
-        if i is None:
-            return tuple(c), sign
-        ci = c[i]
-        for r in range(n):
-            c[r] -= ci * a[r][i]
-        sign = -sign
-
-
 @lru_cache(maxsize=None)
 def _weight_mults(rs, lam_coords):
     """Dominant weight multiplicities of the irreducible with highest weight
@@ -464,7 +447,7 @@ def _weight_mults(rs, lam_coords):
             t = 1
             while True:
                 cand = tuple(a + t * b for a, b in zip(mu, bw.coords))
-                dom, _ = _dominant_rep(rs, cand)
+                dom, _ = rs.dominant_walk(cand)
                 m = mults.get(dom, 0)
                 if m:
                     # (mu + t beta, beta)
@@ -534,7 +517,7 @@ def _tensor_decompose(rs, acc, lam_coords):
             shifted = tuple(
                 a + b + c for a, b, c in zip(nu, mu, rho)
             )
-            dom, sign = _dominant_rep(rs, shifted)
+            dom, word = rs.dominant_walk(shifted)
             # the shifted weight is singular (fixed by some reflection) iff
             # its dominant translate is, and the stabilizer of a dominant
             # weight is generated by the s_i it fixes, i.e. its zero
@@ -542,7 +525,7 @@ def _tensor_decompose(rs, acc, lam_coords):
             if 0 in dom:
                 continue
             res = tuple(a - b for a, b in zip(dom, rho))
-            out[res] = out.get(res, 0) + sign * mult * m
+            out[res] = out.get(res, 0) + (-1) ** len(word) * mult * m
     return {k: v for k, v in out.items() if v}
 
 
@@ -552,7 +535,8 @@ def invariant_dim(x, max_height=20):
     ws = x.weights if isinstance(x, RayTuple) else tuple(x)
     for w in ws:
         if not (w.is_dominant() and w.is_integral()):
-            raise ValueError(f"{tuple(w.coords)} is not dominant integral")
+            text = ", ".join(map(str, w.coords))
+            raise ValueError(f"({text}) is not dominant integral")
         if w.height() > max_height:
             raise OracleLimitError(
                 f"weight height {w.height()} exceeds the bound {max_height}"

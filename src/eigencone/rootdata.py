@@ -212,6 +212,27 @@ class RootSystem:
         out[i - 1] -= c
         return tuple(out)
 
+    def dominant_walk(self, coords):
+        """(dominant W-translate, word) of a weight in fundamental coordinates.
+
+        The walk applies s_i at the first negative coordinate until none is
+        left; ``word`` lists the 1-based indices in the order applied. For
+        coords = w(rho) the negative coordinates are the left descents of w,
+        so the walk ends at rho and ``word`` is a reduced word of w.
+        """
+        c = list(coords)
+        a = self.cartan_matrix
+        n = self.rank
+        word = []
+        while True:
+            i = next((i for i in range(n) if c[i] < 0), None)
+            if i is None:
+                return tuple(c), tuple(word)
+            ci = c[i]
+            for r in range(n):
+                c[r] -= ci * a[r][i]
+            word.append(i + 1)
+
     def root_to_weight(self, beta):
         """A root (simple-root basis) as a Weight."""
         coords = [

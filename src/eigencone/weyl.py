@@ -3,8 +3,13 @@
 Elements are encoded by their action on the weight lattice: the canonical
 form of ``w`` is the integer matrix whose column j holds the
 fundamental-weight coordinates of w(omega_j). This encoding is faithful,
-hashable, and makes compose/act/inverse plain matrix operations; reduced
-words are kept only for parsing and display.
+hashable, and makes compose/act plain matrix operations.
+
+Everything else comes from one integer walk: the negative coordinates of
+w(rho) are the left descents of w, so ``RootSystem.dominant_walk`` from
+w(rho) back to rho reads off a reduced word. The length is the length of
+that word, the inverse is the reversed word, and the action on roots
+applies simple reflections along the word.
 
 Orientation conventions, fixed once:
 
@@ -19,8 +24,7 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 
-from . import linalg
-from .rootdata import Weight
+from .rootdata import Weight, pair
 
 __all__ = [
     "WeylElem",
@@ -51,16 +55,31 @@ def _matvec(a, v):
     return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in a)
 
 
+def _word_matrix(rs, word):
+    """Matrix of s_{word[0]} o .. o s_{word[-1]}: each omega_j is reflected
+    by the letters from right to left."""
+    n = rs.rank
+    a = rs.cartan_matrix
+    cols = []
+    for j in range(n):
+        c = [int(r == j) for r in range(n)]
+        for i in reversed(word):
+            ci = c[i - 1]
+            for r in range(n):
+                c[r] -= ci * a[r][i - 1]
+        cols.append(c)
+    return tuple(tuple(col[r] for col in cols) for r in range(n))
+
+
 class WeylElem:
     """A Weyl group element, canonically encoded by its weight-lattice matrix."""
 
-    __slots__ = ("root_system", "matrix", "_length", "_root_matrix", "_word")
+    __slots__ = ("root_system", "matrix", "_word")
 
     def __init__(self, root_system, matrix, word=None):
+        """``word``, if given, must be a reduced word of the matrix."""
         self.root_system = root_system
-        self.matrix = tuple(tuple(int(x) for x in row) for row in matrix)
-        self._length = None
-        self._root_matrix = None
+        self.matrix = tuple(tuple(row) for row in matrix)
         self._word = word
 
     def __eq__(self, other):
@@ -83,28 +102,13 @@ class WeylElem:
         assert lam.root_system is self.root_system
         return Weight(self.root_system, _matvec(self.matrix, lam.coords))
 
-    @property
-    def root_matrix(self):
-        """Action on the simple-root basis (integer matrix)."""
-        if self._root_matrix is None:
-            rs = self.root_system
-            a = rs.cartan_matrix
-            prod = _matmul(self.matrix, a)
-            inv = rs._cartan_inv
-            n = rs.rank
-            rm = tuple(
-                tuple(
-                    int(sum(inv[i][k] * prod[k][j] for k in range(n)))
-                    for j in range(n)
-                )
-                for i in range(n)
-            )
-            self._root_matrix = rm
-        return self._root_matrix
-
     def act_root(self, beta):
         """w(beta) for a root in the simple-root basis."""
-        return _matvec(self.root_matrix, beta)
+        rs = self.root_system
+        beta = tuple(beta)
+        for i in reversed(self._reduced_word()):
+            beta = rs.reflect_root(i, beta)
+        return beta
 
     def compose(self, other):
         """w o other (other acts first)."""
@@ -112,27 +116,15 @@ class WeylElem:
         return WeylElem(self.root_system, _matmul(self.matrix, other.matrix))
 
     def inverse(self):
-        inv = linalg.inverse(self.matrix)
-        return WeylElem(
-            self.root_system, [[int(x) for x in row] for row in inv]
-        )
+        word = self._reduced_word()[::-1]
+        return WeylElem(self.root_system, _word_matrix(self.root_system, word), word)
 
     @property
     def length(self):
-        if self._length is None:
-            # l(w) = l(w^-1) = #{beta in R^+ : w(beta) in R^-}
-            self._length = sum(
-                1
-                for beta in self.root_system.positive_roots
-                if any(x < 0 for x in self.act_root(beta))
-            )
-        return self._length
+        return len(self._reduced_word())
 
     def is_identity(self):
-        n = self.root_system.rank
-        return self.matrix == tuple(
-            tuple(int(i == j) for j in range(n)) for i in range(n)
-        )
+        return self.matrix == _word_matrix(self.root_system, ())
 
     def is_minimal_rep(self, P):
         """w in W^P: w(alpha) positive for every alpha in Delta(P)."""
@@ -142,29 +134,19 @@ class WeylElem:
                 return False
         return True
 
+    def _reduced_word(self):
+        """The word given at construction, else the rho walk's word."""
+        if self._word is None:
+            rs = self.root_system
+            # w(rho) is the row sums of the matrix
+            end, word = rs.dominant_walk(tuple(sum(row) for row in self.matrix))
+            assert end == rs.rho.coords, (self.matrix, end)
+            self._word = word
+        return self._word
+
     def word(self):
         """A reduced word, as a list of 1-based simple indices."""
-        if self._word is not None:
-            return list(self._word)
-        # peel simple reflections off the left: pick i with w^-1(alpha_i) < 0
-        rs = self.root_system
-        out = []
-        w = self
-        winv = self.inverse()
-        while True:
-            found = None
-            for i, alpha in enumerate(rs.simple_roots, start=1):
-                if any(x < 0 for x in winv.act_root(alpha)):
-                    found = i
-                    break
-            if found is None:
-                break
-            out.append(found)
-            s = simple_reflection(rs, found)
-            w = s.compose(w)
-            winv = winv.compose(s)
-        self._word = tuple(out)
-        return out
+        return list(self._reduced_word())
 
     def word_str(self):
         w = self.word()
@@ -195,17 +177,12 @@ class CoverDatum:
 
 
 def identity(rs):
-    n = rs.rank
-    return WeylElem(rs, [[int(i == j) for j in range(n)] for i in range(n)], word=())
+    return WeylElem(rs, _word_matrix(rs, ()), ())
 
 
 def simple_reflection(rs, i):
     """s_i acting on fundamental coordinates (1-based i)."""
-    n = rs.rank
-    mat = [[int(r == c) for c in range(n)] for r in range(n)]
-    for r in range(n):
-        mat[r][i - 1] -= rs.cartan_matrix[r][i - 1]
-    return WeylElem(rs, mat, word=(i,))
+    return WeylElem(rs, _word_matrix(rs, (i,)), (i,))
 
 
 def reflection(rs, beta):
@@ -230,13 +207,12 @@ def parse_word(rs, text):
     tokens = _WORD_RE.findall(text)
     if not tokens or "".join(f"s{t}" for t in tokens) != text.replace(" ", "").replace("_", ""):
         raise ValueError(f"cannot parse Weyl word {text!r}")
-    w = identity(rs)
-    for t in tokens:
-        i = int(t)
+    letters = [int(t) for t in tokens]
+    for i in letters:
         if not 1 <= i <= rs.rank:
             raise ValueError(f"simple index {i} out of range in {text!r}")
-        w = w.compose(simple_reflection(rs, i))
-    return w
+    # a typed word need not be reduced, so the element finds its own
+    return WeylElem(rs, _word_matrix(rs, letters))
 
 
 class WeylGroup:
@@ -327,13 +303,11 @@ def cover_test(u, ell, P):
 
 
 def inversion_set(v):
-    """Positive roots sent negative by v^-1; size l(v)."""
-    vinv = v.inverse()
-    out = {
-        beta
-        for beta in v.root_system.positive_roots
-        if any(x < 0 for x in vinv.act_root(beta))
-    }
+    """Positive roots sent negative by v^-1: those beta with
+    <v(rho), beta^vee> < 0; size l(v)."""
+    rs = v.root_system
+    v_rho = v.act(rs.rho)
+    out = {beta for beta in rs.positive_roots if pair(v_rho, beta) < 0}
     assert len(out) == v.length
     return out
 

@@ -281,6 +281,17 @@ def test_input_entries_are_validated(capsys, text, code):
     assert got == code
 
 
+def test_non_integral_oracle_input_message(capsys):
+    code = cli.main(
+        ["membership", "--type", "B2", "--input", '[["1/2",1],[1,0],[1,1]]',
+         "--oracle-max-n", "2"]
+    )
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "(1/2, 1) is not dominant integral" in err
+    assert "Fraction(" not in err
+
+
 @pytest.mark.parametrize("target", ["ex1", "subbie", "apples", "p4-table"])
 def test_reproduce(capsys, target):
     code, out = run(capsys, "reproduce", target)

@@ -74,6 +74,17 @@ def test_not_pointed():
     assert v[0] == 0 and v[1] != 0
 
 
+def test_not_pointed_inside_equality_subspace():
+    # x + y + z = 0 and x >= 0 leave the line through (0, 1, -1)
+    h = cone.HRep(3, inequalities=[(1, 0, 0)], equalities=[(1, 1, 1)])
+    with pytest.raises(cone.NotPointedError) as err:
+        cone.extremal_rays(h)
+    v = err.value.vector
+    assert len(v) == 3 and any(v)
+    assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in h.equalities)
+    assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in h.inequalities)
+
+
 def test_not_pointed_whole_space():
     h = cone.HRep(2)
     with pytest.raises(cone.NotPointedError):

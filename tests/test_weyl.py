@@ -1,7 +1,7 @@
 import pytest
 
 from eigencone import weyl as wl
-from eigencone.rootdata import ParabolicSpec, build_root_system
+from eigencone.rootdata import ParabolicSpec, build_root_system, pair
 
 
 def test_simple_reflection_fixes_other_fundamentals(d4):
@@ -189,3 +189,22 @@ def test_word_composition_order(d4):
     for i in (2, 1, 3, 4):
         step = wl.simple_reflection(d4, i).act(step)
     assert u.act(d4.omega(2)).coords == step.coords
+
+
+@pytest.mark.parametrize("label", ["A2", "B3", "C3", "G2", "D4", "F4", "A1xA1xA1"])
+def test_weyl_layer_against_independent_routes(label):
+    # the rho walk gives words, lengths, inverses and root actions; check
+    # each against a route that does not use it
+    rs = build_root_system(label)
+    rho = rs.rho
+    positive = rs.positive_roots
+    for w in wl.weyl_group(rs):
+        w_rho = w.act(rho)
+        assert w.length == sum(1 for b in positive if pair(w_rho, b) < 0)
+        prod = wl.identity(rs)
+        for i in w.word():
+            prod = prod.compose(wl.simple_reflection(rs, i))
+        assert prod.matrix == w.matrix
+        assert w.compose(w.inverse()).is_identity()
+        for b in positive:
+            assert rs.root_to_weight(w.act_root(b)) == w.act(rs.root_to_weight(b))
