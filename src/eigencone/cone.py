@@ -234,23 +234,18 @@ def extremal_rays(h):
     proj = _normalize_rows(
         [[_dot(row, b) for b in basis] for row in h.inequalities]
     )
+
+    def ambient(v):
+        return clear_denominators(
+            [sum(v[i] * basis[i][c] for i in range(n)) for c in range(h.dim)]
+        )
+
     start = _independent_rows(proj, n)
     if len(start) < n:
-        # a line in the cone: a null vector of the independent rows, mapped
-        # back to ambient coordinates
+        # a line in the cone: a null vector of the independent rows
         v = linalg.nullspace([list(proj[i]) for i in start], ncols=n)[0]
-        raise NotPointedError(
-            clear_denominators(
-                [sum(v[i] * basis[i][c] for i in range(n)) for c in range(h.dim)]
-            )
-        )
-    rays_sub = _dd(proj, n, start)
-    out = set()
-    for r in rays_sub:
-        amb = tuple(
-            sum(r[i] * basis[i][c] for i in range(n)) for c in range(h.dim)
-        )
-        out.add(clear_denominators(amb))
+        raise NotPointedError(ambient(v))
+    out = {ambient(r) for r in _dd(proj, n, start)}
     result = sorted(out)
     for r in result:
         assert contains(h, r)
