@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -88,31 +89,68 @@ def _weights(x):
 
 
 @lru_cache(maxsize=None)
+def _row_block(w, k):
+    """-(w^-1 omega_i)(x_k) for i = 1..rank: the slice of the inequality row
+    for x_k that multiplies the fundamental coordinates of w's factor."""
+    rs = w.root_system
+    winv = w.inverse()
+    return tuple(-eval_x(winv.act(rs.omega(i)), k) for i in range(1, rs.rank + 1))
+
+
+# w in W^P with its codimension, the product-table id of its class and its
+# gap term chi_w(x_k)
+_WordEntry = namedtuple("_WordEntry", "w codim pid gap")
+
+
+@lru_cache(maxsize=None)
+def _word_table(P, k):
+    """One entry per w in W^P, in the order of ``minimal_reps``, for k
+    outside Delta(P).
+
+    chi_w = rho - 2 rho^L + w^-1 rho and rho = sum_i omega_i, so chi_w(x_k)
+    is (rho - 2 rho^L)(x_k) minus the sum of w's row block. A tuple (w_j)
+    has a vanishing degree gap at k iff sum_j chi_{w_j}(x_k) = chi_e(x_k).
+    """
+    rs = P.root_system
+    table = schubert.product_table(rs)
+    base = eval_x(rs.rho - P.rho_L().scale(2), k)
+    return tuple(
+        _WordEntry(w, schubert.codim(w, P), schubert._dual_id(w, P, table),
+                   base - sum(_row_block(w, k)))
+        for w in minimal_reps(P)
+    )
+
+
+@lru_cache(maxsize=None)
 def _facets_cached(rs, s, quotient):
+    table = schubert.product_table(rs)
     out = []
     for k in range(1, rs.rank + 1):
         P = ParabolicSpec.maximal(rs, k)
-        reps = minimal_reps(P)
-        by_codim = {}
-        for w in reps:
-            by_codim.setdefault(schubert.codim(w, P), []).append(w)
-        dim = P.dim_flag
+        entries = _word_table(P, k)
+        e = entries[0]  # the identity, the only element of length 0
+        by_codim, by_key = {}, {}
+        for x in entries:
+            by_codim.setdefault(x.codim, []).append(x)
+            by_key.setdefault((x.codim, x.gap), []).append(x)
         seen = set()
-        codims = sorted(by_codim)
-        for parts in itertools.product(codims, repeat=s - 1):
-            rest = dim - sum(parts)
+        for parts in itertools.product(sorted(by_codim), repeat=s - 1):
+            rest = P.dim_flag - sum(parts)
             if rest not in by_codim:
                 continue
-            pools = [by_codim[c] for c in parts] + [by_codim[rest]]
-            for tup in itertools.product(*pools):
-                if quotient:
-                    key = tuple(sorted(w.matrix for w in tup))
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                movable, c = schubert.levi_movable(list(tup), P)
-                if movable and c == 1:
-                    out.append(FaceSpec(s, P, tup))
+            for head in itertools.product(*(by_codim[c] for c in parts)):
+                # the last factor must close both the codimension and the gap
+                need = e.gap - sum(x.gap for x in head)
+                for last in by_key.get((rest, need), ()):
+                    tup = tuple(x.w for x in head) + (last.w,)
+                    if quotient:
+                        key = tuple(sorted(w.matrix for w in tup))
+                        if key in seen:
+                            continue
+                        seen.add(key)
+                    ids = [x.pid for x in head] + [last.pid]
+                    if table.point_coefficient(ids, e.pid) == 1:
+                        out.append(FaceSpec(s, P, tup))
     return tuple(out)
 
 
@@ -132,23 +170,18 @@ def eval_inequality(face, x, k):
     if k in face.P.delta_P:
         raise ValueError(f"index {k} lies inside Delta(P)")
     lams = _weights(x)
-    total = 0
-    for w, lam in zip(face.words, lams):
-        total += eval_x(w.inverse().act(lam), k)
-    return total
+    return -sum(
+        b * c
+        for w, lam in zip(face.words, lams)
+        for b, c in zip(_row_block(w, k), lam.coords)
+    )
 
 
 def inequality_row(face, k):
     """The inequality as a flat rational row over stacked fundamental
     coordinates (lambda_1 .. lambda_s), oriented so that row . x >= 0 holds
     on the cone."""
-    rs = face.root_system
-    row = []
-    for w in face.words:
-        winv = w.inverse()
-        for i in range(1, rs.rank + 1):
-            row.append(-eval_x(winv.act(rs.omega(i)), k))
-    return tuple(row)
+    return tuple(b for w in face.words for b in _row_block(w, k))
 
 
 def tens_membership(x):

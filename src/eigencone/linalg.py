@@ -96,6 +96,9 @@ def clear_denominators(vec):
 
     The zero vector is returned unchanged.
     """
+    if all(isinstance(x, int) for x in vec):
+        g = gcd(*vec)
+        return tuple(x // g for x in vec) if g else tuple(vec)
     fracs = [Fraction(x) for x in vec]
     if all(x == 0 for x in fracs):
         return tuple(0 for _ in fracs)

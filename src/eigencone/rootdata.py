@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import linalg
 
@@ -400,7 +400,8 @@ class ParabolicSpec:
 
     Indices in ``delta_P`` are 1-based. Derived data: the positive roots of
     the Levi, rho^L, and the decomposition of the Levi semisimple part into
-    connected Dynkin components.
+    connected Dynkin components. The complement, the Levi roots, dim G/P and
+    rho^L are computed once per instance.
     """
 
     def __init__(self, root_system, delta_P):
@@ -428,14 +429,14 @@ class ParabolicSpec:
     def borel(cls, root_system):
         return cls(root_system, set())
 
-    @property
+    @cached_property
     def complement(self):
         """Simple indices outside Delta(P), sorted."""
         return tuple(
             k for k in range(1, self.root_system.rank + 1) if k not in self.delta_P
         )
 
-    @property
+    @cached_property
     def levi_positive_roots(self):
         """Positive roots supported on Delta(P)."""
         return tuple(
@@ -444,19 +445,23 @@ class ParabolicSpec:
             if all(b[i - 1] == 0 for i in self.complement)
         )
 
-    @property
+    @cached_property
     def dim_flag(self):
         """dim G/P = number of positive roots outside the Levi."""
         return len(self.root_system.positive_roots) - len(self.levi_positive_roots)
 
-    def rho_L(self):
-        """Half sum of the positive roots of the Levi."""
+    @cached_property
+    def _rho_L(self):
         rs = self.root_system
         total = [Fraction(0)] * rs.rank
         for b in self.levi_positive_roots:
             w = rs.root_to_weight(b)
             total = [t + c for t, c in zip(total, w.coords)]
         return rs.weight([t / 2 for t in total])
+
+    def rho_L(self):
+        """Half sum of the positive roots of the Levi."""
+        return self._rho_L
 
     def levi_components(self):
         """Connected components of Delta(P), each a sorted tuple of 1-based nodes."""

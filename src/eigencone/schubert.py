@@ -187,6 +187,15 @@ class ProductTable:
         self._products[key] = result
         return result
 
+    def point_coefficient(self, ids, point):
+        """c with sigma_{ids[0]} * .. * sigma_{ids[-1]} = c sigma_point, for
+        classes whose degrees add up to the degree of ``point``."""
+        vec = {ids[0]: 1}
+        for i in ids[1:]:
+            vec = self.product_vec(vec, {i: 1})
+        assert all(xid == point for xid in vec), "product left the expected span"
+        return vec.get(point, 0)
+
     def product_vec(self, vec_a, vec_b):
         out = {}
         for uid, a in vec_a.items():
@@ -252,12 +261,10 @@ def multi_coeff(words, P):
             f"codimensions sum to {total}, expected {P.dim_flag}"
         )
     table = product_table(P.root_system)
-    vec = {_dual_id(words[0], P, table): 1}
-    for w in words[1:]:
-        vec = table.product_vec(vec, {_dual_id(w, P, table): 1})
-    point = _dual_id(identity(P.root_system), P, table)
-    assert all(xid == point for xid in vec), "product left the expected span"
-    return vec.get(point, 0)
+    return table.point_coefficient(
+        [_dual_id(w, P, table) for w in words],
+        _dual_id(identity(P.root_system), P, table),
+    )
 
 
 def chi(w, P):

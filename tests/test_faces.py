@@ -1,10 +1,13 @@
+import hashlib
+import itertools
 import json
+import random
 
 import pytest
 
-from eigencone import faces
-from eigencone.rootdata import ParabolicSpec, build_root_system
-from eigencone.weyl import parse_word
+from eigencone import faces, schubert
+from eigencone.rootdata import ParabolicSpec, build_root_system, eval_x
+from eigencone.weyl import identity, minimal_reps, parse_word
 
 
 def test_a1_facets():
@@ -141,3 +144,118 @@ def test_face_from_json_rejects_wrong_word_count(main_face):
     blob["words"] = blob["words"][:2]
     with pytest.raises(ValueError, match="expected 3 words, got 2"):
         faces.face_from_json(blob)
+
+
+# Regression gate on the regular-facet lists and their order: sha256 of the
+# lines "{complement}: w1 ; w2 ; w3", the format the benchmark digests use,
+# recorded from the enumeration that called levi_movable on every
+# codimension-compatible tuple. (count, digest) for plain, then quotiented.
+FACET_DIGESTS = {
+    "A2": ((12, "afec1fd123828423605d0045b289762cee1f43937a64ae850dc2560729e80fcf"),
+           (4, "0aff4ce7210a1d1f4e8a5062eccf250135f5449e36411ea0353c0870f3814056")),
+    "B2": ((18, "f42cb4c0e6e04c216a5beb7a68d89dfbcb66f97e46c79ffabdd9d4983da568a2"),
+           (4, "dfe265e988466469b74cdc3db20f4cf7dd34161902f74c129a6edeb8251e456b")),
+    "G2": ((30, "05040294848b30514fca2efd47c8bd196c3f4b048ff0eaac06c48f3957f1ef4b"),
+           (6, "db0548867663a73202058576ae02f4f16cf0cc926a8079eb30e735aa9d1a2bc8")),
+    "A3": ((41, "d3ee32166f3231cd50a2797ded78d85dc05407703013cba9b7f50b457a0d3cf6"),
+           (12, "74adc8ab69173781b50c846ffa07f256a8982112ec06f1aa83aa54c78a02890c")),
+    "B3": ((93, "0d802ce8eff854bb6679f1a6ed56dafd7631b010c05b8bd5ef919a36341b8297"),
+           (18, "a0d863659b856cf03846b4d773a80ccf083acdd23e69d56c81bc2c8fff579393")),
+    "C3": ((93, "0d802ce8eff854bb6679f1a6ed56dafd7631b010c05b8bd5ef919a36341b8297"),
+           (18, "a0d863659b856cf03846b4d773a80ccf083acdd23e69d56c81bc2c8fff579393")),
+    "A4": ((142, "4de2f2216b47a34c9be0839432d850b3d36733e9632c7d93a6f63216b4b4afb7"),
+           (36, "6c98e3be410c8d007c13925ab12f87fcceda39a81809fec68e5fdade42f6377d")),
+    "D4": ((294, "89213291fcd0bc12326e33045eed7935f59f34a1987d4ac25a76438fb5340490"),
+           (57, "f79f69144b344e6b2d65263923f8cce72d3f03cdf54ae776b7a22bfad2175d70")),
+}
+
+
+def _facet_lines(facet_list):
+    return [
+        f"{list(f.P.complement)}: {' ; '.join(w.word_str() for w in f.words)}"
+        for f in facet_list
+    ]
+
+
+@pytest.mark.parametrize("label", sorted(FACET_DIGESTS))
+def test_facet_order_gate(label):
+    rs = build_root_system(label)
+    for quotient, want in zip((False, True), FACET_DIGESTS[label]):
+        got = faces.enumerate_regular_facets(3, rs, quotient_symmetry=quotient)
+        text = "\n".join(_facet_lines(got)).encode()
+        assert (len(got), hashlib.sha256(text).hexdigest()) == want, quotient
+
+
+def _brute_force_facets(rs, s, quotient):
+    """Every codimension-compatible tuple, in the enumeration's nested order
+    (codimensions of the first s - 1 factors, then positions in W^P), kept
+    when the public levi_movable says (True, 1)."""
+    out = []
+    for k in range(1, rs.rank + 1):
+        P = ParabolicSpec.maximal(rs, k)
+        reps = minimal_reps(P)
+        pos = {w: i for i, w in enumerate(reps)}
+        tuples = [
+            t for t in itertools.product(reps, repeat=s)
+            if sum(schubert.codim(w, P) for w in t) == P.dim_flag
+        ]
+        tuples.sort(key=lambda t: (
+            [schubert.codim(w, P) for w in t[:-1]], [pos[w] for w in t]
+        ))
+        seen = set()
+        for t in tuples:
+            if quotient:
+                key = tuple(sorted(w.matrix for w in t))
+                if key in seen:
+                    continue
+                seen.add(key)
+            if schubert.levi_movable(list(t), P) == (True, 1):
+                out.append(faces.FaceSpec(s, P, t))
+    return out
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", "B3", "C3"])
+def test_facets_match_brute_force(label):
+    rs = build_root_system(label)
+    for quotient in (False, True):
+        got = faces.enumerate_regular_facets(3, rs, quotient_symmetry=quotient)
+        want = _brute_force_facets(rs, 3, quotient)
+        assert _facet_lines(got) == _facet_lines(want), quotient
+
+
+@pytest.mark.parametrize("label", ["A2", "B3", "C3", "G2", "D4"])
+def test_row_blocks_against_independent_routes(label):
+    """eval_inequality, inequality_row and the word table's gaps read cached
+    row blocks; compare each with w^-1 acting on the weights and with chi."""
+    rs = build_root_system(label)
+    rng = random.Random(20180309)
+    chosen = rng.sample(faces.enumerate_regular_facets(3, rs), 6)
+    # any words in W^P give an inequality, so a non-maximal P needs no facet
+    P = ParabolicSpec.dropping(rs, {1, rs.rank})
+    reps = minimal_reps(P)
+    chosen.append(faces.FaceSpec(3, P, tuple(rng.choice(reps) for _ in range(3))))
+    e = identity(rs)
+    for face in chosen:
+        for k in face.P.complement:
+            for _ in range(3):
+                lams = tuple(
+                    rs.weight([rng.randint(0, 4) for _ in range(rs.rank)])
+                    for _ in range(3)
+                )
+                want = sum(
+                    eval_x(w.inverse().act(lam), k)
+                    for w, lam in zip(face.words, lams)
+                )
+                assert faces.eval_inequality(face, lams, k) == want
+                row = faces.inequality_row(face, k)
+                flat = [c for lam in lams for c in lam.coords]
+                assert sum(r * x for r, x in zip(row, flat)) == -want
+            table = {x.w: x for x in faces._word_table(face.P, k)}
+            gap = sum(table[w].gap for w in face.words) - table[e].gap
+            chis = rs.zero_weight()
+            for w in face.words:
+                chis = chis + schubert.chi(w, face.P)
+            assert gap == eval_x(chis - schubert.chi(e, face.P), k)
+            assert gap == schubert.degree_gaps(list(face.words), face.P)[k]
+            if face.P.delta_P != P.delta_P:
+                assert gap == 0  # a regular facet is Levi-movable

@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from eigencone import linalg
 
 
@@ -38,3 +40,12 @@ def test_clear_denominators():
     assert linalg.clear_denominators([4, 6]) == (2, 3)
     assert linalg.clear_denominators([0, 0]) == (0, 0)
     assert linalg.clear_denominators([Fraction(-1, 2), 0]) == (-1, 0)
+
+
+@pytest.mark.parametrize(
+    "vec", [(4, -6, 0), (0, 0, 0), (-3,), (0, 5), (12, 18, -30), (-7, 0, 14), ()]
+)
+def test_clear_denominators_int_path_matches_fraction_path(vec):
+    got = linalg.clear_denominators(list(vec))
+    assert got == linalg.clear_denominators([Fraction(x) for x in vec])
+    assert all(type(x) is int for x in got)
