@@ -490,7 +490,8 @@ def main(argv=None):
     except ParseFailure as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
-    except (ValueError, rays.OracleLimitError, cone.NotPointedError) as e:
+    except (ValueError, rays.OracleLimitError, cone.NotPointedError,
+            schubert.ProductTableError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_MATH
 

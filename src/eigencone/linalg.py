@@ -1,43 +1,72 @@
-"""Small exact linear algebra helpers over Fraction.
+"""Small exact linear algebra helpers.
 
-Everything here operates on lists of lists of Fraction (or int); matrices are
-small (dimension <= a few dozen), so plain Gaussian elimination is fine.
+Row reduction runs on integer rows without division (``rref_int``); the
+rational routines scale each row to integers, reduce, and divide by the
+pivots once at the end, so they return lists of Fraction. Matrices are small
+(dimension <= a few hundred), so plain Gauss-Jordan elimination is fine.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
-def _frac_rows(mat):
-    return [[Fraction(x) for x in row] for row in mat]
+def rref_int(rows):
+    """Fraction-free Gauss-Jordan elimination of integer rows.
 
-
-def rref(mat):
-    """Reduced row echelon form; returns (rows, pivot_columns)."""
-    rows = _frac_rows(mat)
+    Returns (rows, pivot_columns). Row r (r < number of pivots) is a nonzero
+    integer multiple of row r of the reduced row echelon form: its pivot
+    entry is nonzero, every other pivot column of it is zero, and dividing it
+    by its pivot entry gives the RREF row. The remaining rows are zero. Each
+    elimination cross-multiplies the two rows and divides the result by its
+    gcd; pivots are chosen as in ``rref``.
+    """
+    rows = [list(row) for row in rows]
     if not rows:
         return rows, []
     ncols = len(rows[0])
     pivots = []
     r = 0
     for c in range(ncols):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r][c]
-        rows[r] = [x / piv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        prow = rows[r]
+        piv = prow[c]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                new = [piv * a - f * b for a, b in zip(row, prow)]
+                g = gcd(*new)
+                rows[i] = [x // g for x in new] if g > 1 else new
         pivots.append(c)
         r += 1
         if r == len(rows):
             break
     return rows, pivots
+
+
+def rref_solution(rows, pivots, col):
+    """Read one solution off ``rref_int`` of an augmented matrix [M | B].
+
+    The solution x of M x = (column ``col`` of B) with its free variables
+    zero, as (D, [(pivot column c, numerator n)]) with x[c] = n / D; D is the
+    lcm of the pivot entries of the rows the solution uses. Consistency is
+    the caller's business: no pivot may lie in the B part.
+    """
+    used = [(row, c) for row, c in zip(rows, pivots) if row[col]]
+    denom = lcm(*(row[c] for row, c in used))
+    return denom, [(c, row[col] * (denom // row[c])) for row, c in used]
+
+
+def rref(mat):
+    """Reduced row echelon form over Fraction; returns (rows, pivot_columns)."""
+    rows, pivots = rref_int([clear_denominators(row) for row in mat])
+    out = [[Fraction(x, row[c]) for x in row] for row, c in zip(rows, pivots)]
+    out += [[Fraction(0)] * len(row) for row in rows[len(pivots):]]
+    return out, pivots
 
 
 def rank(mat):

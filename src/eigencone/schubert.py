@@ -10,12 +10,15 @@ The multiplication engine is the Chevalley rule for degree-one classes plus
 the fact that H*(G/B;Q) is generated in degree two: every basis class is a
 rational combination of (degree-one class) * (shorter class), solved exactly
 degree by degree, and arbitrary products recurse through that expression.
+All of it runs in integers: the Chevalley covers x -> x s_beta are found
+from (x s_beta)(rho), each degree is solved by fraction-free row reduction,
+and each class keeps integer numerators over one denominator, which a
+product divides out exactly once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
@@ -23,7 +26,6 @@ from .rootdata import ParabolicSpec, eval_x
 from .weyl import (
     identity,
     longest_minimal_rep,
-    reflection,
     require_minimal_rep,
     weyl_group,
 )
@@ -37,6 +39,7 @@ __all__ = [
     "chi",
     "levi_movable",
     "CodimensionError",
+    "ProductTableError",
 ]
 
 
@@ -69,6 +72,10 @@ class SchubertClass:
         )
 
 
+class ProductTableError(ArithmeticError):
+    """The product engine broke one of its own exactness invariants."""
+
+
 class ProductTable:
     """Memoized H*(G/B) structure constants for one root system.
 
@@ -81,12 +88,15 @@ class ProductTable:
         self.W = weyl_group(rs)
         self._products = {}  # (id_u, id_v) sorted -> dict id -> int
         self._chevalley = {}  # id_x -> list of (beta, id_xs)
-        self._expressions = {}  # id_u -> list of (Fraction, k, id_shorter)
+        # id_u -> (denominator, list of (numerator, k, id_shorter))
+        self._expressions = {}
         self._by_length = {}
         for i, w in enumerate(self.W.elements):
             self._by_length.setdefault(w.length, []).append(i)
-        self._reflections = [
-            self.W.id_of(reflection(rs, beta)) for beta in rs.positive_roots
+        # (beta, <rho, beta^vee>, beta as a weight) per positive root
+        self._roots = [
+            (beta, sum(rs.coroot(beta)), rs.root_to_weight(beta).coords)
+            for beta in rs.positive_roots
         ]
 
     # -- internal multiplication --------------------------------------
@@ -95,14 +105,20 @@ class ProductTable:
         """Pairs (beta, id of x*s_beta) with l(x s_beta) = l(x) + 1."""
         got = self._chevalley.get(xid)
         if got is None:
-            x = self.W.elements[xid]
+            W = self.W
+            x = W.elements[xid]
+            target = x.length + 1
+            x_rho = x.rho_image()
             got = []
-            for beta, rid in zip(
-                self.root_system.positive_roots, self._reflections
-            ):
-                xs = x.compose(self.W.elements[rid])
-                if xs.length == x.length + 1:
-                    got.append((beta, self.W.id_of(xs)))
+            for beta, height, bw in self._roots:
+                # (x s_beta)(rho) = x(rho) - <rho, beta^vee> x(beta)
+                key = tuple(
+                    r - height * sum(a * b for a, b in zip(row, bw))
+                    for r, row in zip(x_rho, x.matrix)
+                )
+                yid = W.by_rho[key]
+                if W.elements[yid].length == target:
+                    got.append((beta, yid))
             self._chevalley[xid] = got
         return got
 
@@ -119,7 +135,7 @@ class ProductTable:
         return {w: c for w, c in out.items() if c}
 
     def _expression(self, uid):
-        """sigma_u as sum of c * sigma_{s_k} * sigma_{shorter}, exact."""
+        """sigma_u as (1/D) sum of c * sigma_{s_k} * sigma_{shorter}, exact."""
         got = self._expressions.get(uid)
         if got is None:
             self._solve_degree(self.W.elements[uid].length)
@@ -140,23 +156,23 @@ class ProductTable:
                     col[pos[w]] = c
                 cols.append(col)
                 tags.append((k, xid))
-        # solve M x = e_u for all u at once: rref of [M | I]
+        # solve M x = e_u for all u at once: fraction-free rref of [M | I]
         nb, nc = len(basis), len(cols)
         aug = [
-            [Fraction(cols[j][i]) for j in range(nc)]
-            + [Fraction(int(i == t)) for t in range(nb)]
+            [col[i] for col in cols] + [int(i == t) for t in range(nb)]
             for i in range(nb)
         ]
-        rows, pivots = linalg.rref(aug)
-        assert all(p < nc for p in pivots), "degree-two generation failed"
+        rows, pivots = linalg.rref_int(aug)
+        if any(p >= nc for p in pivots):
+            raise ProductTableError(
+                f"degree-two generation failed in degree {d} of "
+                f"{rs.cartan_label}"
+            )
         for t, uid in enumerate(basis):
-            expr = []
-            for r, pc in enumerate(pivots):
-                val = rows[r][nc + t]
-                if val:
-                    k, xid = tags[pc]
-                    expr.append((val, k, xid))
-            self._expressions[uid] = expr
+            denom, terms = linalg.rref_solution(rows, pivots, nc + t)
+            self._expressions[uid] = (
+                denom, [(num,) + tags[pc] for pc, num in terms]
+            )
 
     def product_ids(self, uid, vid):
         """sigma_u * sigma_v as a dict {id: int}."""
@@ -173,17 +189,22 @@ class ProductTable:
             k = self.W.elements[uid].word()[0]
             result = self._mult_degree_one(k, {vid: 1})
         else:
+            denom, expr = self._expression(uid)
             acc = {}
-            for coeff, k, xid in self._expression(uid):
+            for num, k, xid in expr:
                 inner = self.product_ids(xid, vid)
                 step = self._mult_degree_one(k, inner)
                 for w, c in step.items():
-                    acc[w] = acc.get(w, 0) + coeff * c
+                    acc[w] = acc.get(w, 0) + num * c
             result = {}
             for w, c in acc.items():
-                if c:
-                    assert c.denominator == 1
-                    result[w] = int(c)
+                q, r = divmod(c, denom)
+                if r:
+                    raise ProductTableError(
+                        f"non-integral structure constant {c}/{denom}"
+                    )
+                if q:
+                    result[w] = q
         self._products[key] = result
         return result
 

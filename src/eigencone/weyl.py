@@ -9,7 +9,8 @@ Everything else comes from one integer walk: the negative coordinates of
 w(rho) are the left descents of w, so ``RootSystem.dominant_walk`` from
 w(rho) back to rho reads off a reduced word. The length is the length of
 that word, the inverse is the reversed word, and the action on roots
-applies simple reflections along the word.
+applies simple reflections along the word. Since rho is regular, w(rho)
+also determines w: ``WeylGroup.by_rho`` finds an element's position from it.
 
 Orientation conventions, fixed once:
 
@@ -55,19 +56,28 @@ def _matvec(a, v):
     return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in a)
 
 
+def _reflect_along(rs, letters, coords):
+    """Fundamental coordinates of s_{letters[-1]} o .. o s_{letters[0]}
+    applied to a weight: the letters act in the order listed."""
+    a = rs.cartan_matrix
+    c = list(coords)
+    for i in letters:
+        ci = c[i - 1]
+        if ci:
+            for r in range(rs.rank):
+                c[r] -= ci * a[r][i - 1]
+    return c
+
+
 def _word_matrix(rs, word):
     """Matrix of s_{word[0]} o .. o s_{word[-1]}: each omega_j is reflected
     by the letters from right to left."""
     n = rs.rank
-    a = rs.cartan_matrix
-    cols = []
-    for j in range(n):
-        c = [int(r == j) for r in range(n)]
-        for i in reversed(word):
-            ci = c[i - 1]
-            for r in range(n):
-                c[r] -= ci * a[r][i - 1]
-        cols.append(c)
+    letters = word[::-1]
+    cols = [
+        _reflect_along(rs, letters, [int(r == j) for r in range(n)])
+        for j in range(n)
+    ]
     return tuple(tuple(col[r] for col in cols) for r in range(n))
 
 
@@ -127,19 +137,26 @@ class WeylElem:
         return self.matrix == _word_matrix(self.root_system, ())
 
     def is_minimal_rep(self, P):
-        """w in W^P: w(alpha) positive for every alpha in Delta(P)."""
-        alphas = self.root_system.simple_roots
-        for i in P.delta_P:
-            if any(x < 0 for x in self.act_root(alphas[i - 1])):
-                return False
-        return True
+        """w in W^P: w(alpha_i) positive for every alpha_i in Delta(P).
+
+        <w^-1 rho, alpha_i^vee> = <rho, w(alpha_i)^vee>, so that holds iff
+        the i-th fundamental coordinate of w^-1(rho) is positive; w^-1 is
+        the reduced word read backwards, so its letters act first to last.
+        """
+        rs = self.root_system
+        inv_rho = _reflect_along(rs, self._reduced_word(), rs.rho.coords)
+        return all(inv_rho[i - 1] > 0 for i in P.delta_P)
+
+    def rho_image(self):
+        """w(rho) in fundamental coordinates: the row sums of the matrix.
+        rho is regular, so this determines w."""
+        return tuple(sum(row) for row in self.matrix)
 
     def _reduced_word(self):
         """The word given at construction, else the rho walk's word."""
         if self._word is None:
             rs = self.root_system
-            # w(rho) is the row sums of the matrix
-            end, word = rs.dominant_walk(tuple(sum(row) for row in self.matrix))
+            end, word = rs.dominant_walk(self.rho_image())
             assert end == rs.rho.coords, (self.matrix, end)
             self._word = word
         return self._word
@@ -234,7 +251,8 @@ class WeylGroup:
                         nxt.append(ws)
             frontier = nxt
         self.elements = sorted(seen.values(), key=lambda w: (w.length, w.matrix))
-        self.index = {w.matrix: i for i, w in enumerate(self.elements)}
+        # w(rho) -> position in ``elements``
+        self.by_rho = {w.rho_image(): i for i, w in enumerate(self.elements)}
         self.longest = self.elements[-1]
 
     def __len__(self):
@@ -244,7 +262,7 @@ class WeylGroup:
         return iter(self.elements)
 
     def id_of(self, w):
-        return self.index[w.matrix]
+        return self.by_rho[w.rho_image()]
 
 
 @lru_cache(maxsize=None)

@@ -52,6 +52,35 @@ def test_too_few_factors_is_math_error_under_optimize():
     assert proc.returncode == 3, proc.stdout + proc.stderr
 
 
+# each patch breaks one invariant of the Schubert product engine
+ENGINE_BREAKERS = {
+    "generation": "schubert.ProductTable._mult_degree_one = lambda self, k, vec: {}",
+    "exactness": (
+        "solution = linalg.rref_solution\n"
+        "linalg.rref_solution = lambda *a: (7 * solution(*a)[0], solution(*a)[1])"
+    ),
+}
+
+
+@pytest.mark.parametrize("breaker", sorted(ENGINE_BREAKERS))
+def test_product_engine_failure_is_math_error_under_optimize(breaker):
+    script = (
+        "import sys\n"
+        "from eigencone import cli, linalg, schubert\n"
+        f"{ENGINE_BREAKERS[breaker]}\n"
+        "sys.exit(cli.main(['facets', '--type', 'B3']))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 3, proc.stdout + proc.stderr
+    assert proc.stderr.startswith("error: "), proc.stderr
+
+
 def test_bad_type_is_parse_error(capsys):
     code, _ = run(capsys, "facets", "--type", "Q7")
     assert code == 2

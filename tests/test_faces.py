@@ -167,6 +167,14 @@ FACET_DIGESTS = {
            (36, "6c98e3be410c8d007c13925ab12f87fcceda39a81809fec68e5fdade42f6377d")),
     "D4": ((294, "89213291fcd0bc12326e33045eed7935f59f34a1987d4ac25a76438fb5340490"),
            (57, "f79f69144b344e6b2d65263923f8cce72d3f03cdf54ae776b7a22bfad2175d70")),
+    # recorded from the enumeration whose product table solved each degree
+    # by Fraction row reduction
+    "B4": ((474, "42a65aeaa5994c76abb776d62bfb3ff9c6db7cba7b38576042602fd673c75753"),
+           (84, "abf3b4575566156fc115e6df05faa6a68027f8b1fd9f6ba3dad3521c4a119360")),
+    "C4": ((474, "42a65aeaa5994c76abb776d62bfb3ff9c6db7cba7b38576042602fd673c75753"),
+           (84, "abf3b4575566156fc115e6df05faa6a68027f8b1fd9f6ba3dad3521c4a119360")),
+    "D5": ((1967, "de5878cf7cbd14f91f67f62f789f8d7864a12827649e8d132aa8075769300ab7"),
+           (353, "fb478b4a3e2cfa7dcf331e6f6d285c909eb697e7a8a7efea58339325bbe777c7")),
 }
 
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -49,3 +50,96 @@ def test_clear_denominators_int_path_matches_fraction_path(vec):
     got = linalg.clear_denominators(list(vec))
     assert got == linalg.clear_denominators([Fraction(x) for x in vec])
     assert all(type(x) is int for x in got)
+
+
+def _reference_rref(mat):
+    """Plain Gauss-Jordan over Fraction, dividing at every pivot."""
+    rows = [[Fraction(x) for x in row] for row in mat]
+    pivots = []
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def _random_matrices(rng):
+    """Integer, rational, rank-deficient, zero and empty matrices."""
+    mats = [[], [[]], [[0, 0, 0]], [[0], [0]]]
+    for _ in range(40):
+        m, n = rng.randint(1, 6), rng.randint(1, 7)
+        mats.append([[rng.choice([0, 0, rng.randint(-9, 9)]) for _ in range(n)]
+                     for _ in range(m)])
+        mats.append([[Fraction(rng.randint(-6, 6), rng.randint(1, 7))
+                      for _ in range(n)] for _ in range(m)])
+        mats.append([[0] * n for _ in range(m)])
+        # a product through a thinner middle has rank < min(m, n)
+        k = rng.randint(1, max(1, min(m, n) - 1))
+        a = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(m)]
+        b = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+             for _ in range(k)]
+        mats.append([[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+                     for row in a])
+    return mats
+
+
+def test_rref_against_fraction_gauss_jordan():
+    rng = random.Random(20180309)
+    for mat in _random_matrices(rng):
+        want = _reference_rref(mat)
+        got = linalg.rref(mat)
+        assert got == want, mat
+        assert all(type(x) is Fraction for row in got[0] for x in row)
+        assert linalg.rank(mat) == len(want[1])
+        if mat and mat[0]:
+            ints = [linalg.clear_denominators(row) for row in mat]
+            rows, pivots = linalg.rref_int(ints)
+            assert pivots == want[1]
+            assert all(type(x) is int for row in rows for x in row)
+            for row, c, ref in zip(rows, pivots, want[0]):
+                assert [Fraction(x, row[c]) for x in row] == ref
+            assert all(not any(row) for row in rows[len(pivots):])
+
+
+def test_rref_solution_against_fraction_gauss_jordan():
+    rng = random.Random(1729)
+    checked = 0
+    while checked < 60:
+        n, extra = rng.randint(1, 5), rng.randint(0, 3)
+        mat = [[rng.choice([0, rng.randint(-7, 7)]) for _ in range(n + extra)]
+               for _ in range(n)]
+        rhs = [[rng.randint(-5, 5) for _ in range(3)] for _ in range(n)]
+        if linalg.rank(mat) < n:
+            continue
+        rows, pivots = linalg.rref_int([a + b for a, b in zip(mat, rhs)])
+        for t in range(3):
+            denom, terms = linalg.rref_solution(rows, pivots, n + extra + t)
+            x = [Fraction(0)] * (n + extra)
+            for c, num in terms:
+                x[c] = Fraction(num, denom)
+            ref_rows, ref_pivots = _reference_rref(
+                [a + [b[t]] for a, b in zip(mat, rhs)]
+            )
+            want = [Fraction(0)] * (n + extra)
+            for row, c in zip(ref_rows, ref_pivots):
+                want[c] = row[-1]
+            assert x == want
+            assert denom > 0 and all(num for _, num in terms)
+        checked += 1
+
+
+def test_rref_solution_denominator_is_an_lcm():
+    # x = (1/2, 1/3): the pivots 2 and 3 need the common denominator 6
+    rows, pivots = linalg.rref_int([[2, 0, 1], [0, 3, 1]])
+    assert linalg.rref_solution(rows, pivots, 2) == (6, [(0, 3), (1, 2)])

@@ -5,7 +5,7 @@ import pytest
 
 from eigencone import schubert as sc
 from eigencone.rootdata import ParabolicSpec, build_root_system
-from eigencone.weyl import identity, minimal_reps, parse_word, weyl_group
+from eigencone.weyl import identity, minimal_reps, parse_word, reflection, weyl_group
 
 
 def test_codim(d4, p2, uvw):
@@ -212,3 +212,71 @@ def test_longest_levi_element(label):
             assert w0p.length == len(P.levi_positive_roots)
             for k in P.complement:
                 assert w0p.act(rs.omega(k)) == rs.omega(k)
+
+
+@pytest.mark.parametrize("label", ["A2", "B3", "C3", "G2", "D4"])
+def test_chevalley_data_against_reflection_route(label):
+    # the table reads x s_beta off (x s_beta)(rho); compose the reflection
+    # matrix instead and keep the covers of length l(x) + 1
+    rs = build_root_system(label)
+    table = sc.ProductTable(rs)
+    elements = table.W.elements
+    for xid, x in enumerate(elements):
+        want = []
+        for beta in rs.positive_roots:
+            xs = x.compose(reflection(rs, beta))
+            if xs.length == x.length + 1:
+                want.append((beta, xs.matrix))
+        got = [(beta, elements[yid].matrix) for beta, yid in table._chev_data(xid)]
+        assert got == want
+
+
+@pytest.mark.parametrize("label", ["B2", "G2", "A3", "B3"])
+def test_expressions_reproduce_basis_classes(label):
+    # sum of num * sigma_{s_k} * sigma_x over the stored terms is D sigma_u
+    table = sc.ProductTable(build_root_system(label))
+    for uid, u in enumerate(table.W.elements):
+        if u.length < 2:
+            continue
+        denom, terms = table._expression(uid)
+        total = {}
+        for num, k, xid in terms:
+            for w, c in table._mult_degree_one(k, {xid: 1}).items():
+                total[w] = total.get(w, 0) + num * c
+        assert {w: c for w, c in total.items() if c} == {uid: denom}
+
+
+def _nonzero_pair(table):
+    """Two classes of degree 2 whose product is nonzero."""
+    for uid in table._by_length[2]:
+        for vid in table._by_length[2]:
+            if table.product_ids(uid, vid):
+                return uid, vid
+    raise AssertionError("no nonzero product of two degree-2 classes")
+
+
+def _break_generation(monkeypatch):
+    monkeypatch.setattr(sc.ProductTable, "_mult_degree_one", lambda self, k, vec: {})
+
+
+def _break_exactness(monkeypatch):
+    # a denominator 7 times too large leaves c / 7 for every coefficient c
+    solution = sc.linalg.rref_solution
+
+    def scaled(*args):
+        denom, terms = solution(*args)
+        return 7 * denom, terms
+
+    monkeypatch.setattr(sc.linalg, "rref_solution", scaled)
+
+
+@pytest.mark.parametrize("breaker, message", [
+    (_break_generation, "degree-two generation failed"),
+    (_break_exactness, "non-integral structure constant"),
+])
+def test_engine_invariants_raise_typed_errors(monkeypatch, breaker, message):
+    rs = build_root_system("A3")
+    uid, vid = _nonzero_pair(sc.ProductTable(rs))
+    breaker(monkeypatch)
+    with pytest.raises(sc.ProductTableError, match=message):
+        sc.ProductTable(rs).product_ids(uid, vid)

@@ -208,3 +208,20 @@ def test_weyl_layer_against_independent_routes(label):
         assert w.compose(w.inverse()).is_identity()
         for b in positive:
             assert rs.root_to_weight(w.act_root(b)) == w.act(rs.root_to_weight(b))
+
+
+@pytest.mark.parametrize("label", ["A2", "B3", "C3", "G2", "D4"])
+def test_minimal_rep_against_root_action(label):
+    # is_minimal_rep reads w^-1(rho); w is in W^P iff w(alpha_i) is a
+    # positive root for every i in Delta(P)
+    rs = build_root_system(label)
+    nodes = range(1, rs.rank + 1)
+    parabolics = [ParabolicSpec(rs, {i}) for i in nodes]
+    parabolics += [ParabolicSpec.maximal(rs, k) for k in nodes]
+    for w in wl.weyl_group(rs):
+        positive = {
+            i for i in nodes
+            if all(x >= 0 for x in w.act_root(rs.simple_roots[i - 1]))
+        }
+        for P in parabolics:
+            assert w.is_minimal_rep(P) == (P.delta_P <= positive)
