@@ -9,14 +9,16 @@ Two mechanisms produce rays on a face F(w, P):
 
 ``classify_face`` combines both with the polyhedral engine to reproduce the
 complete extremal-ray inventory of a face, and ``invariant_dim`` is the
-independent representation-theoretic oracle (tensor invariant dimensions via
-weight-diagram summation).
+independent representation-theoretic oracle (tensor invariant dimensions from
+Freudenthal's multiplicity formula, Brauer-Klimyk folding and one
+Racah-Speiser coefficient, all in integers).
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -28,7 +30,6 @@ from .rootdata import (
     Weight,
     build_root_system,
     eval_x,
-    invariant_form,
     kappa,
     kappa_inv,
     pair,
@@ -412,111 +413,114 @@ def classify_face(face):
 
 
 # -- tensor-invariant oracle ------------------------------------------
+#
+# The loops use integers only. Dominant weight multiplicities come from
+# Freudenthal's formula with the invariant form scaled to integers. The
+# invariant dimension of V_1 x .. x V_s is the multiplicity of V_nu,
+# nu = -w0 lambda_s, in V_1 x .. x V_{s-1}: the factors but two fold by
+# Brauer-Klimyk, and that one coefficient is the Racah-Speiser sum over W
+#     mult(V_nu, V_mu x V_lam) = sum_w det(w) m_lam(w(nu + rho) - mu - rho).
+
+
+def _scaled_form(rs):
+    """Integers D_i = L d_i, L the lcm of the denominators of the d_i, so that
+    L (lam, beta) = sum_i lam_i D_i beta_i for lam in fundamental and beta in
+    simple-root coordinates."""
+    scale = math.lcm(*(d.denominator for d in rs.d))
+    return tuple(int(scale * d) for d in rs.d)
 
 
 @lru_cache(maxsize=None)
 def _weight_mults(rs, lam_coords):
-    """Dominant weight multiplicities of the irreducible with highest weight
-    lam, by the standard recursive multiplicity formula."""
-    lam = rs.weight(lam_coords)
-    lam_rc = lam.to_root_basis()
+    """Dominant weight multiplicities {mu: m} of the irreducible with highest
+    weight lam, by Freudenthal's formula
+    m(mu) (lam + mu + 2 rho, lam - mu)
+        = 2 sum_{beta > 0} sum_{t >= 1} m(mu + t beta) (mu + t beta, beta)."""
     n = rs.rank
-    bounds = [int(x) for x in lam_rc]
+    a = rs.cartan_matrix
+    form = _scaled_form(rs)
+    bounds = [int(x) for x in rs.weight(lam_coords).to_root_basis()]
+    # each dominant mu <= lam with its offset ks = lam - mu in the root basis
     dominants = []
     for ks in itertools.product(*(range(b + 1) for b in bounds)):
-        coords = list(lam.coords)
-        for i, k in enumerate(ks):
-            if k:
-                for r in range(n):
-                    coords[r] -= k * rs.cartan_matrix[r][i]
-        if all(c >= 0 for c in coords):
-            dominants.append((sum(ks), tuple(coords)))
+        mu = tuple(
+            lam_coords[r] - sum(k * a[r][i] for i, k in enumerate(ks) if k)
+            for r in range(n)
+        )
+        if min(mu) >= 0:
+            dominants.append((sum(ks), ks, mu))
     dominants.sort()
+    roots = [
+        (beta, rs.root_to_weight(beta).coords) for beta in rs.positive_roots
+    ]
+    top = tuple(c + 2 for c in lam_coords)  # lam + 2 rho
     mults = {}
-    rho = rs.rho
-    top = invariant_form(lam + rho, lam + rho)
-    for depth, mu in dominants:
+    for depth, ks, mu in dominants:
         if depth == 0:
             mults[mu] = 1
             continue
-        shifted = rs.weight(mu) + rho
-        denom = top - invariant_form(shifted, shifted)
-        acc = Fraction(0)
-        for beta in rs.positive_roots:
-            bw = rs.root_to_weight(beta)
+        # L ((lam + rho)^2 - (mu + rho)^2)
+        denom = sum(k * (h + c) * d for k, h, c, d in zip(ks, top, mu, form))
+        acc = 0
+        for beta, bw in roots:
             t = 1
-            while True:
-                cand = tuple(a + t * b for a, b in zip(mu, bw.coords))
-                dom, _ = rs.dominant_walk(cand)
-                m = mults.get(dom, 0)
+            # the chain runs while mu + t beta <= lam, i.e. while ks - t beta
+            # has no negative coordinate
+            while min(k - t * b for k, b in zip(ks, beta)) >= 0:
+                cand = tuple(c + t * b for c, b in zip(mu, bw))
+                m = mults.get(rs.dominant_walk(cand)[0], 0)
                 if m:
-                    # (mu + t beta, beta)
-                    wcand = rs.weight(cand)
-                    ip = sum(
-                        wcand.coords[i] * rs.d[i] * beta[i] for i in range(n)
+                    acc += m * sum(
+                        c * d * b for c, d, b in zip(cand, form, beta)
                     )
-                    acc += m * ip
-                else:
-                    # above the top weight in this direction once the chain
-                    # leaves the weight diagram it never returns
-                    diff = [
-                        a - b
-                        for a, b in zip(
-                            lam_rc, rs.weight(cand).to_root_basis()
-                        )
-                    ]
-                    if any(d < 0 for d in diff):
-                        break
                 t += 1
-        val = 2 * acc / denom
-        assert val.denominator == 1
-        mults[mu] = int(val)
+        q, r = divmod(2 * acc, denom)
+        if r:
+            raise ArithmeticError(
+                f"non-integral multiplicity {2 * acc}/{denom} of {mu} in "
+                f"V{lam_coords}"
+            )
+        mults[mu] = q
     return mults
 
 
-def _orbit(rs, coords):
-    seen = {tuple(coords)}
-    frontier = [tuple(coords)]
+def _signed_orbit(rs, coords):
+    """{w(coords): (-1)^k} over the W-orbit, k the BFS layer over simple
+    reflections. For a regular weight k is l(w), so the sign is det(w); for a
+    singular one only the keys mean anything."""
     a = rs.cartan_matrix
     n = rs.rank
+    out = {tuple(coords): 1}
+    frontier = list(out)
+    sign = 1
     while frontier:
+        sign = -sign
         nxt = []
         for c in frontier:
             for i in range(n):
-                if c[i] == 0:
-                    continue
-                new = list(c)
                 ci = c[i]
-                for r in range(n):
-                    new[r] -= ci * a[r][i]
-                new = tuple(new)
-                if new not in seen:
-                    seen.add(new)
+                if ci == 0:
+                    continue
+                new = tuple(x - ci * a[r][i] for r, x in enumerate(c))
+                if new not in out:
+                    out[new] = sign
                     nxt.append(new)
         frontier = nxt
-    return seen
-
-
-@lru_cache(maxsize=None)
-def _full_weight_diagram(rs, lam_coords):
-    out = {}
-    for mu, m in _weight_mults(rs, lam_coords).items():
-        for w in _orbit(rs, mu):
-            out[w] = m
     return out
 
 
 def _tensor_decompose(rs, acc, lam_coords):
-    """Decompose (sum of irreducibles in acc) tensor V_lam, by summing the
-    weight diagram of V_lam with shifted dominance reflections."""
-    diagram = _full_weight_diagram(rs, lam_coords)
-    rho = tuple(1 for _ in range(rs.rank))
+    """Decompose (sum of irreducibles in acc) tensor V_lam by Brauer-Klimyk:
+    summing the weight diagram of V_lam with shifted dominance reflections."""
+    diagram = [
+        (mu, m)
+        for dom, m in _weight_mults(rs, lam_coords).items()
+        for mu in _signed_orbit(rs, dom)
+    ]
     out = {}
     for nu, mult in acc.items():
-        for mu, m in diagram.items():
-            shifted = tuple(
-                a + b + c for a, b, c in zip(nu, mu, rho)
-            )
+        for mu, m in diagram:
+            shifted = tuple(a + b + 1 for a, b in zip(nu, mu))
             dom, word = rs.dominant_walk(shifted)
             # the shifted weight is singular (fixed by some reflection) iff
             # its dominant translate is, and the stabilizer of a dominant
@@ -524,9 +528,24 @@ def _tensor_decompose(rs, acc, lam_coords):
             # coordinates; singular terms contribute nothing
             if 0 in dom:
                 continue
-            res = tuple(a - b for a, b in zip(dom, rho))
+            res = tuple(c - 1 for c in dom)
             out[res] = out.get(res, 0) + (-1) ** len(word) * mult * m
     return {k: v for k, v in out.items() if v}
+
+
+def _coefficient(rs, acc, lam_coords, nu):
+    """Multiplicity of V_nu in (sum of irreducibles in acc) tensor V_lam, by
+    the Racah-Speiser sum over the signed orbit of nu + rho."""
+    mults = _weight_mults(rs, lam_coords)
+    orbit = _signed_orbit(rs, tuple(c + 1 for c in nu))
+    total = 0
+    for mu, mult in acc.items():
+        for x, sign in orbit.items():
+            eta = tuple(a - b - 1 for a, b in zip(x, mu))
+            m = mults.get(rs.dominant_walk(eta)[0], 0)
+            if m:
+                total += sign * mult * m
+    return total
 
 
 def invariant_dim(x, max_height=20):
@@ -541,14 +560,15 @@ def invariant_dim(x, max_height=20):
             raise OracleLimitError(
                 f"weight height {w.height()} exceeds the bound {max_height}"
             )
-    coords = [tuple(int(c) for c in w.coords) for w in ws]
-    # fold the cheapest diagrams first, leaving the largest for the final
-    # dual-pairing step
-    coords.sort(key=lambda c: sum(c))
-    last = coords[-1]
-    acc = {coords[0]: 1}
-    for lam in coords[1:-1]:
-        acc = _tensor_decompose(rs, acc, lam)
+    coords = sorted((tuple(int(c) for c in w.coords) for w in ws), key=sum)
+    # the invariants pair V_last with its dual V_nu inside the other factors
     w0 = weyl_group(rs).longest
-    dual = (-w0.act(rs.weight(last))).coords
-    return acc.get(dual, 0)
+    nu = (-w0.act(rs.weight(coords.pop()))).coords
+    if len(coords) < 2:
+        # s <= 2: the other factors are V_0 or one irreducible
+        return int(nu == (coords[0] if coords else (0,) * rs.rank))
+    # the cheapest factor enters only through its dominant multiplicities
+    acc = {coords[1]: 1}
+    for lam in coords[2:]:
+        acc = _tensor_decompose(rs, acc, lam)
+    return _coefficient(rs, acc, coords[0], nu)

@@ -372,7 +372,8 @@ def pair(lam, beta):
 
 def eval_x(lam, k):
     """lam(x_k): the alpha_k-coefficient of lam in the simple-root basis."""
-    return lam.to_root_basis()[k - 1]
+    row = lam.root_system._cartan_inv[k - 1]
+    return sum(c * x for c, x in zip(row, lam.coords))
 
 
 def invariant_form(lam, mu):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -5,10 +6,17 @@ from importlib import resources
 
 import pytest
 
-from eigencone import faces, rays, schubert
+from eigencone import cone, faces, rays, schubert
 from eigencone.rays import RayTuple
-from eigencone.rootdata import ParabolicSpec, build_root_system, eval_x, kappa
-from eigencone.weyl import covers, parse_word
+from eigencone.rootdata import (
+    ParabolicSpec,
+    build_root_system,
+    eval_x,
+    invariant_form,
+    kappa,
+    pair,
+)
+from eigencone.weyl import covers, parse_word, weyl_group
 
 
 def _golden(name):
@@ -262,6 +270,198 @@ def test_invariant_dim_rejects(d4):
     assert rays.invariant_dim(
         (om(1).scale(2), om(1), om(1)), max_height=60
     ) >= 0
+
+
+def test_invariant_dim_one_and_two_factors(d4):
+    om = d4.omega
+    zero = d4.zero_weight()
+    # s = 1: only the trivial module has invariants, self-dual or not
+    assert rays.invariant_dim((zero,)) == 1
+    for i in range(1, 5):
+        assert rays.invariant_dim((om(i),)) == 0
+    assert rays.invariant_dim((d4.rho,)) == 0
+    # s = 2: V_a x V_b has an invariant iff b = -w0 a (w0 = -1 on D4)
+    assert rays.invariant_dim((om(3), om(3))) == 1
+    assert rays.invariant_dim((om(3), om(4))) == 0
+    a2 = build_root_system("A2")
+    assert rays.invariant_dim((a2.omega(1),)) == 0
+    assert rays.invariant_dim((a2.omega(1), a2.omega(2))) == 1
+    assert rays.invariant_dim((a2.omega(1), a2.omega(1))) == 0
+    assert rays.invariant_dim((a2.rho, a2.rho)) == 1
+
+
+def test_invariant_dim_four_factors():
+    a1 = build_root_system("A1")
+    # V_1^(x4) has two invariants, V_2^(x4) three
+    assert rays.invariant_dim(tuple(a1.weight((1,)) for _ in range(4))) == 2
+    assert rays.invariant_dim(tuple(a1.weight((2,)) for _ in range(4))) == 3
+    a2 = build_root_system("A2")
+    w1, w2 = a2.omega(1), a2.omega(2)
+    # End(V x V) for V = C^3: V x V = S^2 V + L^2 V
+    assert rays.invariant_dim((w1, w1, w2, w2)) == 2
+    assert rays.invariant_dim((w1, w1, w1, w2)) == 0
+
+
+# -- reference oracle: Fraction Freudenthal and full Brauer-Klimyk ----
+
+
+def _reference_weight_mults(rs, lam_coords):
+    """Dominant multiplicities by Freudenthal's formula over Fraction, with
+    the chain stop tested in the root basis."""
+    lam = rs.weight(lam_coords)
+    lam_rc = lam.to_root_basis()
+    n = rs.rank
+    dominants = []
+    for ks in itertools.product(*(range(int(b) + 1) for b in lam_rc)):
+        coords = list(lam.coords)
+        for i, k in enumerate(ks):
+            for r in range(n):
+                coords[r] -= k * rs.cartan_matrix[r][i]
+        if all(c >= 0 for c in coords):
+            dominants.append((sum(ks), tuple(coords)))
+    dominants.sort()
+    mults = {}
+    rho = rs.rho
+    top = invariant_form(lam + rho, lam + rho)
+    for depth, mu in dominants:
+        if depth == 0:
+            mults[mu] = 1
+            continue
+        shifted = rs.weight(mu) + rho
+        denom = top - invariant_form(shifted, shifted)
+        acc = Fraction(0)
+        for beta in rs.positive_roots:
+            bw = rs.root_to_weight(beta)
+            t = 1
+            while True:
+                cand = rs.weight(
+                    tuple(a + t * b for a, b in zip(mu, bw.coords))
+                )
+                if any(a < b for a, b in zip(lam_rc, cand.to_root_basis())):
+                    break
+                m = mults.get(rs.dominant_walk(cand.coords)[0], 0)
+                acc += m * invariant_form(cand, bw)
+                t += 1
+        val = 2 * acc / denom
+        assert val.denominator == 1
+        mults[mu] = int(val)
+    return mults
+
+
+def _reference_orbit(rs, coords):
+    seen = {tuple(coords)}
+    frontier = [tuple(coords)]
+    while frontier:
+        nxt = []
+        for c in frontier:
+            for i in range(rs.rank):
+                new = tuple(
+                    x - c[i] * rs.cartan_matrix[r][i] for r, x in enumerate(c)
+                )
+                if new not in seen:
+                    seen.add(new)
+                    nxt.append(new)
+        frontier = nxt
+    return seen
+
+
+def _reference_fold(rs, ws):
+    """V_{ws[0]} x V_{ws[1]} x .. as {highest weight: multiplicity}, by
+    Brauer-Klimyk over the full weight diagrams, from the trivial module."""
+    acc = {(0,) * rs.rank: 1}
+    for w in ws:
+        lam = tuple(int(c) for c in w.coords)
+        diagram = {
+            mu: m
+            for dom, m in _reference_weight_mults(rs, lam).items()
+            for mu in _reference_orbit(rs, dom)
+        }
+        out = {}
+        for nu, mult in acc.items():
+            for mu, m in diagram.items():
+                dom, word = rs.dominant_walk(
+                    tuple(a + b + 1 for a, b in zip(nu, mu))
+                )
+                if 0 not in dom:
+                    key = tuple(c - 1 for c in dom)
+                    out[key] = out.get(key, 0) + (-1) ** len(word) * mult * m
+        acc = {k: v for k, v in out.items() if v}
+    return acc
+
+
+ORACLE_TYPES = ("A1", "A2", "B2", "G2", "A3", "B3", "C3", "D4")
+
+
+@pytest.mark.parametrize("label", ORACLE_TYPES)
+def test_invariant_dim_matches_reference(label):
+    # the last factor is either random or the dual of a random summand of
+    # the others, so that both zero and nonzero answers occur on every type
+    rs = build_root_system(label)
+    w0 = weyl_group(rs).longest
+    rng = random.Random(2018)
+    top = 2 if rs.rank < 3 else 1
+    positive = 0
+    for s in (1, 2, 2, 3, 3, 3, 3, 3, 3, 4, 4):
+        ws = tuple(
+            rs.weight([rng.randint(0, top) for _ in range(rs.rank)])
+            for _ in range(s - 1)
+        )
+        if rng.random() < 0.5:
+            last = rs.weight([rng.randint(0, top) for _ in range(rs.rank)])
+        else:
+            summand = rng.choice(sorted(_reference_fold(rs, ws)))
+            last = -w0.act(rs.weight(summand))
+        ws += (last,)
+        want = _reference_fold(rs, ws).get((0,) * rs.rank, 0)
+        assert rays.invariant_dim(ws, max_height=100) == want, ws
+        positive += want > 0
+    assert positive >= 3
+
+
+@pytest.mark.parametrize("label", ORACLE_TYPES)
+def test_weight_mults_match_reference_and_weyl_dimension(label):
+    rs = build_root_system(label)
+    rng = random.Random(7)
+    lams = [tuple(rng.randint(0, 2) for _ in range(rs.rank)) for _ in range(4)]
+    lams += [(0,) * rs.rank, (1,) * rs.rank]
+    for lam in lams:
+        mults = rays._weight_mults(rs, lam)
+        assert mults == _reference_weight_mults(rs, lam)
+        weight = rs.weight(lam)
+        dim = 1
+        for beta in rs.positive_roots:
+            dim *= Fraction(pair(weight + rs.rho, beta), pair(rs.rho, beta))
+        assert sum(
+            m * len(_reference_orbit(rs, mu)) for mu, m in mults.items()
+        ) == dim
+
+
+def test_weight_mults_integrality_is_checked(monkeypatch):
+    # B2 with the two root lengths swapped in the form: the zero weight of
+    # the 5-dimensional module comes out as 10/7
+    b2 = build_root_system("B2")
+    assert rays._scaled_form(b2) == (2, 1)
+    rays._weight_mults.cache_clear()
+    monkeypatch.setattr(rays, "_scaled_form", lambda rs: (1, 2))
+    try:
+        with pytest.raises(ArithmeticError, match="non-integral"):
+            rays._weight_mults(b2, (1, 0))
+    finally:
+        rays._weight_mults.cache_clear()
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", "B3", "C3"])
+def test_dd_rays_have_oracle_witnesses(label):
+    # every extremal ray of the s = 3 cone is a saturated tensor-cone
+    # element: some small multiple carries a nonzero invariant
+    rs = build_root_system(label)
+    ray_list = cone.extremal_rays(rays.gamma_hrep(rs, 3))
+    for vec in ray_list:
+        x = RayTuple.from_vector(rs, 3, vec)
+        assert any(
+            rays.invariant_dim(x.scale(n), max_height=200) > 0
+            for n in range(1, 5)
+        ), vec
 
 
 def test_face_extremal_rays_membership(d4, main_face):
