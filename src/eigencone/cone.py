@@ -129,42 +129,71 @@ def _bits(x):
         x ^= low
 
 
-def _dd(rows, n, start):
-    """Double description for {y in Q^n : row . y >= 0}, rows spanning rank n.
+def _row_key(row):
+    """Canonical row order: fewest nonzero entries first, then lexicographic."""
+    return len(row) - row.count(0), row
 
-    ``start`` indexes n linearly independent rows, whose inverse gives the
-    first n rays; the other rows are then added in the caller's order. Each
-    ray lives in a slot; zsets[s] is the bitmask of processed rows tight at
-    the ray in slot s, and tight[p] is the bitmask of slots tight at
-    processed row p. Both are kept up to date as rays come and go, so the
-    combinatorial adjacency test of Fukuda and Prodon ("Double description
-    method revisited", 1996) costs a few big-integer ANDs per pair. Returns the extremal rays
-    as primitive integer tuples, in no particular order.
+
+def _dd(rows, n):
+    """Double description for {y in Q^n : row . y >= 0}.
+
+    The rows are put in canonical order (``_row_key``), and the first n
+    independent ones in that order give the first n rays through their
+    inverse; if the rows have rank below n, NotPointedError carries a line
+    of the cone. Each step then adds the row that the most current rays
+    violate, the earliest in canonical order on a tie (the max-cutoff rule
+    of Fukuda and Prodon, "Double description method revisited", 1996),
+    until no row is violated. Both the work and the result therefore
+    depend only on the set of rows.
+
+    Each ray lives in a slot. slack[s] holds the slack vector of the ray
+    in slot s (its integer value on every row) and the rows where that
+    value is negative; viol[r] counts the rays negative on row r. zsets[s]
+    is the bitmask of processed rows tight at the ray, and tight[p] the
+    bitmask of slots tight at the p-th processed row. All of these are kept
+    up to date as rays come and go, so a step reads values instead of
+    taking dot products, and the combinatorial adjacency test costs a few
+    big-integer ANDs per pair. Returns the extremal rays as primitive
+    integer tuples, in no particular order.
     """
-    init = [rows[i] for i in start]
-    inv = linalg.inverse(init)
-    rays = {
-        c: clear_denominators([inv[r][c] for r in range(n)]) for c in range(n)
-    }
-    order = start + [i for i in range(len(rows)) if i not in start]
-    zsets = {}
+    rows = sorted(rows, key=_row_key)
+    m = len(rows)
+    start = _independent_rows(rows, n)
+    if len(start) < n:
+        # a line in the cone: a null vector of the independent rows
+        raise NotPointedError(
+            linalg.nullspace([list(rows[i]) for i in start], ncols=n)[0]
+        )
+    rays, slack, zsets, slot_of = {}, {}, {}, {}
+    viol = [0] * m
     tight = [0] * n
-    for s, ray in rays.items():
-        z = 0
-        for pos, idx in enumerate(order[:n]):
-            if _dot(rows[idx], ray) == 0:
-                z |= 1 << pos
-                tight[pos] |= 1 << s
-        zsets[s] = z
-    slot_of = {ray: s for s, ray in rays.items()}
     free = []
+
+    def enter(ray, vals, z, maybe):
+        # maybe: the rows where vals can be negative
+        negs = [r for r in maybe if vals[r] < 0]
+        s = free.pop() if free else len(rays)
+        rays[s], slack[s], zsets[s], slot_of[ray] = ray, (vals, negs), z, s
+        for p in _bits(z):
+            tight[p] |= 1 << s
+        for r in negs:
+            viol[r] += 1
+
+    # the start rows are processed rows 0..n-1; initial ray c is tight at
+    # all of them but row c
+    inv = linalg.inverse([rows[i] for i in start])
+    for c in range(n):
+        ray = clear_denominators([inv[r][c] for r in range(n)])
+        vals = [_dot(row, ray) for row in rows]
+        enter(ray, vals, ((1 << n) - 1) ^ (1 << c), range(m))
     # adjacent rays share at least n - 2 tight rows
     need = max(n - 2, 0)
-    for pos in range(n, len(order)):
-        row = rows[order[pos]]
-        vals = {s: _dot(row, ray) for s, ray in rays.items()}
+    while any(viol):
+        r = viol.index(max(viol))
+        pos = len(tight)
         positive = zero = negative = 0
-        for s, v in vals.items():
+        for s, (vals, _) in slack.items():
+            v = vals[r]
             if v > 0:
                 positive |= 1 << s
             elif v < 0:
@@ -172,9 +201,6 @@ def _dd(rows, n, start):
             else:
                 zero |= 1 << s
                 zsets[s] |= 1 << pos
-        if not negative:
-            tight.append(zero)
-            continue
         alive = positive | zero | negative
         new = []
         for j in _bits(negative):
@@ -196,32 +222,36 @@ def _dd(rows, n, start):
                         break
                 if acc != pair:
                     continue
-                combo = [
-                    vals[i] * b - vals[j] * a for a, b in zip(rays[i], rays[j])
-                ]
+                a, b = slack[i][0][r], -slack[j][0][r]
+                combo = [a * y + b * x for x, y in zip(rays[i], rays[j])]
                 g = gcd(*combo)
                 # Both coefficients are positive and both parents are >= 0
                 # on every processed row, so the combination is zero on a
                 # processed row exactly where both parents are; it is zero
                 # on this row by construction.
-                new.append((tuple(x // g for x in combo), common | (1 << pos)))
+                new.append((tuple(x // g for x in combo), common | (1 << pos),
+                            a, b, g, slack[i], slack[j]))
         for s in _bits(negative):
             del slot_of[rays.pop(s)], zsets[s]
+            for q in slack.pop(s)[1]:
+                viol[q] -= 1
             free.append(s)
         for p in range(pos):
             tight[p] &= ~negative
         tight.append(zero)
-        for ray, z in new:
+        for ray, z, a, b, g, (si, ni), (sj, nj) in new:
             # dedupe (combinatorially distinct parents can give the same
             # ray; equal rays have equal zero sets)
             if ray in slot_of:
                 continue
-            s = free.pop() if free else len(rays)
-            rays[s] = ray
-            zsets[s] = z
-            slot_of[ray] = s
-            for p in _bits(z):
-                tight[p] |= 1 << s
+            # the slacks combine like the rays: row . combo is g times the
+            # integer row . ray, so the division is exact; with a, b > 0 a
+            # slack can be negative only where a parent's is
+            if g > 1:
+                vals = [(a * y + b * x) // g for x, y in zip(si, sj)]
+            else:
+                vals = [a * y + b * x for x, y in zip(si, sj)]
+            enter(ray, vals, z, {*ni, *nj})
     return list(rays.values())
 
 
@@ -240,13 +270,11 @@ def extremal_rays(h):
             [sum(v[i] * basis[i][c] for i in range(n)) for c in range(h.dim)]
         )
 
-    start = _independent_rows(proj, n)
-    if len(start) < n:
-        # a line in the cone: a null vector of the independent rows
-        v = linalg.nullspace([list(proj[i]) for i in start], ncols=n)[0]
-        raise NotPointedError(ambient(v))
-    out = {ambient(r) for r in _dd(proj, n, start)}
-    result = sorted(out)
+    try:
+        found = _dd(proj, n)
+    except NotPointedError as e:
+        raise NotPointedError(ambient(e.vector)) from None
+    result = sorted({ambient(r) for r in found})
     for r in result:
         assert contains(h, r)
     return result

@@ -16,7 +16,10 @@ import itertools
 import json
 from collections import namedtuple
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
+from math import lcm
+from operator import mul
 
 from .rootdata import ParabolicSpec, build_root_system, eval_x
 from .weyl import covers, minimal_reps, parse_word, require_minimal_rep
@@ -97,6 +100,20 @@ def _row_block(w, k):
     return tuple(-eval_x(winv.act(rs.omega(i)), k) for i in range(1, rs.rank + 1))
 
 
+@lru_cache(maxsize=None)
+def _x_den(rs, k):
+    """The lcm of the denominators in row k of the inverse Cartan matrix, so
+    that _x_den * lam(x_k) is an integer for every integral weight lam."""
+    return lcm(*(c.denominator for c in rs._cartan_inv[k - 1]))
+
+
+@lru_cache(maxsize=None)
+def _int_block(w, k):
+    """``_row_block(w, k)`` as integer numerators over ``_x_den``."""
+    den = _x_den(w.root_system, k)
+    return tuple(int(b * den) for b in _row_block(w, k))
+
+
 # w in W^P with its codimension, the product-table id of its class and its
 # gap term chi_w(x_k)
 _WordEntry = namedtuple("_WordEntry", "w codim pid gap")
@@ -169,12 +186,11 @@ def eval_inequality(face, x, k):
     """sum_j (w_j^-1 lambda_j)(x_k), exact; <= 0 on the cone, 0 on the face."""
     if k in face.P.delta_P:
         raise ValueError(f"index {k} lies inside Delta(P)")
-    lams = _weights(x)
-    return -sum(
-        b * c
-        for w, lam in zip(face.words, lams)
-        for b, c in zip(_row_block(w, k), lam.coords)
+    num = sum(
+        sum(map(mul, _int_block(w, k), lam.coords))
+        for w, lam in zip(face.words, _weights(x))
     )
+    return Fraction(-num, _x_den(face.root_system, k))
 
 
 def inequality_row(face, k):

@@ -1,8 +1,11 @@
 """Regression gate and brute-force cross-check for the double description.
 
-The digests below were recorded from the original engine (full scan of
-every ray in play per adjacency test); any rewrite of ``cone._dd`` must
-reproduce the same sorted ray lists, whatever the row order.
+The digests below were recorded from earlier engines: A2-C3 from the
+original one (full scan of every ray in play per adjacency test), A4-D4
+from the bitmask engine that still added rows in the caller's order. Any
+rewrite of ``cone._dd`` must reproduce the same sorted ray lists, whatever
+the row order: each type also runs with its rows shuffled and reversed
+(D4 reversed did not finish in 300 s with caller-order engines).
 """
 
 import hashlib
@@ -41,6 +44,22 @@ GATE = {
         51,
         "0bd687aa0864c89fc5dab9d0c38f796cc287921aaa4717c55c418da19be963d8",
     ),
+    "A4": (
+        42,
+        "ced5ebc81f1443831019510e32ea27f5691841b36e4f3ffb767fbf0d6d9b3658",
+    ),
+    "B4": (
+        237,
+        "3bbcf9023932286e8883da5eb64d572a01f10defe4e8f81d24265b1e8a14960c",
+    ),
+    "C4": (
+        237,
+        "ca5ce3fef102095611d67ede0a97c3974436d60a0be1dd33f2a0a02484ed0aaf",
+    ),
+    "D4": (
+        81,
+        "417122995c82ad9078a01ec052f4a126860f9bb556eaa84202a469a3dafb4dc2",
+    ),
 }
 
 
@@ -57,8 +76,18 @@ def test_gamma_cone_rays_match_recorded(typ):
     assert _digest(got) == digest
     rows = list(h.inequalities)
     random.Random(0).shuffle(rows)
-    shuffled = cone.HRep(h.dim, rows, list(h.equalities))
-    assert cone.extremal_rays(shuffled) == got
+    for order in (rows, h.inequalities[::-1]):
+        assert cone.extremal_rays(cone.HRep(h.dim, order, h.equalities)) == got
+
+
+@pytest.mark.parametrize("typ", ["A3", "B3"])
+def test_dd_work_ignores_row_order(typ):
+    # the unsorted output of the engine itself, not only the sorted set
+    h = rays.gamma_hrep(build_root_system(typ), 3)
+    rows = list(h.inequalities)
+    random.Random(1).shuffle(rows)
+    assert rows != h.inequalities
+    assert cone._dd(rows, h.dim) == cone._dd(h.inequalities, h.dim)
 
 
 def _brute_force_rays(rows, n):
