@@ -97,30 +97,6 @@ def restrict_to_face(h, tight):
     return HRep(h.dim, ineqs, eqs)
 
 
-def _subspace_basis(h):
-    """Columns spanning the equality subspace (as row vectors here)."""
-    if not h.equalities:
-        return [
-            tuple(int(i == j) for j in range(h.dim)) for i in range(h.dim)
-        ]
-    null = linalg.nullspace([list(r) for r in h.equalities])
-    return [clear_denominators(v) for v in null]
-
-
-def _independent_rows(rows, ncols):
-    """Indices of a maximal linearly independent subset, greedy in order."""
-    chosen = []
-    mat = []
-    for i, row in enumerate(rows):
-        cand = mat + [list(row)]
-        if linalg.rank(cand) > len(mat):
-            mat = cand
-            chosen.append(i)
-            if len(chosen) == ncols:
-                break
-    return chosen
-
-
 def _bits(x):
     """Positions of the set bits of x, lowest first."""
     while x:
@@ -137,13 +113,14 @@ def _row_key(row):
 def _dd(rows, n):
     """Double description for {y in Q^n : row . y >= 0}.
 
-    The rows are put in canonical order (``_row_key``), and the first n
-    independent ones in that order give the first n rays through their
-    inverse; if the rows have rank below n, NotPointedError carries a line
-    of the cone. Each step then adds the row that the most current rays
-    violate, the earliest in canonical order on a tie (the max-cutoff rule
-    of Fukuda and Prodon, "Double description method revisited", 1996),
-    until no row is violated. Both the work and the result therefore
+    The rows are put in canonical order (``_row_key``). The pivot columns
+    of one ``rref_int`` of their transpose are the first n independent rows
+    in that order, and their inverse gives the first n rays; if the rows
+    have rank below n, NotPointedError carries a null vector of the rows, a
+    line of the cone. Each step then adds the row that the most current
+    rays violate, the earliest in canonical order on a tie (the max-cutoff
+    rule of Fukuda and Prodon, "Double description method revisited",
+    1996), until no row is violated. Both the work and the result therefore
     depend only on the set of rows.
 
     Each ray lives in a slot. slack[s] holds the slack vector of the ray
@@ -158,12 +135,9 @@ def _dd(rows, n):
     """
     rows = sorted(rows, key=_row_key)
     m = len(rows)
-    start = _independent_rows(rows, n)
+    start = linalg.rref_int(zip(*rows))[1]
     if len(start) < n:
-        # a line in the cone: a null vector of the independent rows
-        raise NotPointedError(
-            linalg.nullspace([list(rows[i]) for i in start], ncols=n)[0]
-        )
+        raise NotPointedError(linalg.nullspace(rows, ncols=n)[0])
     rays, slack, zsets, slot_of = {}, {}, {}, {}
     viol = [0] * m
     tight = [0] * n
@@ -257,7 +231,7 @@ def _dd(rows, n):
 
 def extremal_rays(h):
     """Minimal generating rays of the cone, primitive and lex sorted."""
-    basis = _subspace_basis(h)
+    basis = linalg.nullspace(h.equalities, ncols=h.dim)
     n = len(basis)
     if n == 0:
         return []
@@ -286,12 +260,8 @@ def is_extremal(h, r):
         raise ValueError(f"{r} does not satisfy the system")
     if all(x == 0 for x in r):
         return False
-    tight = [list(row) for row in h.equalities] + [
-        list(row) for row in h.inequalities if _dot(row, r) == 0
-    ]
-    if not tight:
-        return h.dim == 1
-    return len(linalg.nullspace(tight)) == 1
+    tight = h.equalities + [row for row in h.inequalities if _dot(row, r) == 0]
+    return len(linalg.nullspace(tight, ncols=h.dim)) == 1
 
 
 # -- text round trip ---------------------------------------------------

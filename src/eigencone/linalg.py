@@ -1,9 +1,12 @@
 """Small exact linear algebra helpers.
 
-Row reduction runs on integer rows without division (``rref_int``); the
-rational routines scale each row to integers, reduce, and divide by the
-pivots once at the end, so they return lists of Fraction. Matrices are small
-(dimension <= a few hundred), so plain Gauss-Jordan elimination is fine.
+There is one elimination, ``rref_int``: fraction-free Gauss-Jordan on
+integer rows. Everything else reads its answer off those rows. ``nullspace``
+returns primitive integer vectors; ``solve`` and ``inverse`` return lists of
+Fraction, dividing each row by its pivot entry, since their answers are
+rational in general. Rational input rows are first scaled to integers, which
+leaves the row space unchanged. Matrices are small (dimension <= a few
+hundred), so plain elimination is fine.
 """
 
 from __future__ import annotations
@@ -20,7 +23,9 @@ def rref_int(rows):
     entry is nonzero, every other pivot column of it is zero, and dividing it
     by its pivot entry gives the RREF row. The remaining rows are zero. Each
     elimination cross-multiplies the two rows and divides the result by its
-    gcd; pivots are chosen as in ``rref``.
+    gcd; the pivot of a column is its first nonzero entry at or below the
+    current row, so the pivot columns are the greedy first independent
+    columns.
     """
     rows = [list(row) for row in rows]
     if not rows:
@@ -61,34 +66,32 @@ def rref_solution(rows, pivots, col):
     return denom, [(c, row[col] * (denom // row[c])) for row, c in used]
 
 
-def rref(mat):
-    """Reduced row echelon form over Fraction; returns (rows, pivot_columns)."""
-    rows, pivots = rref_int([clear_denominators(row) for row in mat])
-    out = [[Fraction(x, row[c]) for x in row] for row, c in zip(rows, pivots)]
-    out += [[Fraction(0)] * len(row) for row in rows[len(pivots):]]
-    return out, pivots
-
-
-def rank(mat):
-    return len(rref(mat)[1])
+def _rref_scaled(mat):
+    """``rref_int`` of rational rows, each scaled to integers first."""
+    return rref_int([clear_denominators(row) for row in mat])
 
 
 def nullspace(mat, ncols=None):
-    """Basis of the right nullspace, as lists of Fraction."""
-    if not mat:
-        if ncols is None:
-            return []
-        return [[Fraction(int(i == j)) for j in range(ncols)] for i in range(ncols)]
-    ncols = len(mat[0])
-    rows, pivots = rref(mat)
-    free = [c for c in range(ncols) if c not in pivots]
+    """Basis of the right null space, one primitive integer tuple per free
+    column fc: the vector with x[fc] > 0 and every other free entry zero.
+
+    ``ncols`` gives the width of an empty matrix, whose null space is
+    spanned by the unit vectors.
+    """
+    if mat:
+        ncols = len(mat[0])
+    rows, pivots = _rref_scaled(mat)
     basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -rows[r][fc]
-        basis.append(vec)
+    for fc in range(ncols or 0):
+        if fc in pivots:
+            continue
+        # x[fc] = 1 leaves M x = 0 for x[c] = -y[c], where M y = column fc
+        denom, terms = rref_solution(rows, pivots, fc)
+        vec = [0] * ncols
+        vec[fc] = denom
+        for c, num in terms:
+            vec[c] = -num
+        basis.append(clear_denominators(vec))
     return basis
 
 
@@ -97,27 +100,23 @@ def solve(mat, rhs):
     if not mat:
         return None
     ncols = len(mat[0])
-    aug = [list(row) + [b] for row, b in zip(mat, rhs)]
-    rows, pivots = rref(aug)
-    for row in rows:
-        if all(x == 0 for x in row[:-1]) and row[-1] != 0:
-            return None
+    rows, pivots = _rref_scaled([list(row) + [b] for row, b in zip(mat, rhs)])
+    if ncols in pivots:
+        return None
     x = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        if pc == ncols:
-            return None
-        x[pc] = rows[r][-1]
+    for row, c in zip(rows, pivots):
+        x[c] = Fraction(row[-1], row[c])
     return x
 
 
 def inverse(mat):
     n = len(mat)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(mat)]
-    rows, pivots = rref(aug)
+    rows, pivots = _rref_scaled(
+        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(mat)]
+    )
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in rows]
+    return [[Fraction(x, row[c]) for x in row[n:]] for row, c in zip(rows, pivots)]
 
 
 def clear_denominators(vec):

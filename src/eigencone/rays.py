@@ -231,7 +231,8 @@ def induction_image(face, x):
 
 
 def induct(face, x):
-    """Induction of a degree-0 Levi weight tuple; rejects non-degree-0 input."""
+    """Induction of a degree-0 Levi weight tuple; rejects non-degree-0 input
+    and input whose image is not dominant."""
     for j, mu in enumerate(x.weights, start=1):
         for k in face.P.complement:
             val = eval_x(mu, k)
@@ -240,8 +241,12 @@ def induct(face, x):
                     f"entry {j} is not degree-0: x_{k} evaluation is {val}"
                 )
     out = induction_image(face, x)
-    for w in out.weights:
-        assert w.is_dominant()
+    for j, w in enumerate(out.weights, start=1):
+        if not w.is_dominant():
+            raise ValueError(
+                f"induced entry {j} is not dominant: "
+                + " ".join(map(str, w.coords))
+            )
     return out
 
 
@@ -269,7 +274,8 @@ def induct_coweights(face, hs):
     return via_kappa
 
 
-def _gamma_hrep(rs, s):
+@lru_cache(maxsize=None)
+def gamma_hrep(rs, s):
     """Full H-representation of the tensor cone: dominance plus every
     regular facet inequality."""
     n = s * rs.rank
@@ -278,11 +284,6 @@ def _gamma_hrep(rs, s):
         for k in f.P.complement:
             ineqs.append(faces.inequality_row(f, k))
     return cone.HRep(n, ineqs)
-
-
-@lru_cache(maxsize=None)
-def gamma_hrep(rs, s):
-    return _gamma_hrep(rs, s)
 
 
 @lru_cache(maxsize=None)

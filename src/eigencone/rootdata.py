@@ -138,7 +138,7 @@ def _positive_roots(cartan, simples):
 class RootSystem:
     """Immutable root datum for one finite Cartan type (possibly a product)."""
 
-    def __init__(self, cartan, label, factor_slices=None):
+    def __init__(self, cartan, label):
         self.cartan_label = label
         self.rank = len(cartan)
         self.cartan_matrix = tuple(tuple(int(x) for x in row) for row in cartan)
@@ -161,10 +161,6 @@ class RootSystem:
         self._cartan_inv = tuple(
             tuple(row) for row in linalg.inverse(self.cartan_matrix)
         )
-        # slices of simple indices belonging to each simple factor (0-based)
-        if factor_slices is None:
-            factor_slices = [tuple(range(self.rank))]
-        self.factor_slices = tuple(tuple(s) for s in factor_slices)
 
     # -- basic vectors -------------------------------------------------
 
@@ -349,16 +345,14 @@ def build_root_system(label):
         blocks.append(_simple_cartan_matrix(family, n))
     total = sum(len(b) for b in blocks)
     cartan = [[0] * total for _ in range(total)]
-    slices = []
     off = 0
     for b in blocks:
         k = len(b)
         for i in range(k):
             for j in range(k):
                 cartan[off + i][off + j] = b[i][j]
-        slices.append(tuple(range(off, off + k)))
         off += k
-    return RootSystem(cartan, "x".join(parts), factor_slices=slices)
+    return RootSystem(cartan, "x".join(parts))
 
 
 def pair(lam, beta):

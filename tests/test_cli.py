@@ -52,6 +52,26 @@ def test_too_few_factors_is_math_error_under_optimize():
     assert proc.returncode == 3, proc.stdout + proc.stderr
 
 
+def test_non_dominant_induction_is_math_error_under_optimize():
+    # this degree-0 input induces to a non-dominant tuple; the check that
+    # rejects it must survive -O
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    argv = [
+        "-O", "-m", "eigencone.cli", "induct", "--type", "D4",
+        "--parabolic", "2", "--words", MAIN_WORDS,
+        "--input", "[[-5,0,3,0],[0,0,0,0],[0,0,0,0]]",
+    ]
+    proc = subprocess.run(
+        [sys.executable, *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 3, proc.stdout + proc.stderr
+    assert proc.stdout == ""
+    assert "not dominant" in proc.stderr
+
+
 # each patch breaks one invariant of the Schubert product engine
 ENGINE_BREAKERS = {
     "generation": "schubert.ProductTable._mult_degree_one = lambda self, k, vec: {}",

@@ -70,8 +70,7 @@ def test_not_pointed():
     h = cone.HRep(2, inequalities=[(1, 0)])
     with pytest.raises(cone.NotPointedError) as err:
         cone.extremal_rays(h)
-    v = err.value.vector
-    assert v[0] == 0 and v[1] != 0
+    assert err.value.vector == (0, 1)
 
 
 def test_not_pointed_inside_equality_subspace():

@@ -111,7 +111,7 @@ def _random_pointed_rows(rng, n):
             tuple(rng.choice((-1, 0, 0, 1, 1, 2)) for _ in range(n))
             for _ in range(rng.randint(n, 9))
         ]
-        if linalg.rank([list(r) for r in rows]) == n:
+        if len(linalg.rref_int(rows)[1]) == n:
             return rows
 
 

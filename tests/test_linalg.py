@@ -6,23 +6,9 @@ import pytest
 from eigencone import linalg
 
 
-def test_rref_identity():
-    rows, pivots = linalg.rref([[1, 0], [0, 1]])
-    assert rows == [[1, 0], [0, 1]]
-    assert pivots == [0, 1]
-
-
-def test_rank():
-    assert linalg.rank([[1, 2], [2, 4]]) == 1
-    assert linalg.rank([[1, 2], [3, 4]]) == 2
-    assert linalg.rank([]) == 0
-
-
 def test_nullspace():
-    ns = linalg.nullspace([[1, 1, 0]])
-    assert len(ns) == 2
-    for v in ns:
-        assert v[0] + v[1] == 0 or v[2] != 0
+    assert linalg.nullspace([[1, 1, 0]]) == [(-1, 1, 0), (0, 0, 1)]
+    assert linalg.nullspace([[2, 3, 0], [0, 0, 4]]) == [(-3, 2, 0)]
 
 
 def test_solve():
@@ -98,10 +84,6 @@ def test_rref_against_fraction_gauss_jordan():
     rng = random.Random(20180309)
     for mat in _random_matrices(rng):
         want = _reference_rref(mat)
-        got = linalg.rref(mat)
-        assert got == want, mat
-        assert all(type(x) is Fraction for row in got[0] for x in row)
-        assert linalg.rank(mat) == len(want[1])
         if mat and mat[0]:
             ints = [linalg.clear_denominators(row) for row in mat]
             rows, pivots = linalg.rref_int(ints)
@@ -112,6 +94,70 @@ def test_rref_against_fraction_gauss_jordan():
             assert all(not any(row) for row in rows[len(pivots):])
 
 
+def test_nullspace_against_fraction_gauss_jordan():
+    rng = random.Random(314)
+    for mat in _random_matrices(rng):
+        ncols = len(mat[0]) if mat else 0
+        ref_rows, ref_pivots = _reference_rref(mat)
+        free = [c for c in range(ncols) if c not in ref_pivots]
+        got = linalg.nullspace(mat)
+        assert len(got) == len(free), mat
+        for vec, fc in zip(got, free):
+            assert type(vec) is tuple and all(type(x) is int for x in vec)
+            assert linalg.clear_denominators(vec) == vec
+            # the reference vector has 1 at fc and 0 at every other free column
+            want = [Fraction(int(c == fc)) for c in range(ncols)]
+            for row, pc in zip(ref_rows, ref_pivots):
+                want[pc] = -row[fc]
+            assert vec[fc] > 0
+            assert list(vec) == [vec[fc] * x for x in want], mat
+    assert linalg.nullspace([], ncols=3) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+
+def test_solve_against_fraction_gauss_jordan():
+    rng = random.Random(2718)
+    for mat in _random_matrices(rng):
+        ncols = len(mat[0]) if mat else 0
+        if rng.random() < 0.5:
+            rhs = [rng.randint(-5, 5) for _ in mat]
+        else:
+            y = [rng.randint(-3, 3) for _ in range(ncols)]
+            rhs = [sum(a * b for a, b in zip(row, y)) for row in mat]
+        got = linalg.solve(mat, rhs)
+        ref_rows, ref_pivots = _reference_rref(
+            [list(row) + [b] for row, b in zip(mat, rhs)]
+        )
+        if not mat or ncols in ref_pivots:
+            assert got is None, mat
+            continue
+        want = [Fraction(0)] * ncols
+        for row, pc in zip(ref_rows, ref_pivots):
+            want[pc] = row[-1]
+        assert got == want, mat
+        assert all(type(x) is Fraction for x in got)
+        assert [sum(a * b for a, b in zip(row, got)) for row in mat] == rhs
+
+
+def test_inverse_against_fraction_gauss_jordan():
+    rng = random.Random(1968)
+    for mat in _random_matrices(rng):
+        # the leading square block: regular and singular cases alike
+        k = min(len(mat), len(mat[0])) if mat else 0
+        sq = [row[:k] for row in mat[:k]]
+        if not sq:
+            continue
+        ref_rows, ref_pivots = _reference_rref(
+            [row + [int(i == j) for j in range(k)] for i, row in enumerate(sq)]
+        )
+        if ref_pivots[:k] != list(range(k)):
+            with pytest.raises(ValueError):
+                linalg.inverse(sq)
+            continue
+        got = linalg.inverse(sq)
+        assert got == [row[k:] for row in ref_rows], sq
+        assert all(type(x) is Fraction for row in got for x in row)
+
+
 def test_rref_solution_against_fraction_gauss_jordan():
     rng = random.Random(1729)
     checked = 0
@@ -120,7 +166,7 @@ def test_rref_solution_against_fraction_gauss_jordan():
         mat = [[rng.choice([0, rng.randint(-7, 7)]) for _ in range(n + extra)]
                for _ in range(n)]
         rhs = [[rng.randint(-5, 5) for _ in range(3)] for _ in range(n)]
-        if linalg.rank(mat) < n:
+        if len(linalg.rref_int(mat)[1]) < n:
             continue
         rows, pivots = linalg.rref_int([a + b for a, b in zip(mat, rhs)])
         for t in range(3):
