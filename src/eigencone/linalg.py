@@ -2,11 +2,11 @@
 
 There is one elimination, ``rref_int``: fraction-free Gauss-Jordan on
 integer rows. Everything else reads its answer off those rows. ``nullspace``
-returns primitive integer vectors; ``solve`` and ``inverse`` return lists of
-Fraction, dividing each row by its pivot entry, since their answers are
-rational in general. Rational input rows are first scaled to integers, which
-leaves the row space unchanged. Matrices are small (dimension <= a few
-hundred), so plain elimination is fine.
+returns primitive integer vectors; ``inverse`` returns rows of Fraction,
+dividing each row by its pivot entry, since its answer is rational in
+general. Rational input rows are first scaled to integers, which leaves the
+row space unchanged. Matrices are small (dimension <= a few hundred), so
+plain elimination is fine.
 """
 
 from __future__ import annotations
@@ -93,20 +93,6 @@ def nullspace(mat, ncols=None):
             vec[c] = -num
         basis.append(clear_denominators(vec))
     return basis
-
-
-def solve(mat, rhs):
-    """One exact solution x of mat @ x = rhs, or None if inconsistent."""
-    if not mat:
-        return None
-    ncols = len(mat[0])
-    rows, pivots = _rref_scaled([list(row) + [b] for row, b in zip(mat, rhs)])
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for row, c in zip(rows, pivots):
-        x[c] = Fraction(row[-1], row[c])
-    return x
 
 
 def inverse(mat):

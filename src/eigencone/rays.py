@@ -19,22 +19,15 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from . import cone, faces, linalg, schubert
 from .linalg import clear_denominators
-from .rootdata import (
-    ParabolicSpec,
-    Weight,
-    build_root_system,
-    eval_x,
-    kappa,
-    kappa_inv,
-    pair,
-)
-from .weyl import covers, cover_test, minimal_reps, simple_reflection, weyl_group
+from .rootdata import Weight, eval_x, kappa, kappa_inv, pair
+from .weyl import covers, cover_test, weyl_group
 
 __all__ = [
     "RayTuple",
@@ -160,14 +153,16 @@ def _divisor_formula(face, j, v):
     P = face.P
     us = list(face.words)
     us[j - 1] = v
+    W = weyl_group(rs)
     lams = []
     for kpos in range(face.s):
         coords = [0] * rs.rank
+        upper = dict(W.cover_row(W.id_of(us[kpos]))[1])
         for ell in range(1, rs.rank + 1):
             if not cover_test(us[kpos], ell, P):
                 continue
             hatted = list(us)
-            hatted[kpos] = simple_reflection(rs, ell).compose(us[kpos])
+            hatted[kpos] = W.elements[upper[rs.simple_roots[ell - 1]]]
             coords[ell - 1] = schubert.multi_coeff(hatted, P)
         lams.append(rs.weight(coords))
     return RayTuple(tuple(lams), "basic")
@@ -200,19 +195,25 @@ def _face_basic_rays(face):
     )
 
 
+@lru_cache(maxsize=None)
+def _degree_shift(P):
+    """Inverse of the inverse Cartan matrix's block on the nodes outside
+    Delta(P): it takes x_k evaluations to omega_k shift coefficients."""
+    rs, ks = P.root_system, P.complement
+    return linalg.inverse([[eval_x(rs.omega(k), kp) for k in ks] for kp in ks])
+
+
 def shift_to_degree0(x, P):
     """Shift each entry by a combination of the omega_k, k outside Delta(P),
     so that every x_k evaluation vanishes; Levi restriction is unchanged."""
     rs = P.root_system
     ks = P.complement
-    mat = [[eval_x(rs.omega(k), kp) for k in ks] for kp in ks]
     out = []
     for mu in x.weights:
         rhs = [eval_x(mu, kp) for kp in ks]
-        t = linalg.solve(mat, rhs)
         shift = rs.zero_weight()
-        for c, k in zip(t, ks):
-            shift = shift + rs.omega(k).scale(c)
+        for row, k in zip(_degree_shift(P), ks):
+            shift = shift + rs.omega(k).scale(sum(map(mul, row, rhs)))
         out.append(mu - shift)
     return RayTuple(tuple(out), x.tag)
 

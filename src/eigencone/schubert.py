@@ -10,16 +10,19 @@ The multiplication engine is the Chevalley rule for degree-one classes plus
 the fact that H*(G/B;Q) is generated in degree two: every basis class is a
 rational combination of (degree-one class) * (shorter class), solved exactly
 degree by degree, and arbitrary products recurse through that expression.
-All of it runs in integers: the Chevalley covers x -> x s_beta are found
-from (x s_beta)(rho), each degree is solved by fraction-free row reduction,
-and each class keeps integer numerators over one denominator, which a
-product divides out exactly once.
+All of it runs in integers. The Chevalley rule reads its covers from the
+Weyl group's cover table, which multiplies on the left: the cover
+x -> x s_beta is s_gamma x with gamma = x(beta), and its coefficient
+<omega_k, beta^vee> is <x omega_k, gamma^vee>. Each degree is solved by
+fraction-free row reduction, and each class keeps integer numerators over
+one denominator, which a product divides out exactly once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 from . import linalg
 from .rootdata import ParabolicSpec, eval_x
@@ -87,49 +90,28 @@ class ProductTable:
         self.root_system = rs
         self.W = weyl_group(rs)
         self._products = {}  # (id_u, id_v) sorted -> dict id -> int
-        self._chevalley = {}  # id_x -> list of (beta, id_xs)
         # id_u -> (denominator, list of (numerator, k, id_shorter))
         self._expressions = {}
         self._by_length = {}
         for i, w in enumerate(self.W.elements):
             self._by_length.setdefault(w.length, []).append(i)
-        # (beta, <rho, beta^vee>, beta as a weight) per positive root
-        self._roots = [
-            (beta, sum(rs.coroot(beta)), rs.root_to_weight(beta).coords)
-            for beta in rs.positive_roots
-        ]
 
     # -- internal multiplication --------------------------------------
 
-    def _chev_data(self, xid):
-        """Pairs (beta, id of x*s_beta) with l(x s_beta) = l(x) + 1."""
-        got = self._chevalley.get(xid)
-        if got is None:
-            W = self.W
-            x = W.elements[xid]
-            target = x.length + 1
-            x_rho = x.rho_image()
-            got = []
-            for beta, height, bw in self._roots:
-                # (x s_beta)(rho) = x(rho) - <rho, beta^vee> x(beta)
-                key = tuple(
-                    r - height * sum(a * b for a, b in zip(row, bw))
-                    for r, row in zip(x_rho, x.matrix)
-                )
-                yid = W.by_rho[key]
-                if W.elements[yid].length == target:
-                    got.append((beta, yid))
-            self._chevalley[xid] = got
-        return got
-
     def _mult_degree_one(self, k, vec):
-        """Multiply a basis combination by the degree-one class of s_k."""
+        """Multiply a basis combination by the degree-one class of s_k.
+
+        Chevalley's rule sums over the upper covers s_gamma x of x; the
+        coefficient <omega_k, (x^-1 gamma)^vee> equals <x omega_k, gamma^vee>,
+        and x omega_k is column k of x's matrix.
+        """
+        W = self.W
         coroot = self.root_system.coroot
         out = {}
         for xid, c in vec.items():
-            for beta, yid in self._chev_data(xid):
-                # Chevalley: the coefficient is <omega_k, beta^vee>
-                coeff = coroot(beta)[k - 1]
+            col = [row[k - 1] for row in W.elements[xid].matrix]
+            for gamma, yid in W.cover_row(xid)[1]:
+                coeff = sum(map(mul, coroot(gamma), col))
                 if coeff:
                     out[yid] = out.get(yid, 0) + c * coeff
         return {w: c for w, c in out.items() if c}

@@ -17,13 +17,15 @@ Orientation conventions, fixed once:
 * words compose so that the leftmost letter acts last: "s4 s3 s1 s2" is the
   map s_4 o s_3 o s_1 o s_2;
 * Bruhat covers use left multiplication: ``v -> w`` through root beta means
-  w = s_beta v with l(w) = l(v) + 1.
+  w = s_beta v with l(w) = l(v) + 1. Every cover, and the Chevalley rule's
+  x -> x s_beta = s_{x(beta)} x, is read from one table: ``cover_row``.
 """
 
 from __future__ import annotations
 
 import re
 from functools import lru_cache
+from operator import mul
 
 from .rootdata import Weight, pair
 
@@ -203,7 +205,7 @@ def simple_reflection(rs, i):
 
 
 def reflection(rs, beta):
-    """s_beta for any root beta (simple-root basis)."""
+    """s_beta for any root beta (simple-root basis), as a matrix."""
     # s_beta(omega_j) = omega_j - <omega_j, beta^vee> beta, and
     # <omega_j, beta^vee> is the j-th coroot coordinate
     co = rs.coroot(beta)
@@ -254,6 +256,12 @@ class WeylGroup:
         # w(rho) -> position in ``elements``
         self.by_rho = {w.rho_image(): i for i, w in enumerate(self.elements)}
         self.longest = self.elements[-1]
+        self._rows = {}  # id -> cover_row
+        # (gamma, gamma^vee, gamma as a weight) per positive root
+        self._roots = [
+            (g, rs.coroot(g), rs.root_to_weight(g).coords)
+            for g in rs.positive_roots
+        ]
 
     def __len__(self):
         return len(self.elements)
@@ -263,6 +271,27 @@ class WeylGroup:
 
     def id_of(self, w):
         return self.by_rho[w.rho_image()]
+
+    def cover_row(self, xid):
+        """The Bruhat covers of element ``xid`` as (lower, upper): pairs
+        (gamma, id of s_gamma x) over the positive roots gamma, in order, with
+        l(s_gamma x) = l(x) - 1, resp. l(x) + 1. Filled on first use from
+        s_gamma x(rho) = x(rho) - <x(rho), gamma^vee> gamma."""
+        got = self._rows.get(xid)
+        if got is None:
+            x = self.elements[xid]
+            x_rho, lx = x.rho_image(), x.length
+            lower, upper = [], []
+            for gamma, co, gw in self._roots:
+                h = sum(map(mul, co, x_rho))
+                yid = self.by_rho[tuple(r - h * g for r, g in zip(x_rho, gw))]
+                ly = self.elements[yid].length
+                if ly == lx - 1:
+                    lower.append((gamma, yid))
+                elif ly == lx + 1:
+                    upper.append((gamma, yid))
+            got = self._rows[xid] = (lower, upper)
+        return got
 
 
 @lru_cache(maxsize=None)
@@ -291,31 +320,32 @@ def longest_minimal_rep(P):
 def covers(w, P):
     """All Bruhat covers v -> w with v in W^P (w = s_beta v, codimension one)."""
     require_minimal_rep(w, P)
-    rs = P.root_system
-    out = []
-    for beta in rs.positive_roots:
-        v = reflection(rs, beta).compose(w)
-        if v.length == w.length - 1 and v.is_minimal_rep(P):
-            out.append(CoverDatum(v, w, beta))
-    out.sort(key=lambda c: (c.lower.matrix, c.beta))
-    return out
+    W = weyl_group(P.root_system)
+    out = [
+        CoverDatum(W.elements[vid], w, beta)
+        for beta, vid in W.cover_row(W.id_of(w))[0]
+        if W.elements[vid].is_minimal_rep(P)
+    ]
+    return sorted(out, key=lambda c: (c.lower.matrix, c.beta))
 
 
 def cover_test(u, ell, P):
     """Does u -> s_ell u stay a cover inside W^P?
 
     True iff u^-1(alpha_ell) is positive and not a Levi root. The equivalent
-    length criterion (s_ell u in W^P with length l(u)+1) is computed too and
-    asserted to agree.
+    length criterion (s_ell u is in u's upper covers and in W^P) is checked
+    too and asserted to agree.
     """
     rs = P.root_system
     require_minimal_rep(u, P)
-    img = u.inverse().act_root(rs.simple_roots[ell - 1])
+    alpha = rs.simple_roots[ell - 1]
+    img = u.inverse().act_root(alpha)
     root_crit = all(x >= 0 for x in img) and any(
         img[k - 1] != 0 for k in P.complement
     )
-    su = simple_reflection(rs, ell).compose(u)
-    len_crit = su.length == u.length + 1 and su.is_minimal_rep(P)
+    W = weyl_group(rs)
+    su = dict(W.cover_row(W.id_of(u))[1]).get(alpha)
+    len_crit = su is not None and W.elements[su].is_minimal_rep(P)
     assert root_crit == len_crit, (u.word_str(), ell, sorted(P.delta_P))
     return root_crit
 

@@ -2,7 +2,9 @@
 
 The digests below were recorded from earlier engines: A2-C3 from the
 original one (full scan of every ray in play per adjacency test), A4-D4
-from the bitmask engine that still added rows in the caller's order. Any
+from the bitmask engine that still added rows in the caller's order, A5
+and F4 from the max-cutoff engine over a product table whose Chevalley
+covers were x -> x s_beta. Any
 rewrite of ``cone._dd`` must reproduce the same sorted ray lists, whatever
 the row order: each type also runs with its rows shuffled and reversed
 (D4 reversed did not finish in 300 s with caller-order engines).
@@ -59,6 +61,14 @@ GATE = {
     "D4": (
         81,
         "417122995c82ad9078a01ec052f4a126860f9bb556eaa84202a469a3dafb4dc2",
+    ),
+    "A5": (
+        112,
+        "68ce6c232c91240611b74fb62e70561c714ce6c7217a01659a96234373fdeb93",
+    ),
+    "F4": (
+        1020,
+        "318c8d047a7b972742b66aeca83a6ec7e43e26c78dda46175e9ed18e34333b5e",
     ),
 }
 

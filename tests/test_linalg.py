@@ -11,12 +11,6 @@ def test_nullspace():
     assert linalg.nullspace([[2, 3, 0], [0, 0, 4]]) == [(-3, 2, 0)]
 
 
-def test_solve():
-    x = linalg.solve([[2, 0], [0, 3]], [4, 9])
-    assert x == [2, 3]
-    assert linalg.solve([[1, 1], [1, 1]], [0, 1]) is None
-
-
 def test_inverse():
     inv = linalg.inverse([[2, 1], [1, 1]])
     assert inv == [[1, -1], [-1, 2]]
@@ -112,30 +106,6 @@ def test_nullspace_against_fraction_gauss_jordan():
             assert vec[fc] > 0
             assert list(vec) == [vec[fc] * x for x in want], mat
     assert linalg.nullspace([], ncols=3) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-
-
-def test_solve_against_fraction_gauss_jordan():
-    rng = random.Random(2718)
-    for mat in _random_matrices(rng):
-        ncols = len(mat[0]) if mat else 0
-        if rng.random() < 0.5:
-            rhs = [rng.randint(-5, 5) for _ in mat]
-        else:
-            y = [rng.randint(-3, 3) for _ in range(ncols)]
-            rhs = [sum(a * b for a, b in zip(row, y)) for row in mat]
-        got = linalg.solve(mat, rhs)
-        ref_rows, ref_pivots = _reference_rref(
-            [list(row) + [b] for row, b in zip(mat, rhs)]
-        )
-        if not mat or ncols in ref_pivots:
-            assert got is None, mat
-            continue
-        want = [Fraction(0)] * ncols
-        for row, pc in zip(ref_rows, ref_pivots):
-            want[pc] = row[-1]
-        assert got == want, mat
-        assert all(type(x) is Fraction for x in got)
-        assert [sum(a * b for a, b in zip(row, got)) for row in mat] == rhs
 
 
 def test_inverse_against_fraction_gauss_jordan():

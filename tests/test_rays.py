@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -6,7 +7,7 @@ from importlib import resources
 
 import pytest
 
-from eigencone import cone, faces, rays, schubert
+from eigencone import cli, cone, faces, rays, schubert
 from eigencone.rays import RayTuple
 from eigencone.rootdata import (
     ParabolicSpec,
@@ -104,6 +105,18 @@ def test_shift_to_degree0(d4, p2):
     assert shifted.weights[2].is_zero()
     for mu in shifted.weights:
         assert eval_x(mu, 2) == 0
+
+
+def test_shift_to_degree0_non_maximal(d4):
+    # three dropped nodes: the shift solves a 3 x 3 block, and only the
+    # coordinates of the dropped nodes may move
+    P = ParabolicSpec(d4, (2,))
+    x = _tuple_from_rows(d4, [(1, 1, 0, 0), (0, 2, 1, 3), (2, -1, 1, 0)])
+    shifted = rays.shift_to_degree0(x, P)
+    for mu, nu in zip(x.weights, shifted.weights):
+        for k in P.complement:
+            assert eval_x(nu, k) == 0
+        assert nu.coords[1] == mu.coords[1]
 
 
 def test_induction_formula_coefficients(d4, main_face, uvw):
@@ -220,6 +233,29 @@ def test_classify_p4_table(d4, p4):
             ]
             total = parts[0] + parts[1]
             assert total.to_vector() == want
+
+
+# Regression gate on the whole face layer: sha256 over the regular-facet
+# orbit representatives of the lines json.dumps(_report_payload(report),
+# sort_keys=True) + "\n", the CLI's face-rays JSON. (count, digest), recorded
+# from the product table whose Chevalley covers were x -> x s_beta.
+REPORT_DIGESTS = {
+    "A2": (4, "e1930cd2e6326bbacdd7a4068b625f8eb0861accdc3c00037643c998a1fc838a"),
+    "B3": (18, "bbedfe5c7c86d6bafd00350de0ecfefe6a6df542f7a01c3364faedb0254b4857"),
+    "C3": (18, "7e2e4275bec52e67163c5686ffccfb1ddcf63ffdde58c7e7fadb9d9c6fcb6924"),
+    "D4": (57, "10d5854a4401173098b2152e7cfd94bcf88c7f61570e96647e2f19dc09894752"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(REPORT_DIGESTS))
+def test_face_report_gate(label):
+    rs = build_root_system(label)
+    facets = faces.enumerate_regular_facets(3, rs, quotient_symmetry=True)
+    digest = hashlib.sha256()
+    for face in facets:
+        payload = cli._report_payload(rays.classify_face(face))
+        digest.update(json.dumps(payload, sort_keys=True).encode() + b"\n")
+    assert (len(facets), digest.hexdigest()) == REPORT_DIGESTS[label]
 
 
 def test_chi_tuple_induces_zero(d4, main_face):

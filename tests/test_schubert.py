@@ -216,19 +216,32 @@ def test_longest_levi_element(label):
 
 @pytest.mark.parametrize("label", ["A2", "B3", "C3", "G2", "D4"])
 def test_chevalley_data_against_reflection_route(label):
-    # the table reads x s_beta off (x s_beta)(rho); compose the reflection
-    # matrix instead and keep the covers of length l(x) + 1
+    # the cover table reads s_gamma x off x(rho); compose the reflection
+    # matrix instead and keep every root whose length step is one
     rs = build_root_system(label)
     table = sc.ProductTable(rs)
-    elements = table.W.elements
-    for xid, x in enumerate(elements):
-        want = []
-        for beta in rs.positive_roots:
-            xs = x.compose(reflection(rs, beta))
-            if xs.length == x.length + 1:
-                want.append((beta, xs.matrix))
-        got = [(beta, elements[yid].matrix) for beta, yid in table._chev_data(xid)]
-        assert got == want
+    W = table.W
+    for xid, x in enumerate(W.elements):
+        lower, upper = [], []
+        for gamma in rs.positive_roots:
+            y = reflection(rs, gamma).compose(x)
+            if y.length == x.length - 1:
+                lower.append((gamma, y.matrix))
+            elif y.length == x.length + 1:
+                upper.append((gamma, y.matrix))
+        got_lower, got_upper = W.cover_row(xid)
+        assert [(g, W.elements[y].matrix) for g, y in got_lower] == lower
+        assert [(g, W.elements[y].matrix) for g, y in got_upper] == upper
+        # Chevalley: sigma_{s_k} sigma_x has coefficient <omega_k, beta^vee>
+        # at x s_beta = s_gamma x, where beta = x^-1 gamma
+        xinv = x.inverse()
+        for k in range(1, rs.rank + 1):
+            want = {}
+            for gamma, yid in got_upper:
+                coeff = rs.coroot(xinv.act_root(gamma))[k - 1]
+                if coeff:
+                    want[yid] = coeff
+            assert table._mult_degree_one(k, {xid: 1}) == want
 
 
 @pytest.mark.parametrize("label", ["B2", "G2", "A3", "B3"])
