@@ -12,6 +12,8 @@ dominant chamber, so this is not a restriction in practice.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass, field
 from math import gcd
 from operator import mul
@@ -110,6 +112,56 @@ def _row_key(row):
     return len(row) - row.count(0), row
 
 
+# signed array typecode per field width; wider fields decode to int lists
+_CODES = {array(c).itemsize * 8: c for c in "bhiq"}
+_SWAP = sys.byteorder != "little"
+_START_WIDTH = 16
+
+
+def _width(bound, width):
+    """The least field width, doubling from ``width``, whose signed range
+    holds every integer of absolute value at most ``bound``."""
+    while bound >> (width - 1):
+        width *= 2
+    return width
+
+
+def _bias(width, m):
+    """2^(width-1) in each of m fields: added to a packed vector it makes
+    every field nonnegative, so no field borrows from the next."""
+    return ((1 << width * m) - 1) // ((1 << width) - 1) << (width - 1)
+
+
+def _pack(vals, width, bias):
+    """sum of vals[r] * 2^(width*r), from fields that fit ``width``."""
+    code = _CODES.get(width)
+    if code is None:
+        raw = b"".join(v.to_bytes(width // 8, "little", signed=True) for v in vals)
+    else:
+        vals = array(code, vals)
+        if _SWAP:
+            vals.byteswap()
+        raw = vals.tobytes()
+    # two's complement fields -> biased fields -> the signed sum
+    return (int.from_bytes(raw, "little") ^ bias) - bias
+
+
+def _unpack(packed, width, bias, m):
+    """The m fields of a packed vector, as one array (or list) indexed by row."""
+    raw = ((packed + bias) ^ bias).to_bytes(width * m // 8, "little")
+    code = _CODES.get(width)
+    if code is None:
+        k = width // 8
+        return [
+            int.from_bytes(raw[i:i + k], "little", signed=True)
+            for i in range(0, len(raw), k)
+        ]
+    vals = array(code, raw)
+    if _SWAP:
+        vals.byteswap()
+    return vals
+
+
 def _dd(rows, n):
     """Double description for {y in Q^n : row . y >= 0}.
 
@@ -123,31 +175,49 @@ def _dd(rows, n):
     1996), until no row is violated. Both the work and the result therefore
     depend only on the set of rows.
 
-    Each ray lives in a slot. slack[s] holds the slack vector of the ray
-    in slot s (its integer value on every row) and the rows where that
-    value is negative; viol[r] counts the rays negative on row r. zsets[s]
-    is the bitmask of processed rows tight at the ray, and tight[p] the
-    bitmask of slots tight at the p-th processed row. All of these are kept
-    up to date as rays come and go, so a step reads values instead of
+    Each ray lives in a slot. slack[s] holds the slack vector of the ray in
+    slot s (its integer value on every row) twice: packed into one integer,
+    sum of v_r * 2^(width*r), and decoded into an array read by row, with
+    the rows where it is negative; viol[r] counts the rays negative on row
+    r. A new ray's packed slacks are (a * S_j + b * S_i) // g, with the
+    coefficients and gcd of the ray itself: row . combo is g times the
+    integer row . ray, so the division is exact field by field, and the
+    work is a few big-integer operations instead of one per row. The packed
+    value is exact whatever the fields hold; decoding needs every field in
+    the signed width, and |row . ray| <= (max row L1 norm) * max|ray_i|.
+    Fields start at 16 bits. The bound is checked for every new ray before
+    its slacks are formed, and when it fails the width doubles and every
+    live ray is repacked from its array (fields of 8-64 bits decode to
+    arrays, wider ones to lists).
+
+    zsets[s] is the bitmask of processed rows tight at the ray, and tight[p]
+    the bitmask of slots tight at the p-th processed row. All of these are
+    kept up to date as rays come and go, so a step reads values instead of
     taking dot products, and the combinatorial adjacency test costs a few
-    big-integer ANDs per pair. Returns the extremal rays as primitive
-    integer tuples, in no particular order.
+    big-integer ANDs per pair. Adjacent rays share at least n - 2 tight
+    rows, so the candidates for a violating ray j are the positive rays
+    that miss at most popcount(zsets[j]) - (n - 2) of j's tight rows:
+    within[k] holds those that miss at most k of the rows seen so far, and
+    the scan stops once the last level is empty. Returns the extremal rays
+    as primitive integer tuples, in no particular order.
     """
     rows = sorted(rows, key=_row_key)
     m = len(rows)
     start = linalg.rref_int(zip(*rows))[1]
     if len(start) < n:
         raise NotPointedError(linalg.nullspace(rows, ncols=n)[0])
-    rays, slack, zsets, slot_of = {}, {}, {}, {}
+    l1 = max(sum(map(abs, row)) for row in rows)
+    rays, slack, zsets = {}, {}, {}
     viol = [0] * m
     tight = [0] * n
     free = []
 
-    def enter(ray, vals, z, maybe):
-        # maybe: the rows where vals can be negative
+    def enter(ray, packed, z, maybe):
+        # maybe: the rows where the slack can be negative
+        vals = _unpack(packed, width, bias, m)
         negs = [r for r in maybe if vals[r] < 0]
         s = free.pop() if free else len(rays)
-        rays[s], slack[s], zsets[s], slot_of[ray] = ray, (vals, negs), z, s
+        rays[s], slack[s], zsets[s] = ray, (packed, vals, negs), z
         for p in _bits(z):
             tight[p] |= 1 << s
         for r in negs:
@@ -156,17 +226,18 @@ def _dd(rows, n):
     # the start rows are processed rows 0..n-1; initial ray c is tight at
     # all of them but row c
     inv = linalg.inverse([rows[i] for i in start])
-    for c in range(n):
-        ray = clear_denominators([inv[r][c] for r in range(n)])
-        vals = [_dot(row, ray) for row in rows]
-        enter(ray, vals, ((1 << n) - 1) ^ (1 << c), range(m))
-    # adjacent rays share at least n - 2 tight rows
+    first = [clear_denominators([inv[r][c] for r in range(n)]) for c in range(n)]
+    width = _width(l1 * max(max(map(abs, ray)) for ray in first), _START_WIDTH)
+    bias = _bias(width, m)
+    for c, ray in enumerate(first):
+        packed = _pack([_dot(row, ray) for row in rows], width, bias)
+        enter(ray, packed, ((1 << n) - 1) ^ (1 << c), range(m))
     need = max(n - 2, 0)
     while any(viol):
         r = viol.index(max(viol))
         pos = len(tight)
         positive = zero = negative = 0
-        for s, (vals, _) in slack.items():
+        for s, (_, vals, _) in slack.items():
             v = vals[r]
             if v > 0:
                 positive |= 1 << s
@@ -176,15 +247,21 @@ def _dd(rows, n):
                 zero |= 1 << s
                 zsets[s] |= 1 << pos
         alive = positive | zero | negative
-        new = []
+        new = {}  # ray -> (zero set, a, b, g, slot i, slot j)
         for j in _bits(negative):
             zj = zsets[j]
-            # at_least[k] = positive rays tight at >= k of j's tight rows
-            at_least = [positive] + [0] * need
+            spare = zj.bit_count() - need
+            if spare < 0:
+                continue
+            within = [positive] * (spare + 1)
             for p in _bits(zj):
-                for k in range(need, 0, -1):
-                    at_least[k] |= at_least[k - 1] & tight[p]
-            for i in _bits(at_least[need]):
+                t = tight[p]
+                for k in range(spare, 0, -1):
+                    within[k] = within[k] & t | within[k - 1]
+                within[0] &= t
+                if not within[spare]:
+                    break
+            for i in _bits(within[spare]):
                 # i and j are adjacent iff no other ray is tight at every
                 # row where both are; stop as soon as only the pair is left
                 common = zsets[i] & zj
@@ -196,36 +273,41 @@ def _dd(rows, n):
                         break
                 if acc != pair:
                     continue
-                a, b = slack[i][0][r], -slack[j][0][r]
+                a, b = slack[i][1][r], -slack[j][1][r]
                 combo = [a * y + b * x for x, y in zip(rays[i], rays[j])]
                 g = gcd(*combo)
                 # Both coefficients are positive and both parents are >= 0
                 # on every processed row, so the combination is zero on a
                 # processed row exactly where both parents are; it is zero
-                # on this row by construction.
-                new.append((tuple(x // g for x in combo), common | (1 << pos),
-                            a, b, g, slack[i], slack[j]))
+                # on this row by construction. Combinatorially distinct
+                # parents can give the same ray, with the same zero set; a
+                # surviving ray never equals it, as it would be tight at
+                # every common row and fail the test above.
+                ray = tuple(x // g for x in combo)
+                if ray not in new:
+                    new[ray] = (common | (1 << pos), a, b, g, i, j)
+        bound = l1 * max((max(map(abs, ray)) for ray in new), default=0)
+        if bound >> (width - 1):
+            width = _width(bound, width)
+            bias = _bias(width, m)
+            for s, (_, vals, negs) in slack.items():
+                slack[s] = (_pack(vals, width, bias), vals, negs)
+        born = []
+        for ray, (z, a, b, g, i, j) in new.items():
+            (si, _, ni), (sj, _, nj) = slack[i], slack[j]
+            # with a, b > 0 a slack can be negative only where a parent's is
+            packed = a * sj + b * si
+            born.append((ray, packed // g if g > 1 else packed, z, {*ni, *nj}))
         for s in _bits(negative):
-            del slot_of[rays.pop(s)], zsets[s]
-            for q in slack.pop(s)[1]:
+            del rays[s], zsets[s]
+            for q in slack.pop(s)[2]:
                 viol[q] -= 1
             free.append(s)
         for p in range(pos):
             tight[p] &= ~negative
         tight.append(zero)
-        for ray, z, a, b, g, (si, ni), (sj, nj) in new:
-            # dedupe (combinatorially distinct parents can give the same
-            # ray; equal rays have equal zero sets)
-            if ray in slot_of:
-                continue
-            # the slacks combine like the rays: row . combo is g times the
-            # integer row . ray, so the division is exact; with a, b > 0 a
-            # slack can be negative only where a parent's is
-            if g > 1:
-                vals = [(a * y + b * x) // g for x, y in zip(si, sj)]
-            else:
-                vals = [a * y + b * x for x, y in zip(si, sj)]
-            enter(ray, vals, z, {*ni, *nj})
+        for args in born:
+            enter(*args)
     return list(rays.values())
 
 

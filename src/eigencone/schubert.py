@@ -220,17 +220,25 @@ def _longest_levi(P):
     return longest_minimal_rep(P).inverse().compose(W.longest)
 
 
+@lru_cache(maxsize=None)
+def _levi_rho(P):
+    """w_{0,P}(rho) in fundamental coordinates."""
+    return _longest_levi(P).rho_image()
+
+
 def _dual_id(w, P, table):
-    """Internal index of the pullback to G/B of the class of w in W^P."""
-    w0 = table.W.longest
-    w0p = _longest_levi(P)
-    return table.W.id_of(w0.compose(w).compose(w0p))
+    """Internal index of the pullback to G/B of the class of w in W^P: the
+    element w_0 w w_{0,P}, found by its image of rho."""
+    v = _levi_rho(P)
+    for x in (w, table.W.longest):
+        v = tuple(sum(map(mul, row, v)) for row in x.matrix)
+    return table.W.by_rho[v]
 
 
 def _undual(xid, P, table):
-    w0 = table.W.longest
-    w0p = _longest_levi(P)
-    y = w0.compose(table.W.elements[xid]).compose(w0p)
+    # w |-> w_0 w w_{0,P} is an involution
+    W = table.W
+    y = W.elements[_dual_id(W.elements[xid], P, table)]
     assert y.is_minimal_rep(P)
     return y
 

@@ -122,6 +122,15 @@ class WeylElem:
             beta = rs.reflect_root(i, beta)
         return beta
 
+    def inverse_act_root(self, beta):
+        """w^-1(beta) for a root in the simple-root basis: the reduced word
+        read backwards, so its letters act first to last."""
+        rs = self.root_system
+        beta = tuple(beta)
+        for i in self._reduced_word():
+            beta = rs.reflect_root(i, beta)
+        return beta
+
     def compose(self, other):
         """w o other (other acts first)."""
         assert self.root_system is other.root_system
@@ -339,7 +348,7 @@ def cover_test(u, ell, P):
     rs = P.root_system
     require_minimal_rep(u, P)
     alpha = rs.simple_roots[ell - 1]
-    img = u.inverse().act_root(alpha)
+    img = u.inverse_act_root(alpha)
     root_crit = all(x >= 0 for x in img) and any(
         img[k - 1] != 0 for k in P.complement
     )
@@ -364,11 +373,10 @@ def delta_sets(w, P):
     """(Delta_w, Delta'_w): simple roots whose w-preimage is a Levi-positive
     or negative root, resp. a negative root."""
     require_minimal_rep(w, P)
-    winv = w.inverse()
     big, small = set(), set()
     levi = set(P.levi_positive_roots)
     for i, alpha in enumerate(P.root_system.simple_roots, start=1):
-        img = winv.act_root(alpha)
+        img = w.inverse_act_root(alpha)
         if any(x < 0 for x in img):
             big.add(i)
             small.add(i)

@@ -13,6 +13,7 @@ the row order: each type also runs with its rows shuffled and reversed
 import hashlib
 import itertools
 import random
+from operator import mul
 
 import pytest
 
@@ -134,3 +135,40 @@ def test_extremal_rays_match_brute_force(seed):
     assert cone.extremal_rays(cone.HRep(n, rows)) == expected
     rng.shuffle(rows)
     assert cone.extremal_rays(cone.HRep(n, rows)) == expected
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_wide_slack_fields_match_brute_force(seed):
+    # the DD packs each ray's slacks into fixed-width fields and widens them
+    # (8-64 bit arrays, then int lists) when a new ray could overflow them.
+    # With the unit rows (odd seeds) the DD starts from the unit rays, so
+    # the fields start narrow and widen as the rays grow; without them,
+    # entries up to 2^40 push the slacks of the rays past 2^63.
+    rng = random.Random(1000 + seed)
+    n = 3 + seed % 3
+    scale = (2**6, 2**20, 2**40, 2**40)[seed % 4]
+    rows = [
+        tuple(x * rng.randint(1, scale) for x in row)
+        for row in _random_pointed_rows(rng, n)
+    ]
+    if seed % 2:
+        rows += [tuple(int(c == r) for c in range(n)) for r in range(n)]
+    expected = _brute_force_rays(rows, n)
+    got = cone.extremal_rays(cone.HRep(n, rows))
+    assert got == expected
+    if seed % 4 == 2:
+        assert max(abs(sum(map(mul, r, x))) for r in rows for x in got) > 2**63
+    rng.shuffle(rows)
+    assert cone.extremal_rays(cone.HRep(n, rows)) == expected
+
+
+@pytest.mark.parametrize("width", [8, 16, 32, 64, 128, 256])
+def test_packed_fields_round_trip_at_the_range_ends(width):
+    top = 2 ** (width - 1)
+    assert cone._width(top - 1, 8) == width
+    assert cone._width(top, 8) == 2 * width
+    vals = [3, -top, 0, top - 1, -1, 0]
+    bias = cone._bias(width, len(vals))
+    packed = cone._pack(vals, width, bias)
+    assert packed == sum(v << (width * r) for r, v in enumerate(vals))
+    assert list(cone._unpack(packed, width, bias, len(vals))) == vals

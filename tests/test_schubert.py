@@ -215,6 +215,22 @@ def test_longest_levi_element(label):
 
 
 @pytest.mark.parametrize("label", ["A2", "B3", "C3", "G2", "D4"])
+def test_dual_id_against_matrix_products(label):
+    # _dual_id reads w_0 w w_{0,P} off its image of rho; compose the
+    # matrices instead, and check that _undual inverts it
+    rs = build_root_system(label)
+    table = sc.product_table(rs)
+    W = table.W
+    for k in range(1, rs.rank + 1):
+        P = ParabolicSpec.maximal(rs, k)
+        w0p = sc._longest_levi(P)
+        for w in minimal_reps(P):
+            xid = sc._dual_id(w, P, table)
+            assert xid == W.id_of(W.longest.compose(w).compose(w0p))
+            assert sc._undual(xid, P, table) == w
+
+
+@pytest.mark.parametrize("label", ["A2", "B3", "C3", "G2", "D4"])
 def test_chevalley_data_against_reflection_route(label):
     # the cover table reads s_gamma x off x(rho); compose the reflection
     # matrix instead and keep every root whose length step is one

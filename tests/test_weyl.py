@@ -206,8 +206,10 @@ def test_weyl_layer_against_independent_routes(label):
             prod = prod.compose(wl.simple_reflection(rs, i))
         assert prod.matrix == w.matrix
         assert w.compose(w.inverse()).is_identity()
+        winv = w.inverse()
         for b in positive:
             assert rs.root_to_weight(w.act_root(b)) == w.act(rs.root_to_weight(b))
+            assert w.inverse_act_root(b) == winv.act_root(b)
 
 
 @pytest.mark.parametrize("label", ["A2", "B3", "C3", "G2", "D4"])
