@@ -7,22 +7,22 @@ Delta(P) reads, on the weight side,
 
     sum_j (w_j^-1 lambda_j)(x_k) <= 0,
 
-and the face is where it vanishes.
+and the face is where it vanishes. The enumeration reads
+``schubert.class_table``; the inequalities, integer row blocks per (w, k).
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from operator import mul
 
-from .rootdata import ParabolicSpec, build_root_system, eval_x
-from .weyl import covers, minimal_reps, parse_word, require_minimal_rep
+from .rootdata import ParabolicSpec, build_root_system
+from .weyl import covers, parse_word, require_minimal_rep
 from . import schubert
 
 __all__ = [
@@ -92,50 +92,21 @@ def _weights(x):
 
 
 @lru_cache(maxsize=None)
-def _row_block(w, k):
-    """-(w^-1 omega_i)(x_k) for i = 1..rank: the slice of the inequality row
-    for x_k that multiplies the fundamental coordinates of w's factor."""
-    rs = w.root_system
-    winv = w.inverse()
-    return tuple(-eval_x(winv.act(rs.omega(i)), k) for i in range(1, rs.rank + 1))
-
-
-@lru_cache(maxsize=None)
-def _x_den(rs, k):
-    """The lcm of the denominators in row k of the inverse Cartan matrix, so
-    that _x_den * lam(x_k) is an integer for every integral weight lam."""
-    return lcm(*(c.denominator for c in rs._cartan_inv[k - 1]))
+def _x_row(rs, k):
+    """(d, d times row k of the inverse Cartan matrix) with d the lcm of its
+    denominators, so that d lam(x_k) is an integer for every integral lam."""
+    row = rs._cartan_inv[k - 1]
+    den = lcm(*(c.denominator for c in row))
+    return den, tuple(int(c * den) for c in row)
 
 
 @lru_cache(maxsize=None)
 def _int_block(w, k):
-    """``_row_block(w, k)`` as integer numerators over ``_x_den``."""
-    den = _x_den(w.root_system, k)
-    return tuple(int(b * den) for b in _row_block(w, k))
-
-
-# w in W^P with its codimension, the product-table id of its class and its
-# gap term chi_w(x_k)
-_WordEntry = namedtuple("_WordEntry", "w codim pid gap")
-
-
-@lru_cache(maxsize=None)
-def _word_table(P, k):
-    """One entry per w in W^P, in the order of ``minimal_reps``, for k
-    outside Delta(P).
-
-    chi_w = rho - 2 rho^L + w^-1 rho and rho = sum_i omega_i, so chi_w(x_k)
-    is (rho - 2 rho^L)(x_k) minus the sum of w's row block. A tuple (w_j)
-    has a vanishing degree gap at k iff sum_j chi_{w_j}(x_k) = chi_e(x_k).
-    """
-    rs = P.root_system
-    table = schubert.product_table(rs)
-    base = eval_x(rs.rho - P.rho_L().scale(2), k)
-    return tuple(
-        _WordEntry(w, schubert.codim(w, P), schubert._dual_id(w, P, table),
-                   base - sum(_row_block(w, k)))
-        for w in minimal_reps(P)
-    )
+    """-(w^-1 omega_i)(x_k) d for i = 1..rank, d as in ``_x_row``: the slice
+    of the inequality row for x_k that multiplies w's factor, as integer
+    numerators over d."""
+    row = _x_row(w.root_system, k)[1]
+    return tuple(-sum(map(mul, row, col)) for col in zip(*w.inverse().matrix))
 
 
 @lru_cache(maxsize=None)
@@ -144,12 +115,12 @@ def _facets_cached(rs, s, quotient):
     out = []
     for k in range(1, rs.rank + 1):
         P = ParabolicSpec.maximal(rs, k)
-        entries = _word_table(P, k)
+        entries = tuple(schubert.class_table(P).values())
         e = entries[0]  # the identity, the only element of length 0
         by_codim, by_key = {}, {}
         for x in entries:
             by_codim.setdefault(x.codim, []).append(x)
-            by_key.setdefault((x.codim, x.gap), []).append(x)
+            by_key.setdefault((x.codim, x.gaps[k]), []).append(x)
         seen = set()
         for parts in itertools.product(sorted(by_codim), repeat=s - 1):
             rest = P.dim_flag - sum(parts)
@@ -157,7 +128,7 @@ def _facets_cached(rs, s, quotient):
                 continue
             for head in itertools.product(*(by_codim[c] for c in parts)):
                 # the last factor must close both the codimension and the gap
-                need = e.gap - sum(x.gap for x in head)
+                need = e.gaps[k] - sum(x.gaps[k] for x in head)
                 for last in by_key.get((rest, need), ()):
                     tup = tuple(x.w for x in head) + (last.w,)
                     if quotient:
@@ -190,20 +161,23 @@ def eval_inequality(face, x, k):
         sum(map(mul, _int_block(w, k), lam.coords))
         for w, lam in zip(face.words, _weights(x))
     )
-    return Fraction(-num, _x_den(face.root_system, k))
+    return Fraction(-num, _x_row(face.root_system, k)[0])
 
 
 def inequality_row(face, k):
     """The inequality as a flat rational row over stacked fundamental
     coordinates (lambda_1 .. lambda_s), oriented so that row . x >= 0 holds
     on the cone."""
-    return tuple(b for w in face.words for b in _row_block(w, k))
+    den = _x_row(face.root_system, k)[0]
+    return tuple(Fraction(b, den) for w in face.words for b in _int_block(w, k))
 
 
 def tens_membership(x):
     """Is the weight tuple in the saturated tensor cone: dominant and on the
     correct side of every regular facet inequality."""
     lams = _weights(x)
+    if not lams:  # no factor to read the root system from
+        raise ValueError("regular facets need s >= 3 factors, got s = 0")
     rs = lams[0].root_system
     if not all(l.is_dominant() for l in lams):
         return False

@@ -148,22 +148,25 @@ def _find_cover(face, j, v):
 
 def _divisor_formula(face, j, v):
     """Intersection-number coordinates of the divisor attached to replacing
-    w_j by its codimension-one sub-cell v."""
+    w_j by its codimension-one sub-cell v: coordinate ell of entry k is the
+    point coefficient of the tuple with u_k moved up to s_ell u_k."""
     rs = face.root_system
-    P = face.P
+    W = weyl_group(rs)
+    classes = schubert.class_table(face.P)
+    point = next(iter(classes.values())).pid
+    product = schubert.product_table(rs)
     us = list(face.words)
     us[j - 1] = v
-    W = weyl_group(rs)
+    ids = [classes[u].pid for u in us]
     lams = []
-    for kpos in range(face.s):
+    for kpos, u in enumerate(us):
         coords = [0] * rs.rank
-        upper = dict(W.cover_row(W.id_of(us[kpos]))[1])
+        upper = dict(W.cover_row(W.id_of(u))[1])
         for ell in range(1, rs.rank + 1):
-            if not cover_test(us[kpos], ell, P):
-                continue
-            hatted = list(us)
-            hatted[kpos] = W.elements[upper[rs.simple_roots[ell - 1]]]
-            coords[ell - 1] = schubert.multi_coeff(hatted, P)
+            if cover_test(u, ell, face.P):
+                up = classes[W.elements[upper[rs.simple_roots[ell - 1]]]]
+                hatted = ids[:kpos] + [up.pid] + ids[kpos + 1:]
+                coords[ell - 1] = product.point_coefficient(hatted, point)
         lams.append(rs.weight(coords))
     return RayTuple(tuple(lams), "basic")
 

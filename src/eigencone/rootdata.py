@@ -15,7 +15,8 @@ Conventions:
   i-th coordinate of a weight ``lam`` is ``<lam, alpha_i^vee>``;
 * coweights are stored in the basis {x_i} dual to the simple roots;
 * integral coordinates stay ``int``; a ``Fraction`` appears only where a
-  division makes one (rho^L, simple-root coordinates of a weight, kappa).
+  division makes one (rho^L, simple-root coordinates and x_k values of a
+  weight, kappa); integral values such as chi_w(x_k) are found in integers.
 """
 
 from __future__ import annotations

@@ -16,27 +16,27 @@ x -> x s_beta is s_gamma x with gamma = x(beta), and its coefficient
 <omega_k, beta^vee> is <x omega_k, gamma^vee>. Each degree is solved by
 fraction-free row reduction, and each class keeps integer numerators over
 one denominator, which a product divides out exactly once.
+
+``class_table(P)`` is the one table of the classes of H*(G/P): codimension,
+product-table id and integer degree-gap terms, read by every caller.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 
 from . import linalg
-from .rootdata import ParabolicSpec, eval_x
-from .weyl import (
-    identity,
-    longest_minimal_rep,
-    require_minimal_rep,
-    weyl_group,
-)
+from .rootdata import ParabolicSpec
+from .weyl import minimal_reps, require_minimal_rep, weyl_group
 
 __all__ = [
     "SchubertClass",
     "ProductTable",
     "product_table",
+    "class_table",
     "cup",
     "multi_coeff",
     "chi",
@@ -213,17 +213,26 @@ def product_table(rs):
     return ProductTable(rs)
 
 
-@lru_cache(maxsize=None)
-def _longest_levi(P):
-    """Longest element of W_P: w_0 = w_0^P w_{0,P} with w_0^P longest in W^P."""
-    W = weyl_group(P.root_system)
-    return longest_minimal_rep(P).inverse().compose(W.longest)
+def _rho_walk(w):
+    """(w^-1 rho, rho - w^-1 rho) in fundamental, resp. simple-root
+    coordinates: along w's word, s_i takes <lam, alpha_i^vee> alpha_i off lam."""
+    rs = w.root_system
+    a = rs.cartan_matrix
+    lam = list(rs.rho.coords)
+    drop = [0] * rs.rank
+    for i in w.word():
+        c = lam[i - 1]
+        drop[i - 1] += c
+        for r in range(rs.rank):
+            lam[r] -= c * a[r][i - 1]
+    return lam, drop
 
 
 @lru_cache(maxsize=None)
 def _levi_rho(P):
-    """w_{0,P}(rho) in fundamental coordinates."""
-    return _longest_levi(P).rho_image()
+    """w_{0,P}(rho) in fundamental coordinates: w_0 = w_0^P w_{0,P} and
+    w_0 rho = -rho, so it is -(w_0^P)^-1 rho."""
+    return tuple(-c for c in _rho_walk(minimal_reps(P)[-1])[0])
 
 
 def _dual_id(w, P, table):
@@ -235,27 +244,49 @@ def _dual_id(w, P, table):
     return table.W.by_rho[v]
 
 
-def _undual(xid, P, table):
-    # w |-> w_0 w w_{0,P} is an involution
-    W = table.W
-    y = W.elements[_dual_id(W.elements[xid], P, table)]
-    assert y.is_minimal_rep(P)
-    return y
-
-
 def codim(w, P):
     """Codimension of the cell of w in G/P."""
     return P.dim_flag - w.length
 
 
+# w in W^P, its codimension, class id and gap terms {k: chi_w(x_k)}
+ClassEntry = namedtuple("ClassEntry", "w codim pid gaps")
+
+
+class _Classes(dict):
+    def __missing__(self, w):
+        raise ValueError(f"{w.word_str()} is not in W^P")
+
+
+@lru_cache(maxsize=None)
+def class_table(P):
+    """{w: ClassEntry} for w in W^P in ``minimal_reps`` order, the identity
+    (the point class) first; a word outside W^P raises ValueError.
+
+    rho - x^-1 rho sums the positive roots that x makes negative, for the
+    longest w_0^P in W^P those outside the Levi; so the alpha_k-coefficient
+    chi_w(x_k) of chi_w = (2 rho - 2 rho^L) - (rho - w^-1 rho) is an integer.
+    """
+    table = product_table(P.root_system)
+    reps = minimal_reps(P)
+    top = _rho_walk(reps[-1])[1]
+    out = _Classes()
+    for w in reps:
+        drop = _rho_walk(w)[1]
+        gaps = {k: top[k - 1] - drop[k - 1] for k in P.complement}
+        out[w] = ClassEntry(w, codim(w, P), _dual_id(w, P, table), gaps)
+    return out
+
+
 def cup(u, v, P):
     """Ordinary cup product of the classes of u and v in H*(G/P)."""
-    for x in (u, v):
-        require_minimal_rep(x, P)
-    table = product_table(P.root_system)
-    vec = table.product_ids(_dual_id(u, P, table), _dual_id(v, P, table))
-    coeffs = {_undual(xid, P, table): c for xid, c in vec.items()}
-    return SchubertClass(P, coeffs, codim(u, P) + codim(v, P))
+    classes = class_table(P)
+    a, b = classes[u], classes[v]
+    vec = product_table(P.root_system).product_ids(a.pid, b.pid)
+    # a product never leaves the span of the pulled-back classes of W^P
+    back = {x.pid: w for w, x in classes.items()}
+    coeffs = {back[xid]: c for xid, c in vec.items()}
+    return SchubertClass(P, coeffs, a.codim + b.codim)
 
 
 def multi_coeff(words, P):
@@ -264,18 +295,16 @@ def multi_coeff(words, P):
     Requires codimensions summing exactly to dim G/P; a mismatch is an
     error, not zero.
     """
-    for x in words:
-        require_minimal_rep(x, P)
-    total = sum(codim(w, P) for w in words)
+    classes = class_table(P)
+    entries = [classes[w] for w in words]
+    total = sum(x.codim for x in entries)
     if total != P.dim_flag:
         raise CodimensionError(
             f"codimensions sum to {total}, expected {P.dim_flag}"
         )
-    table = product_table(P.root_system)
-    return table.point_coefficient(
-        [_dual_id(w, P, table) for w in words],
-        _dual_id(identity(P.root_system), P, table),
-    )
+    point = next(iter(classes.values())).pid
+    return product_table(P.root_system).point_coefficient(
+        [x.pid for x in entries], point)
 
 
 def chi(w, P):
@@ -286,13 +315,12 @@ def chi(w, P):
 
 
 def degree_gaps(words, P):
-    """The values (sum_j chi_{w_j} - chi_e)(x_k) for k outside Delta(P)."""
-    rs = P.root_system
-    total = words[0].root_system.zero_weight()
-    for w in words:
-        total = total + chi(w, P)
-    total = total - chi(identity(rs), P)
-    return {k: eval_x(total, k) for k in P.complement}
+    """The integers (sum_j chi_{w_j} - chi_e)(x_k) for k outside Delta(P);
+    a tuple is Levi-movable only where they all vanish."""
+    classes = class_table(P)
+    entries = [classes[w] for w in words]
+    e = next(iter(classes.values()))
+    return {k: sum(x.gaps[k] for x in entries) - g for k, g in e.gaps.items()}
 
 
 def levi_movable(words, P):
@@ -300,7 +328,4 @@ def levi_movable(words, P):
     whether it survives in the deformed product (c nonzero and all degree
     gaps vanish)."""
     c = multi_coeff(words, P)
-    if c == 0:
-        return False, 0
-    gaps = degree_gaps(words, P)
-    return all(g == 0 for g in gaps.values()), c
+    return c != 0 and not any(degree_gaps(words, P).values()), c

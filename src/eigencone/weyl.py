@@ -322,10 +322,6 @@ def minimal_reps(P):
     return reps
 
 
-def longest_minimal_rep(P):
-    return minimal_reps(P)[-1]
-
-
 def covers(w, P):
     """All Bruhat covers v -> w with v in W^P (w = s_beta v, codimension one)."""
     require_minimal_rep(w, P)

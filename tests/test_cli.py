@@ -294,6 +294,14 @@ def test_membership_with_oracle(capsys):
     assert data["invariant_witness_n"] == 1
 
 
+def test_membership_without_factors_is_math_error(capsys):
+    # s = 0 leaves no factor to read the root system from
+    code = cli.main(["membership", "--type", "A2", "--s", "0", "--input", "[]"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == "error: regular facets need s >= 3 factors, got s = 0\n"
+
+
 def test_membership_bad_json_is_parse_error(capsys):
     code, _ = run(capsys, "membership", "--type", "A1", "--input", "[[1],[1]")
     assert code == 2

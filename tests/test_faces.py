@@ -233,8 +233,9 @@ def test_facets_match_brute_force(label):
 
 @pytest.mark.parametrize("label", ["A2", "B3", "C3", "G2", "D4"])
 def test_row_blocks_against_independent_routes(label):
-    """eval_inequality, inequality_row and the word table's gaps read cached
-    row blocks; compare each with w^-1 acting on the weights and with chi."""
+    """eval_inequality and inequality_row read cached integer row blocks, and
+    the class table holds integer gap terms; compare the blocks with w^-1
+    acting on the weights, and the gaps with chi and degree_gaps."""
     rs = build_root_system(label)
     rng = random.Random(20180309)
     chosen = rng.sample(faces.enumerate_regular_facets(3, rs), 6)
@@ -258,8 +259,11 @@ def test_row_blocks_against_independent_routes(label):
                 row = faces.inequality_row(face, k)
                 flat = [c for lam in lams for c in lam.coords]
                 assert sum(r * x for r, x in zip(row, flat)) == -want
-            table = {x.w: x for x in faces._word_table(face.P, k)}
-            gap = sum(table[w].gap for w in face.words) - table[e].gap
+            table = schubert.class_table(face.P)
+            assert all(type(x.gaps[k]) is int for x in table.values())
+            for w in set(face.words) | {e}:
+                assert table[w].gaps[k] == eval_x(schubert.chi(w, face.P), k)
+            gap = sum(table[w].gaps[k] for w in face.words) - table[e].gaps[k]
             chis = rs.zero_weight()
             for w in face.words:
                 chis = chis + schubert.chi(w, face.P)

@@ -5,7 +5,13 @@ import pytest
 
 from eigencone import schubert as sc
 from eigencone.rootdata import ParabolicSpec, build_root_system
-from eigencone.weyl import identity, minimal_reps, parse_word, reflection, weyl_group
+from eigencone.weyl import (
+    identity,
+    minimal_reps,
+    parse_word,
+    reflection,
+    weyl_group,
+)
 
 
 def test_codim(d4, p2, uvw):
@@ -41,6 +47,14 @@ def test_codim_mismatch_raises(p2, uvw):
     u, v, _ = uvw
     with pytest.raises(sc.CodimensionError):
         sc.multi_coeff([u, v], p2)
+
+
+def test_words_outside_w_p_rejected(d4, p2, uvw):
+    u, v, w = uvw
+    bad = parse_word(d4, "s2 s1")  # s2 s1 sends alpha_1 to a negative root
+    for call in (sc.multi_coeff, sc.levi_movable, sc.degree_gaps):
+        with pytest.raises(ValueError, match="s2 s1 is not in W\\^P"):
+            call([u, bad, w], p2)
 
 
 def test_non_rep_rejected(d4, p2):
@@ -205,11 +219,14 @@ def test_longest_levi_element(label):
     # w_{0,P} is the only element of W_P of length |R^+_L|, and W_P fixes
     # every omega_k with k outside Delta(P)
     rs = build_root_system(label)
+    W = weyl_group(rs)
     for size in range(rs.rank + 1):
         for delta in itertools.combinations(range(1, rs.rank + 1), size):
             P = ParabolicSpec(rs, delta)
-            w0p = sc._longest_levi(P)
+            w0p = W.elements[W.by_rho[sc._levi_rho(P)]]
             assert w0p.length == len(P.levi_positive_roots)
+            # the matrix route: w_0 = w_0^P w_{0,P}
+            assert w0p == minimal_reps(P)[-1].inverse().compose(W.longest)
             for k in P.complement:
                 assert w0p.act(rs.omega(k)) == rs.omega(k)
 
@@ -217,17 +234,18 @@ def test_longest_levi_element(label):
 @pytest.mark.parametrize("label", ["A2", "B3", "C3", "G2", "D4"])
 def test_dual_id_against_matrix_products(label):
     # _dual_id reads w_0 w w_{0,P} off its image of rho; compose the
-    # matrices instead, and check that _undual inverts it
+    # matrices instead, and check that the map is an involution
     rs = build_root_system(label)
     table = sc.product_table(rs)
     W = table.W
     for k in range(1, rs.rank + 1):
         P = ParabolicSpec.maximal(rs, k)
-        w0p = sc._longest_levi(P)
+        w0p = W.elements[W.by_rho[sc._levi_rho(P)]]
+        assert w0p == minimal_reps(P)[-1].inverse().compose(W.longest)
         for w in minimal_reps(P):
             xid = sc._dual_id(w, P, table)
             assert xid == W.id_of(W.longest.compose(w).compose(w0p))
-            assert sc._undual(xid, P, table) == w
+            assert sc._dual_id(W.elements[xid], P, table) == W.id_of(w)
 
 
 @pytest.mark.parametrize("label", ["A2", "B3", "C3", "G2", "D4"])
