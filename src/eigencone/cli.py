@@ -275,7 +275,10 @@ def _cmd_membership(args):
     if member and args.oracle_max_n > 0:
         found = None
         for n in range(1, args.oracle_max_n + 1):
-            if rays.invariant_dim(x.scale(n), max_height=200) > 0:
+            y = x.scale(n)
+            # the oracle takes integral weights only: skip n when n x is not
+            integral = all(w.is_integral() for w in y.weights)
+            if integral and rays.invariant_dim(y, max_height=200) > 0:
                 found = n
                 break
         payload["invariant_witness_n"] = found

@@ -167,13 +167,13 @@ def _dd(rows, n):
 
     The rows are put in canonical order (``_row_key``). The pivot columns
     of one ``rref_int`` of their transpose are the first n independent rows
-    in that order, and their inverse gives the first n rays; if the rows
-    have rank below n, NotPointedError carries a null vector of the rows, a
-    line of the cone. Each step then adds the row that the most current
-    rays violate, the earliest in canonical order on a tie (the max-cutoff
-    rule of Fukuda and Prodon, "Double description method revisited",
-    1996), until no row is violated. Both the work and the result therefore
-    depend only on the set of rows.
+    in that order, and the columns of their integer inverse are the first n
+    rays; if the rows have rank below n, NotPointedError carries a null
+    vector of the rows, a line of the cone. Each step then adds the row
+    that the most current rays violate, the earliest in canonical order on
+    a tie (the max-cutoff rule of Fukuda and Prodon, "Double description
+    method revisited", 1996), until no row is violated. Both the work and
+    the result therefore depend only on the set of rows.
 
     Each ray lives in a slot. slack[s] holds the slack vector of the ray in
     slot s (its integer value on every row) twice: packed into one integer,
@@ -225,8 +225,8 @@ def _dd(rows, n):
 
     # the start rows are processed rows 0..n-1; initial ray c is tight at
     # all of them but row c
-    inv = linalg.inverse([rows[i] for i in start])
-    first = [clear_denominators([inv[r][c] for r in range(n)]) for c in range(n)]
+    inv = linalg.inverse([rows[i] for i in start])[1]
+    first = [clear_denominators(col) for col in zip(*inv)]
     width = _width(l1 * max(max(map(abs, ray)) for ray in first), _START_WIDTH)
     bias = _bias(width, m)
     for c, ray in enumerate(first):

@@ -18,7 +18,6 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from operator import mul
 
 from .rootdata import ParabolicSpec, build_root_system
@@ -92,20 +91,11 @@ def _weights(x):
 
 
 @lru_cache(maxsize=None)
-def _x_row(rs, k):
-    """(d, d times row k of the inverse Cartan matrix) with d the lcm of its
-    denominators, so that d lam(x_k) is an integer for every integral lam."""
-    row = rs._cartan_inv[k - 1]
-    den = lcm(*(c.denominator for c in row))
-    return den, tuple(int(c * den) for c in row)
-
-
-@lru_cache(maxsize=None)
 def _int_block(w, k):
-    """-(w^-1 omega_i)(x_k) d for i = 1..rank, d as in ``_x_row``: the slice
-    of the inequality row for x_k that multiplies w's factor, as integer
+    """-(w^-1 omega_i)(x_k) d for i = 1..rank, d = ``x_den``: the slice of
+    the inequality row for x_k that multiplies w's factor, as integer
     numerators over d."""
-    row = _x_row(w.root_system, k)[1]
+    row = w.root_system.x_rows[k - 1]
     return tuple(-sum(map(mul, row, col)) for col in zip(*w.inverse().matrix))
 
 
@@ -161,14 +151,14 @@ def eval_inequality(face, x, k):
         sum(map(mul, _int_block(w, k), lam.coords))
         for w, lam in zip(face.words, _weights(x))
     )
-    return Fraction(-num, _x_row(face.root_system, k)[0])
+    return Fraction(-num, face.root_system.x_den)
 
 
 def inequality_row(face, k):
     """The inequality as a flat rational row over stacked fundamental
     coordinates (lambda_1 .. lambda_s), oriented so that row . x >= 0 holds
     on the cone."""
-    den = _x_row(face.root_system, k)[0]
+    den = face.root_system.x_den
     return tuple(Fraction(b, den) for w in face.words for b in _int_block(w, k))
 
 
@@ -176,12 +166,12 @@ def tens_membership(x):
     """Is the weight tuple in the saturated tensor cone: dominant and on the
     correct side of every regular facet inequality."""
     lams = _weights(x)
-    if not lams:  # no factor to read the root system from
-        raise ValueError("regular facets need s >= 3 factors, got s = 0")
-    rs = lams[0].root_system
+    s = len(lams)
+    if s < 3:  # checked first: s = 0 leaves no root system to read
+        raise ValueError(f"regular facets need s >= 3 factors, got s = {s}")
     if not all(l.is_dominant() for l in lams):
         return False
-    for face in enumerate_regular_facets(len(lams), rs):
+    for face in enumerate_regular_facets(s, lams[0].root_system):
         for k in face.P.complement:
             if eval_inequality(face, lams, k) > 0:
                 return False

@@ -2,11 +2,10 @@
 
 There is one elimination, ``rref_int``: fraction-free Gauss-Jordan on
 integer rows. Everything else reads its answer off those rows. ``nullspace``
-returns primitive integer vectors; ``inverse`` returns rows of Fraction,
-dividing each row by its pivot entry, since its answer is rational in
-general. Rational input rows are first scaled to integers, which leaves the
-row space unchanged. Matrices are small (dimension <= a few hundred), so
-plain elimination is fine.
+returns primitive integer vectors, ``inverse`` an integer matrix over one
+common denominator. Rational input rows are first scaled to integers, which
+leaves the row space unchanged. Matrices are small (dimension <= a few
+hundred), so plain elimination is fine.
 """
 
 from __future__ import annotations
@@ -67,7 +66,7 @@ def rref_solution(rows, pivots, col):
 
 
 def _rref_scaled(mat):
-    """``rref_int`` of rational rows, each scaled to integers first."""
+    """``rref_int`` of rows scaled to primitive integers; its rows stay so."""
     return rref_int([clear_denominators(row) for row in mat])
 
 
@@ -96,13 +95,20 @@ def nullspace(mat, ncols=None):
 
 
 def inverse(mat):
+    """(D, N) with D > 0 the least common denominator of the entries of
+    mat^-1 and N = D mat^-1 an integer matrix; ValueError if mat is singular.
+
+    Row r of ``_rref_scaled`` of [mat | I] is p_r [e_r | row r of mat^-1];
+    it is primitive, so |p_r| is the least denominator of that row.
+    """
     n = len(mat)
     rows, pivots = _rref_scaled(
         [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(mat)]
     )
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return [[Fraction(x, row[c]) for x in row[n:]] for row, c in zip(rows, pivots)]
+    den = lcm(*(row[r] for r, row in enumerate(rows)))
+    return den, [[x * den // row[r] for x in row[n:]] for r, row in enumerate(rows)]
 
 
 def clear_denominators(vec):

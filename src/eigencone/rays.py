@@ -26,7 +26,7 @@ from operator import mul
 
 from . import cone, faces, linalg, schubert
 from .linalg import clear_denominators
-from .rootdata import Weight, eval_x, kappa, kappa_inv, pair
+from .rootdata import Weight, eval_x, kappa, kappa_inv
 from .weyl import covers, cover_test, weyl_group
 
 __all__ = [
@@ -199,36 +199,37 @@ def _face_basic_rays(face):
 
 
 @lru_cache(maxsize=None)
-def _degree_shift(P):
-    """Inverse of the inverse Cartan matrix's block on the nodes outside
-    Delta(P): it takes x_k evaluations to omega_k shift coefficients."""
-    rs, ks = P.root_system, P.complement
-    return linalg.inverse([[eval_x(rs.omega(k), kp) for k in ks] for kp in ks])
+def _levi_cartan(P):
+    """(nodes j of Delta(P), the Cartan matrix cut to the columns j, which
+    hold the alpha_j, and ``linalg.inverse`` of its rows j)."""
+    nodes = sorted(P.delta_P)
+    cols = [[row[j - 1] for j in nodes] for row in P.root_system.cartan_matrix]
+    return nodes, cols, linalg.inverse([cols[i - 1] for i in nodes])
 
 
 def shift_to_degree0(x, P):
-    """Shift each entry by a combination of the omega_k, k outside Delta(P),
-    so that every x_k evaluation vanishes; Levi restriction is unchanged."""
+    """Lift each entry's Levi restriction to the degree-0 weight with the
+    same coordinates on Delta(P). Every x_k with k outside Delta(P) vanishes
+    exactly on the span of the alpha_j in Delta(P), so the lift is
+    sum_j b_j alpha_j, b the inverse Cartan block on Delta(P) applied to
+    the entry's coordinates there."""
     rs = P.root_system
-    ks = P.complement
+    nodes, cols, (den, inv) = _levi_cartan(P)
     out = []
     for mu in x.weights:
-        rhs = [eval_x(mu, kp) for kp in ks]
-        shift = rs.zero_weight()
-        for row, k in zip(_degree_shift(P), ks):
-            shift = shift + rs.omega(k).scale(sum(map(mul, row, rhs)))
-        out.append(mu - shift)
+        restricted = [mu.coords[j - 1] for j in nodes]
+        b = [sum(map(mul, row, restricted)) for row in inv]
+        out.append(rs.weight([Fraction(sum(map(mul, c, b)), den) for c in cols]))
     return RayTuple(tuple(out), x.tag)
 
 
 def induction_image(face, x):
     """The raw induction formula: (w_j mu_j)_j minus basic-class corrections
     weighted by the simple-coroot evaluations at the cover pairs."""
-    rs = face.root_system
     moved = [w.act(mu) for w, mu in zip(face.words, x.weights)]
     result = RayTuple(tuple(moved), "induced")
     for j, v, ell, delta in _face_basic_rays(face):
-        coeff = pair(moved[j - 1], rs.simple_roots[ell - 1])
+        coeff = moved[j - 1].coords[ell - 1]
         if coeff:
             result = result - delta.scale(coeff)
     return RayTuple(result.weights, "induced")
@@ -326,11 +327,10 @@ def _on_face(face, x):
 
 
 def _pair_evals(face, x):
-    rs = face.root_system
-    out = []
-    for j, v, ell, _ in _face_basic_rays(face):
-        out.append(pair(x.weights[j - 1], rs.simple_roots[ell - 1]))
-    return out
+    """<x_j, alpha_ell^vee> at each cover pair: coordinate ell of x_j."""
+    return [
+        x.weights[j - 1].coords[ell - 1] for j, _, ell, _ in _face_basic_rays(face)
+    ]
 
 
 def decompose_on_face(face, x):

@@ -14,6 +14,10 @@ Conventions:
 * weights are canonically stored in the fundamental-weight basis, so the
   i-th coordinate of a weight ``lam`` is ``<lam, alpha_i^vee>``;
 * coweights are stored in the basis {x_i} dual to the simple roots;
+* the tables read off the Cartan matrix are integers: each coroot, in the
+  simple-coroot basis, comes with its root from one closure of the pairs
+  (alpha_i, alpha_i^vee) under simple reflections, and the inverse Cartan
+  matrix (row k is x_k) is held as integer rows over one denominator;
 * integral coordinates stay ``int``; a ``Fraction`` appears only where a
   division makes one (rho^L, simple-root coordinates and x_k values of a
   weight, kappa); integral values such as chi_w(x_k) are found in integers.
@@ -25,6 +29,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import mul
 
 from . import linalg
 
@@ -116,24 +121,27 @@ def _symmetrizer(cartan):
     return tuple(d)
 
 
-def _positive_roots(cartan, simples):
-    """Closure of the simple roots under simple reflections, positives only."""
-    n = len(cartan)
-    seen = set(simples)
-    frontier = list(simples)
+def _coroot_table(cartan, simples):
+    """{beta: beta^vee} over the positive roots, in simple root and coroot
+    coordinates: the closure of the pairs (alpha_i, alpha_i^vee) under
+    s_i beta = beta - <beta, alpha_i^vee> alpha_i and
+    s_i beta^vee = beta^vee - <alpha_i, beta^vee> alpha_i^vee."""
+    table = {e: e for e in simples}
+    frontier = list(table.items())
     while frontier:
         nxt = []
-        for beta in frontier:
-            for i in range(n):
-                c = sum(beta[j] * cartan[i][j] for j in range(n))
+        for beta, co in frontier:
+            for i, (row, col) in enumerate(zip(cartan, zip(*cartan))):
                 refl = list(beta)
-                refl[i] -= c
+                refl[i] -= sum(map(mul, row, beta))
                 refl = tuple(refl)
-                if all(x >= 0 for x in refl) and refl not in seen:
-                    seen.add(refl)
-                    nxt.append(refl)
+                if min(refl) >= 0 and refl not in table:
+                    refl_co = list(co)
+                    refl_co[i] -= sum(map(mul, col, co))
+                    table[refl] = tuple(refl_co)
+                    nxt.append((refl, table[refl]))
         frontier = nxt
-    return tuple(sorted(seen, key=lambda b: (sum(b), b)))
+    return table
 
 
 class RootSystem:
@@ -148,20 +156,14 @@ class RootSystem:
         self.simple_roots = tuple(
             tuple(int(i == j) for j in range(self.rank)) for i in range(self.rank)
         )
-        self.positive_roots = _positive_roots(self.cartan_matrix, self.simple_roots)
-        # beta^vee = sum_i c_i alpha_i^vee with c_i = m_i d_i / ((beta, beta)/2)
-        # for beta = sum_i m_i alpha_i; the c_i are integers for every root
-        self._coroots = {}
-        for beta in self.positive_roots:
-            half = self.root_norm_half(beta)
-            co = [m * di / half for m, di in zip(beta, self.d)]
-            assert all(c.denominator == 1 for c in co), (beta, co)
-            co = tuple(int(c) for c in co)
-            self._coroots[beta] = co
+        table = _coroot_table(self.cartan_matrix, self.simple_roots)
+        self.positive_roots = tuple(sorted(table, key=lambda b: (sum(b), b)))
+        self._coroots = dict(table)
+        for beta, co in table.items():
             self._coroots[tuple(-m for m in beta)] = tuple(-c for c in co)
-        self._cartan_inv = tuple(
-            tuple(row) for row in linalg.inverse(self.cartan_matrix)
-        )
+        # x_k is row k - 1 of the inverse Cartan matrix, integers over x_den
+        self.x_den, x_rows = linalg.inverse(self.cartan_matrix)
+        self.x_rows = tuple(map(tuple, x_rows))
 
     # -- basic vectors -------------------------------------------------
 
@@ -295,10 +297,8 @@ class Weight:
 
     def to_root_basis(self):
         """Coordinates in the simple-root basis (tuple of Fraction)."""
-        inv = self.root_system._cartan_inv
-        n = self.root_system.rank
         return tuple(
-            sum(inv[j][i] * self.coords[i] for i in range(n)) for j in range(n)
+            eval_x(self, k) for k in range(1, self.root_system.rank + 1)
         )
 
     def height(self):
@@ -367,8 +367,8 @@ def pair(lam, beta):
 
 def eval_x(lam, k):
     """lam(x_k): the alpha_k-coefficient of lam in the simple-root basis."""
-    row = lam.root_system._cartan_inv[k - 1]
-    return sum(c * x for c, x in zip(row, lam.coords))
+    rs = lam.root_system
+    return Fraction(sum(map(mul, rs.x_rows[k - 1], lam.coords)), rs.x_den)
 
 
 def invariant_form(lam, mu):

@@ -4,9 +4,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+from fractions import Fraction
+
 import pytest
 
-from eigencone import cli
+from eigencone import cli, rays
+from eigencone.rootdata import build_root_system
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -302,6 +305,15 @@ def test_membership_without_factors_is_math_error(capsys):
     assert err == "error: regular facets need s >= 3 factors, got s = 0\n"
 
 
+@pytest.mark.parametrize("text", ["[[-1,0]]", "[[1,0]]"])
+def test_membership_with_one_factor_is_math_error(capsys, text):
+    # the factor count is checked before dominance
+    code = cli.main(["membership", "--type", "A2", "--s", "1", "--input", text])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == "error: regular facets need s >= 3 factors, got s = 1\n"
+
+
 def test_membership_bad_json_is_parse_error(capsys):
     code, _ = run(capsys, "membership", "--type", "A1", "--input", "[[1],[1]")
     assert code == 2
@@ -338,15 +350,23 @@ def test_input_entries_are_validated(capsys, text, code):
     assert got == code
 
 
-def test_non_integral_oracle_input_message(capsys):
-    code = cli.main(
-        ["membership", "--type", "B2", "--input", '[["1/2",1],[1,0],[1,1]]',
-         "--oracle-max-n", "2"]
+def test_non_integral_oracle_input_message():
+    b2 = build_root_system("B2")
+    x = [b2.weight(c) for c in ((Fraction(1, 2), 1), (1, 0), (1, 1))]
+    with pytest.raises(ValueError) as info:
+        rays.invariant_dim(x)
+    assert "(1/2, 1) is not dominant integral" in str(info.value)
+    assert "Fraction(" not in str(info.value)
+
+
+def test_oracle_skips_non_integral_multiples(capsys):
+    # n = 1 leaves a half-integral entry; n = 2 certifies the member
+    code, out = run(
+        capsys, "membership", "--type", "B2", "--input",
+        '[["1/2",1],[1,0],[1,1]]', "--oracle-max-n", "2",
     )
-    err = capsys.readouterr().err
-    assert code == 3
-    assert "(1/2, 1) is not dominant integral" in err
-    assert "Fraction(" not in err
+    assert code == 0
+    assert out == "member: True\ninvariant witness at N = 2\n"
 
 
 @pytest.mark.parametrize("target", ["ex1", "subbie", "apples", "p4-table"])

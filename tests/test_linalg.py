@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -12,8 +13,12 @@ def test_nullspace():
 
 
 def test_inverse():
-    inv = linalg.inverse([[2, 1], [1, 1]])
-    assert inv == [[1, -1], [-1, 2]]
+    # (D, N): N = D mat^-1 over the least common denominator D
+    assert linalg.inverse([[2, 1], [1, 1]]) == (1, [[1, -1], [-1, 2]])
+    assert linalg.inverse([[2, -1], [-1, 2]]) == (3, [[2, 1], [1, 2]])
+    assert linalg.inverse([[0, 1], [3, 0]]) == (3, [[0, 1], [3, 0]])
+    # the empty Levi block of a Borel subgroup
+    assert linalg.inverse([]) == (1, [])
 
 
 def test_clear_denominators():
@@ -123,9 +128,14 @@ def test_inverse_against_fraction_gauss_jordan():
             with pytest.raises(ValueError):
                 linalg.inverse(sq)
             continue
-        got = linalg.inverse(sq)
-        assert got == [row[k:] for row in ref_rows], sq
-        assert all(type(x) is Fraction for row in got for x in row)
+        den, got = linalg.inverse(sq)
+        assert type(den) is int and den > 0
+        assert all(type(x) is int for row in got for x in row)
+        assert [[Fraction(x, den) for x in row] for row in got] == [
+            row[k:] for row in ref_rows
+        ], sq
+        # D is the least common denominator exactly when gcd(D, N) = 1
+        assert gcd(den, *(x for row in got for x in row)) == 1, sq
 
 
 def test_rref_solution_against_fraction_gauss_jordan():

@@ -119,6 +119,59 @@ def test_shift_to_degree0_non_maximal(d4):
         assert nu.coords[1] == mu.coords[1]
 
 
+def _fraction_solve(mat, rhs):
+    """x with mat x = rhs, by Gauss-Jordan over Fraction (mat regular)."""
+    n = len(mat)
+    rows = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(mat, rhs)]
+    for c in range(n):
+        p = next(i for i in range(c, n) if rows[i][c])
+        rows[c], rows[p] = rows[p], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for i in range(n):
+            if i != c and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
+    return [row[n] for row in rows]
+
+
+def _x_k_shift(mu, P):
+    """mu - sum_k c_k omega_k over k outside Delta(P), with c chosen so that
+    every such x_k vanishes on the result; x_k is row k of a Fraction
+    inverse of the Cartan matrix."""
+    a = P.root_system.cartan_matrix
+    n = len(a)
+    cols = [_fraction_solve(a, [int(r == i) for r in range(n)]) for i in range(n)]
+    ks = P.complement
+    block = [[cols[k - 1][kp - 1] for k in ks] for kp in ks]
+    rhs = [sum(cols[i][kp - 1] * c for i, c in enumerate(mu.coords)) for kp in ks]
+    out = list(mu.coords)
+    for k, c in zip(ks, _fraction_solve(block, rhs)):
+        out[k - 1] -= c
+    return tuple(out)
+
+
+@pytest.mark.parametrize("label", ["A2", "B3", "C3", "G2", "D4"])
+def test_shift_to_degree0_against_x_k_formula(label):
+    # the Levi lift against the x_k shift formula, on every standard
+    # parabolic, the Borel and G itself included
+    rs = build_root_system(label)
+    n = rs.rank
+    rng = random.Random(label)
+    checked = 0
+    for size in range(n + 1):
+        for delta in itertools.combinations(range(1, n + 1), size):
+            P = ParabolicSpec(rs, delta)
+            rows = [[rng.randint(-3, 5) for _ in range(n)] for _ in range(2)]
+            rows.append([Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                         for _ in range(n)])
+            x = _tuple_from_rows(rs, rows)
+            got = rays.shift_to_degree0(x, P)
+            for mu, nu in zip(x.weights, got.weights):
+                assert nu.coords == _x_k_shift(mu, P), (P, mu)
+                checked += 1
+    assert checked == 3 * 2**n
+
+
 def test_induction_formula_coefficients(d4, main_face, uvw):
     u = uvw[0]
     moved = u.act(d4.omega(2))

@@ -194,11 +194,18 @@ def test_classifier_on_levis():
     assert p.levi_labels() == ["A3"]
 
 
-@pytest.mark.parametrize("label", ["A2", "B3", "C3", "G2", "F4", "D4"])
+COROOT_TABLE_SIZES = {
+    "A2": 3, "B2": 4, "B3": 9, "C3": 9, "C4": 16, "G2": 6, "F4": 24,
+    "D4": 12, "E6": 36, "A1xA1": 2,
+}
+
+
+@pytest.mark.parametrize("label", list(COROOT_TABLE_SIZES))
 def test_coroot_table_against_invariant_form(label):
     # the stored integer coroot against 2 (lam, beta) / (beta, beta) from the
     # invariant form, for every root of both signs
     rs = rd.build_root_system(label)
+    assert len(rs.positive_roots) == COROOT_TABLE_SIZES[label]
     roots = list(rs.positive_roots) + [
         tuple(-m for m in b) for b in rs.positive_roots
     ]
