@@ -27,6 +27,17 @@ class ParseFailure(Exception):
     pass
 
 
+def _count(text):
+    """A non-negative integer option value; anything else is a parse error."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = None
+    if n is None or n < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return n
+
+
 def _parser():
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument(
@@ -34,7 +45,7 @@ def _parser():
     )
     shared.add_argument(
         "--oracle-max-n",
-        type=int,
+        type=_count,
         default=0,
         metavar="N",
         help="also certify membership with the invariant oracle up to N",

@@ -143,15 +143,20 @@ def enumerate_regular_facets(s, rs, quotient_symmetry=False):
     return list(_facets_cached(rs, s, bool(quotient_symmetry)))
 
 
+def _row_value(face, lams, k):
+    """x_den times (inequality row for x_k) . (lambda_1 .. lambda_s): >= 0 on
+    the cone, 0 on the face, an integer for integral weights."""
+    return sum(
+        sum(map(mul, _int_block(w, k), lam.coords))
+        for w, lam in zip(face.words, lams)
+    )
+
+
 def eval_inequality(face, x, k):
     """sum_j (w_j^-1 lambda_j)(x_k), exact; <= 0 on the cone, 0 on the face."""
     if k in face.P.delta_P:
         raise ValueError(f"index {k} lies inside Delta(P)")
-    num = sum(
-        sum(map(mul, _int_block(w, k), lam.coords))
-        for w, lam in zip(face.words, _weights(x))
-    )
-    return Fraction(-num, face.root_system.x_den)
+    return Fraction(-_row_value(face, _weights(x), k), face.root_system.x_den)
 
 
 def inequality_row(face, k):
@@ -173,7 +178,7 @@ def tens_membership(x):
         return False
     for face in enumerate_regular_facets(s, lams[0].root_system):
         for k in face.P.complement:
-            if eval_inequality(face, lams, k) > 0:
+            if _row_value(face, lams, k) < 0:
                 return False
     return True
 

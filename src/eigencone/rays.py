@@ -16,13 +16,12 @@ Racah-Speiser coefficient, all in integers).
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from operator import add, mul, sub
 
 from . import cone, faces, linalg, schubert
 from .linalg import clear_denominators
@@ -322,7 +321,7 @@ def _on_face(face, x):
     if not all(w.is_dominant() for w in x.weights):
         return False
     return all(
-        faces.eval_inequality(face, x, k) == 0 for k in face.P.complement
+        faces._row_value(face, x.weights, k) == 0 for k in face.P.complement
     )
 
 
@@ -425,6 +424,9 @@ def classify_face(face):
 # nu = -w0 lambda_s, in V_1 x .. x V_{s-1}: the factors but two fold by
 # Brauer-Klimyk, and that one coefficient is the Racah-Speiser sum over W
 #     mult(V_nu, V_mu x V_lam) = sum_w det(w) m_lam(w(nu + rho) - mu - rho).
+# Each call reads m_lam from one weight diagram {weight: multiplicity} of
+# the cheapest factor, expanded from the cached dominant table and dropped
+# when the call returns.
 
 
 def _scaled_form(rs):
@@ -435,96 +437,127 @@ def _scaled_form(rs):
     return tuple(int(scale * d) for d in rs.d)
 
 
+def _dominant_weights(rs, lam_coords):
+    """(depth, ks, mu) for each dominant mu <= lam, ks = lam - mu in the root
+    basis and depth = sum(ks), sorted. Every such mu is reached from lam by
+    subtracting positive roots through dominant weights (Stembridge, "The
+    partial order of dominant weights", 1998), so one search finds them."""
+    roots = [(beta, rs.root_to_weight(beta).coords) for beta in rs.positive_roots]
+    found = {lam_coords: (0,) * rs.rank}
+    frontier = [lam_coords]
+    while frontier:
+        nxt = []
+        for mu in frontier:
+            ks = found[mu]
+            for beta, bw in roots:
+                new = tuple(c - b for c, b in zip(mu, bw))
+                if min(new) >= 0 and new not in found:
+                    found[new] = tuple(k + b for k, b in zip(ks, beta))
+                    nxt.append(new)
+        frontier = nxt
+    return sorted((sum(ks), ks, mu) for mu, ks in found.items())
+
+
 @lru_cache(maxsize=None)
 def _weight_mults(rs, lam_coords):
     """Dominant weight multiplicities {mu: m} of the irreducible with highest
     weight lam, by Freudenthal's formula
     m(mu) (lam + mu + 2 rho, lam - mu)
-        = 2 sum_{beta > 0} sum_{t >= 1} m(mu + t beta) (mu + t beta, beta)."""
-    n = rs.rank
-    a = rs.cartan_matrix
+        = 2 sum_{beta > 0} sum_{t >= 1} m(mu + t beta) (mu + t beta, beta).
+    Each chain term is looked up in the diagram of the weights found so far,
+    and the chain stops at the first miss: root strings of the weights of an
+    irreducible module are unbroken."""
     form = _scaled_form(rs)
-    bounds = [int(x) for x in rs.weight(lam_coords).to_root_basis()]
-    # each dominant mu <= lam with its offset ks = lam - mu in the root basis
-    dominants = []
-    for ks in itertools.product(*(range(b + 1) for b in bounds)):
-        mu = tuple(
-            lam_coords[r] - sum(k * a[r][i] for i, k in enumerate(ks) if k)
-            for r in range(n)
-        )
-        if min(mu) >= 0:
-            dominants.append((sum(ks), ks, mu))
-    dominants.sort()
-    roots = [
-        (beta, rs.root_to_weight(beta).coords) for beta in rs.positive_roots
-    ]
+    # (beta as a weight, D_i beta_i, L (beta, beta)), where
+    # L (x, beta) = x . (D_i beta_i) for x in fundamental coordinates
+    roots = []
+    for beta in rs.positive_roots:
+        bw = rs.root_to_weight(beta).coords
+        fb = tuple(map(mul, form, beta))
+        roots.append((bw, fb, sum(map(mul, bw, fb))))
     top = tuple(c + 2 for c in lam_coords)  # lam + 2 rho
     mults = {}
-    for depth, ks, mu in dominants:
-        if depth == 0:
-            mults[mu] = 1
-            continue
-        # L ((lam + rho)^2 - (mu + rho)^2)
-        denom = sum(k * (h + c) * d for k, h, c, d in zip(ks, top, mu, form))
-        acc = 0
-        for beta, bw in roots:
-            t = 1
-            # the chain runs while mu + t beta <= lam, i.e. while ks - t beta
-            # has no negative coordinate
-            while min(k - t * b for k, b in zip(ks, beta)) >= 0:
-                cand = tuple(c + t * b for c, b in zip(mu, bw))
-                m = mults.get(rs.dominant_walk(cand)[0], 0)
-                if m:
-                    acc += m * sum(
-                        c * d * b for c, d, b in zip(cand, form, beta)
-                    )
-                t += 1
-        q, r = divmod(2 * acc, denom)
-        if r:
-            raise ArithmeticError(
-                f"non-integral multiplicity {2 * acc}/{denom} of {mu} in "
-                f"V{lam_coords}"
-            )
-        mults[mu] = q
+    diagram = {}
+    for depth, ks, mu in _dominant_weights(rs, lam_coords):
+        m = 1
+        if depth:
+            # L ((lam + rho)^2 - (mu + rho)^2)
+            denom = sum(k * (h + c) * d for k, h, c, d in zip(ks, top, mu, form))
+            acc = 0
+            for bw, fb, step in roots:
+                # L (mu + t beta, beta) = base + t step
+                base = sum(map(mul, mu, fb))
+                cand = tuple(map(add, mu, bw))
+                mt = diagram.get(cand)
+                t = 1
+                while mt:
+                    acc += mt * (base + t * step)
+                    cand = tuple(map(add, cand, bw))
+                    mt = diagram.get(cand)
+                    t += 1
+            m, r = divmod(2 * acc, denom)
+            if r:
+                raise ArithmeticError(
+                    f"non-integral multiplicity {2 * acc}/{denom} of {mu} in "
+                    f"V{lam_coords}"
+                )
+        mults[mu] = m
+        for x in _signed_orbit(rs, mu):
+            diagram[x] = m
     return mults
 
 
 def _signed_orbit(rs, coords):
-    """{w(coords): (-1)^k} over the W-orbit, k the BFS layer over simple
-    reflections. For a regular weight k is l(w), so the sign is det(w); for a
-    singular one only the keys mean anything."""
+    """{w(coords): (-1)^k} over the W-orbit of a dominant weight, k the BFS
+    layer over the simple reflections s_i at positive coordinates i. Each
+    such step lengthens the minimal coset representative by one, so k is
+    its length, and for a regular weight the sign is det(w)."""
     a = rs.cartan_matrix
     n = rs.rank
-    out = {tuple(coords): 1}
-    frontier = list(out)
+    # s_i negates coordinate i and moves only the neighbours j of node i
+    moves = [
+        (i, [(j, a[j][i]) for j in range(n) if j != i and a[j][i]])
+        for i in range(n)
+    ]
+    out = {coords: 1}
+    frontier = [coords]
     sign = 1
     while frontier:
         sign = -sign
         nxt = []
         for c in frontier:
-            for i in range(n):
+            for i, nbrs in moves:
                 ci = c[i]
-                if ci == 0:
-                    continue
-                new = tuple(x - ci * a[r][i] for r, x in enumerate(c))
-                if new not in out:
-                    out[new] = sign
-                    nxt.append(new)
+                if ci > 0:
+                    new = list(c)
+                    new[i] = -ci
+                    for j, aji in nbrs:
+                        new[j] -= ci * aji
+                    new = tuple(new)
+                    if new not in out:
+                        out[new] = sign
+                        nxt.append(new)
         frontier = nxt
     return out
+
+
+def _diagram(rs, lam_coords):
+    """The weight diagram {weight: multiplicity} of V_lam: each dominant
+    weight's multiplicity spread over its W-orbit."""
+    return {
+        x: m
+        for mu, m in _weight_mults(rs, lam_coords).items()
+        for x in _signed_orbit(rs, mu)
+    }
 
 
 def _tensor_decompose(rs, acc, lam_coords):
     """Decompose (sum of irreducibles in acc) tensor V_lam by Brauer-Klimyk:
     summing the weight diagram of V_lam with shifted dominance reflections."""
-    diagram = [
-        (mu, m)
-        for dom, m in _weight_mults(rs, lam_coords).items()
-        for mu in _signed_orbit(rs, dom)
-    ]
+    diagram = _diagram(rs, lam_coords)
     out = {}
     for nu, mult in acc.items():
-        for mu, m in diagram:
+        for mu, m in diagram.items():
             shifted = tuple(a + b + 1 for a, b in zip(nu, mu))
             dom, word = rs.dominant_walk(shifted)
             # the shifted weight is singular (fixed by some reflection) iff
@@ -541,13 +574,13 @@ def _tensor_decompose(rs, acc, lam_coords):
 def _coefficient(rs, acc, lam_coords, nu):
     """Multiplicity of V_nu in (sum of irreducibles in acc) tensor V_lam, by
     the Racah-Speiser sum over the signed orbit of nu + rho."""
-    mults = _weight_mults(rs, lam_coords)
+    diagram = _diagram(rs, lam_coords)
     orbit = _signed_orbit(rs, tuple(c + 1 for c in nu))
     total = 0
     for mu, mult in acc.items():
+        shift = tuple(c + 1 for c in mu)  # mu + rho
         for x, sign in orbit.items():
-            eta = tuple(a - b - 1 for a, b in zip(x, mu))
-            m = mults.get(rs.dominant_walk(eta)[0], 0)
+            m = diagram.get(tuple(map(sub, x, shift)))
             if m:
                 total += sign * mult * m
     return total
@@ -555,9 +588,16 @@ def _coefficient(rs, acc, lam_coords, nu):
 
 def invariant_dim(x, max_height=20):
     """dim of the invariant subspace of V_{lambda_1} x .. x V_{lambda_s}."""
-    rs = x.root_system if isinstance(x, RayTuple) else x[0].root_system
-    ws = x.weights if isinstance(x, RayTuple) else tuple(x)
+    ws = tuple(x.weights if isinstance(x, RayTuple) else x)
+    if not ws:
+        raise ValueError("the oracle needs at least one weight")
+    rs = ws[0].root_system
     for w in ws:
+        if w.root_system is not rs:
+            raise ValueError(
+                f"weights of {w.root_system.cartan_label} and "
+                f"{rs.cartan_label} in one tuple"
+            )
         if not (w.is_dominant() and w.is_integral()):
             text = ", ".join(map(str, w.coords))
             raise ValueError(f"({text}) is not dominant integral")
@@ -572,7 +612,7 @@ def invariant_dim(x, max_height=20):
     if len(coords) < 2:
         # s <= 2: the other factors are V_0 or one irreducible
         return int(nu == (coords[0] if coords else (0,) * rs.rank))
-    # the cheapest factor enters only through its dominant multiplicities
+    # the cheapest factor enters only through its weight diagram
     acc = {coords[1]: 1}
     for lam in coords[2:]:
         acc = _tensor_decompose(rs, acc, lam)

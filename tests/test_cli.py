@@ -369,6 +369,19 @@ def test_oracle_skips_non_integral_multiples(capsys):
     assert out == "member: True\ninvariant witness at N = 2\n"
 
 
+@pytest.mark.parametrize("value", ["-1", "-3", "two"])
+def test_oracle_max_n_must_be_a_count(capsys, value):
+    # a negative N used to exit 0 without a certificate
+    code = cli.main([
+        "membership", "--type", "A2", "--input", "[[1,0],[0,1],[0,0]]",
+        "--oracle-max-n", value,
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--oracle-max-n: expected an integer >= 0" in captured.err
+
+
 @pytest.mark.parametrize("target", ["ex1", "subbie", "apples", "p4-table"])
 def test_reproduce(capsys, target):
     code, out = run(capsys, "reproduce", target)

@@ -361,6 +361,17 @@ def test_invariant_dim_rejects(d4):
     ) >= 0
 
 
+def test_invariant_dim_rejects_untyped_input(d4):
+    with pytest.raises(ValueError, match="at least one weight"):
+        rays.invariant_dim(())
+    a2, b2 = build_root_system("A2"), build_root_system("B2")
+    mixed = (a2.weight((1, 0)), b2.weight((1, 0)), a2.weight((1, 0)))
+    with pytest.raises(ValueError, match="B2 and A2"):
+        rays.invariant_dim(mixed)
+    with pytest.raises(ValueError, match="D4 and A2"):
+        rays.invariant_dim((a2.weight((0, 0)), d4.zero_weight()))
+
+
 def test_invariant_dim_one_and_two_factors(d4):
     om = d4.omega
     zero = d4.zero_weight()
@@ -394,25 +405,33 @@ def test_invariant_dim_four_factors():
 # -- reference oracle: Fraction Freudenthal and full Brauer-Klimyk ----
 
 
-def _reference_weight_mults(rs, lam_coords):
-    """Dominant multiplicities by Freudenthal's formula over Fraction, with
-    the chain stop tested in the root basis."""
+def _reference_dominants(rs, lam_coords):
+    """(depth, ks, mu) for each dominant mu <= lam, sorted, by scanning the
+    whole root-basis box 0 <= ks <= lam for dominant lam - ks."""
     lam = rs.weight(lam_coords)
-    lam_rc = lam.to_root_basis()
     n = rs.rank
     dominants = []
-    for ks in itertools.product(*(range(int(b) + 1) for b in lam_rc)):
+    for ks in itertools.product(
+        *(range(int(b) + 1) for b in lam.to_root_basis())
+    ):
         coords = list(lam.coords)
         for i, k in enumerate(ks):
             for r in range(n):
                 coords[r] -= k * rs.cartan_matrix[r][i]
         if all(c >= 0 for c in coords):
-            dominants.append((sum(ks), tuple(coords)))
-    dominants.sort()
+            dominants.append((sum(ks), ks, tuple(coords)))
+    return sorted(dominants)
+
+
+def _reference_weight_mults(rs, lam_coords):
+    """Dominant multiplicities by Freudenthal's formula over Fraction, with
+    the chain stop tested in the root basis."""
+    lam = rs.weight(lam_coords)
+    lam_rc = lam.to_root_basis()
     mults = {}
     rho = rs.rho
     top = invariant_form(lam + rho, lam + rho)
-    for depth, mu in dominants:
+    for depth, _, mu in _reference_dominants(rs, lam_coords):
         if depth == 0:
             mults[mu] = 1
             continue
@@ -525,6 +544,43 @@ def test_weight_mults_match_reference_and_weyl_dimension(label):
         ) == dim
 
 
+@pytest.mark.parametrize("label", ORACLE_TYPES + ("A1xA1",))
+def test_saturated_dominants_match_box_scan(label):
+    rs = build_root_system(label)
+    rng = random.Random(11)
+    lams = [tuple(rng.randint(0, 3) for _ in range(rs.rank)) for _ in range(6)]
+    lams += [(0,) * rs.rank, (2,) * rs.rank]
+    lams += [tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank)]
+    for lam in lams:
+        assert rays._dominant_weights(rs, lam) == _reference_dominants(rs, lam)
+
+
+@pytest.mark.parametrize("label", ORACLE_TYPES + ("A1xA1",))
+def test_diagram_matches_reference_orbits(label):
+    rs = build_root_system(label)
+    rng = random.Random(13)
+    lams = [tuple(rng.randint(0, 2) for _ in range(rs.rank)) for _ in range(3)]
+    lams += [(0,) * rs.rank, (1,) * rs.rank]
+    for lam in lams:
+        want = {
+            x: m
+            for mu, m in _reference_weight_mults(rs, lam).items()
+            for x in _reference_orbit(rs, mu)
+        }
+        assert rays._diagram(rs, lam) == want
+
+
+def test_signed_orbit_signs_are_determinants():
+    # on a regular weight the BFS layer is l(w), so the sign is det(w)
+    for label in ORACLE_TYPES:
+        rs = build_root_system(label)
+        W = weyl_group(rs)
+        orbit = rays._signed_orbit(rs, (1,) * rs.rank)
+        assert len(orbit) == len(W.elements)
+        for w in W.elements:
+            assert orbit[w.act(rs.rho).coords] == (-1) ** w.length
+
+
 def test_weight_mults_integrality_is_checked(monkeypatch):
     # B2 with the two root lengths swapped in the form: the zero weight of
     # the 5-dimensional module comes out as 10/7
@@ -539,7 +595,9 @@ def test_weight_mults_integrality_is_checked(monkeypatch):
         rays._weight_mults.cache_clear()
 
 
-@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", "B3", "C3"])
+@pytest.mark.parametrize(
+    "label", ["A2", "B2", "G2", "A3", "B3", "C3", "A4", "D4"]
+)
 def test_dd_rays_have_oracle_witnesses(label):
     # every extremal ray of the s = 3 cone is a saturated tensor-cone
     # element: some small multiple carries a nonzero invariant
