@@ -505,7 +505,7 @@ def main(argv=None):
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
     except (ValueError, rays.OracleLimitError, cone.NotPointedError,
-            schubert.ProductTableError) as e:
+            schubert.ProductTableError, cone.ConsistencyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_MATH
 

@@ -26,13 +26,9 @@ __all__ = [
     "Ray",
     "extremal_rays",
     "is_extremal",
-    "restrict_to_face",
     "contains",
-    "hrep_to_text",
-    "hrep_from_text",
-    "rays_to_text",
-    "rays_from_text",
     "NotPointedError",
+    "ConsistencyError",
 ]
 
 
@@ -42,6 +38,12 @@ class NotPointedError(ValueError):
     def __init__(self, vector):
         self.vector = tuple(vector)
         super().__init__(f"cone is not pointed; lineality vector {self.vector}")
+
+
+class ConsistencyError(ArithmeticError):
+    """A computed result broke an identity that it must satisfy: a ray
+    outside its own system, a face inventory against the theorem, or a
+    non-integral weight multiplicity."""
 
 
 Ray = tuple  # primitive integer tuple
@@ -87,16 +89,6 @@ def contains(h, x):
     return all(_dot(row, x) == 0 for row in h.equalities) and all(
         _dot(row, x) >= 0 for row in h.inequalities
     )
-
-
-def restrict_to_face(h, tight):
-    """Turn the chosen inequality indices into equalities."""
-    tight = set(tight)
-    ineqs = [row for i, row in enumerate(h.inequalities) if i not in tight]
-    eqs = list(h.equalities) + [
-        row for i, row in enumerate(h.inequalities) if i in tight
-    ]
-    return HRep(h.dim, ineqs, eqs)
 
 
 def _bits(x):
@@ -332,7 +324,8 @@ def extremal_rays(h):
         raise NotPointedError(ambient(e.vector)) from None
     result = sorted({ambient(r) for r in found})
     for r in result:
-        assert contains(h, r)
+        if not contains(h, r):
+            raise ConsistencyError(f"extremal ray {r} violates its own system")
     return result
 
 
@@ -345,53 +338,3 @@ def is_extremal(h, r):
     tight = h.equalities + [row for row in h.inequalities if _dot(row, r) == 0]
     return len(linalg.nullspace(tight, ncols=h.dim)) == 1
 
-
-# -- text round trip ---------------------------------------------------
-
-
-def hrep_to_text(h):
-    lines = [f"# hrep dim={h.dim}", "# equalities"]
-    for row in h.equalities:
-        lines.append(" ".join(str(x) for x in row))
-    lines.append("# inequalities")
-    for row in h.inequalities:
-        lines.append(" ".join(str(x) for x in row))
-    return "\n".join(lines) + "\n"
-
-
-def hrep_from_text(text):
-    eqs, ineqs = [], []
-    target = None
-    dim = None
-    for raw in text.splitlines():
-        line = raw.split("#", 1)
-        comment = line[1].strip() if len(line) > 1 else ""
-        body = line[0].strip()
-        if comment.startswith("hrep dim="):
-            dim = int(comment.split("=")[1])
-        if comment == "equalities":
-            target = eqs
-        elif comment == "inequalities":
-            target = ineqs
-        if body:
-            if target is None:
-                raise ValueError("row before a section header")
-            target.append(tuple(int(x) for x in body.split()))
-    if dim is None:
-        if not eqs + ineqs:
-            raise ValueError("no rows and no dim header")
-        dim = len((eqs + ineqs)[0])
-    return HRep(dim, ineqs, eqs)
-
-
-def rays_to_text(rays):
-    return "".join(" ".join(str(x) for x in r) + "\n" for r in rays)
-
-
-def rays_from_text(text):
-    out = []
-    for raw in text.splitlines():
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            out.append(tuple(int(x) for x in body.split()))
-    return out

@@ -90,6 +90,19 @@ def _weights(x):
     return tuple(getattr(x, "weights", x))
 
 
+def _root_system(lams):
+    """The root system of a nonempty weight tuple; ValueError if the weights
+    come from two root systems."""
+    rs = lams[0].root_system
+    for w in lams:
+        if w.root_system is not rs:
+            raise ValueError(
+                f"weights of {w.root_system.cartan_label} and "
+                f"{rs.cartan_label} in one tuple"
+            )
+    return rs
+
+
 @lru_cache(maxsize=None)
 def _int_block(w, k):
     """-(w^-1 omega_i)(x_k) d for i = 1..rank, d = ``x_den``: the slice of
@@ -174,9 +187,10 @@ def tens_membership(x):
     s = len(lams)
     if s < 3:  # checked first: s = 0 leaves no root system to read
         raise ValueError(f"regular facets need s >= 3 factors, got s = {s}")
+    rs = _root_system(lams)
     if not all(l.is_dominant() for l in lams):
         return False
-    for face in enumerate_regular_facets(s, lams[0].root_system):
+    for face in enumerate_regular_facets(s, rs):
         for k in face.P.complement:
             if _row_value(face, lams, k) < 0:
                 return False

@@ -16,7 +16,6 @@ Racah-Speiser coefficient, all in integers).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,7 +24,7 @@ from operator import add, mul, sub
 
 from . import cone, faces, linalg, schubert
 from .linalg import clear_denominators
-from .rootdata import Weight, eval_x, kappa, kappa_inv
+from .rootdata import Weight, eval_x
 from .weyl import covers, cover_test, weyl_group
 
 __all__ = [
@@ -36,7 +35,6 @@ __all__ = [
     "shift_to_degree0",
     "induction_image",
     "induct",
-    "induct_coweights",
     "levi_cone_rays",
     "decompose_on_face",
     "classify_face",
@@ -101,22 +99,12 @@ class RayTuple:
     def scale(self, c):
         return RayTuple(tuple(w.scale(c) for w in self.weights), self.tag)
 
-    def same_ray(self, other):
-        return self.primitive().to_vector() == other.primitive().to_vector()
-
     def to_json(self):
         prim = self.primitive()
         return {
             "weights": [list(w.coords) for w in prim.weights],
             "tag": self.tag,
         }
-
-    @classmethod
-    def from_json(cls, rs, data):
-        if isinstance(data, str):
-            data = json.loads(data)
-        ws = tuple(Weight(rs, tuple(row)) for row in data["weights"])
-        return cls(ws, data.get("tag", "user"))
 
     def __repr__(self):
         return f"RayTuple({[tuple(w.coords) for w in self.weights]}, {self.tag})"
@@ -254,30 +242,6 @@ def induct(face, x):
     return out
 
 
-def induct_coweights(face, hs):
-    """Eigencone-side induction: same formula after transport through the
-    weight/coweight isomorphism; both routes are computed and compared."""
-    x = RayTuple(tuple(kappa_inv(h) for h in hs), "user")
-    lam = induct(face, x)
-    rs = face.root_system
-    moved = [w.act(mu) for w, mu in zip(face.words, x.weights)]
-    direct = [kappa(m) for m in moved]
-    for j, v, ell, delta in _face_basic_rays(face):
-        alpha = rs.simple_roots[ell - 1]
-        c = Fraction(2) / (2 * rs.root_norm_half(alpha))
-        coeff = c * kappa(moved[j - 1]).eval_root(alpha)
-        if coeff:
-            direct = [
-                rs.coweight(
-                    [a - coeff * b for a, b in zip(d.coords, kappa(w).coords)]
-                )
-                for d, w in zip(direct, delta.weights)
-            ]
-    via_kappa = tuple(kappa(w) for w in lam.weights)
-    assert all(d.coords == v.coords for d, v in zip(direct, via_kappa))
-    return via_kappa
-
-
 @lru_cache(maxsize=None)
 def gamma_hrep(rs, s):
     """Full H-representation of the tensor cone: dominance plus every
@@ -380,7 +344,10 @@ def classify_face(face):
     for r in all_rays:
         if r.primitive().to_vector() in basic_set:
             continue
-        assert all(e == 0 for e in _pair_evals(face, r))
+        if any(_pair_evals(face, r)):
+            raise cone.ConsistencyError(
+                f"type II ray {r} does not vanish at the cover pairs"
+            )
         type2.append(r)
     levi = levi_cone_rays(P, face.s)
     zero_count = 0
@@ -399,11 +366,17 @@ def classify_face(face):
             matched.add(prim.to_vector())
         else:
             exotic.append(prim)
-    assert zero_count == q - (face.s - 1) * len(P.complement)
-    for r in type2:
-        assert r.primitive().to_vector() in matched, (
-            "type II ray is not an induction image"
+    expected = q - (face.s - 1) * len(P.complement)
+    if zero_count != expected:
+        raise cone.ConsistencyError(
+            f"{zero_count} Levi rays induce to zero, expected "
+            f"q - (s - 1)|complement| = {expected}"
         )
+    for r in type2:
+        if r.primitive().to_vector() not in matched:
+            raise cone.ConsistencyError(
+                f"type II ray {r} is not an induction image"
+            )
     return FaceReport(
         face=face,
         q=q,
@@ -497,7 +470,7 @@ def _weight_mults(rs, lam_coords):
                     t += 1
             m, r = divmod(2 * acc, denom)
             if r:
-                raise ArithmeticError(
+                raise cone.ConsistencyError(
                     f"non-integral multiplicity {2 * acc}/{denom} of {mu} in "
                     f"V{lam_coords}"
                 )
@@ -591,13 +564,8 @@ def invariant_dim(x, max_height=20):
     ws = tuple(x.weights if isinstance(x, RayTuple) else x)
     if not ws:
         raise ValueError("the oracle needs at least one weight")
-    rs = ws[0].root_system
+    rs = faces._root_system(ws)
     for w in ws:
-        if w.root_system is not rs:
-            raise ValueError(
-                f"weights of {w.root_system.cartan_label} and "
-                f"{rs.cartan_label} in one tuple"
-            )
         if not (w.is_dominant() and w.is_integral()):
             text = ", ".join(map(str, w.coords))
             raise ValueError(f"({text}) is not dominant integral")

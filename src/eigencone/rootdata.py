@@ -2,9 +2,9 @@
 
 A :class:`RootSystem` packages the combinatorial data of one finite Cartan
 type (products of simple types included): Cartan matrix, positive roots,
-fundamental weights, the invariant form normalized so that long roots in each
-simple factor have squared length 2, and the Killing-form isomorphism between
-weights and coweights.
+fundamental weights, and the half squared root lengths d_i of the invariant
+form, normalized so that long roots in each simple factor have squared
+length 2.
 
 Conventions:
 
@@ -13,14 +13,13 @@ Conventions:
 * roots are integer vectors in the simple-root basis;
 * weights are canonically stored in the fundamental-weight basis, so the
   i-th coordinate of a weight ``lam`` is ``<lam, alpha_i^vee>``;
-* coweights are stored in the basis {x_i} dual to the simple roots;
 * the tables read off the Cartan matrix are integers: each coroot, in the
   simple-coroot basis, comes with its root from one closure of the pairs
   (alpha_i, alpha_i^vee) under simple reflections, and the inverse Cartan
   matrix (row k is x_k) is held as integer rows over one denominator;
 * integral coordinates stay ``int``; a ``Fraction`` appears only where a
   division makes one (rho^L, simple-root coordinates and x_k values of a
-  weight, kappa); integral values such as chi_w(x_k) are found in integers.
+  weight); integral values such as chi_w(x_k) are found in integers.
 """
 
 from __future__ import annotations
@@ -36,13 +35,10 @@ from . import linalg
 __all__ = [
     "RootSystem",
     "Weight",
-    "Coweight",
     "ParabolicSpec",
     "build_root_system",
     "pair",
     "eval_x",
-    "kappa",
-    "kappa_inv",
 ]
 
 
@@ -170,9 +166,6 @@ class RootSystem:
     def weight(self, coords):
         return Weight(self, tuple(coords))
 
-    def coweight(self, coords):
-        return Coweight(self, tuple(coords))
-
     def zero_weight(self):
         return self.weight([0] * self.rank)
 
@@ -180,18 +173,11 @@ class RootSystem:
         """Fundamental weight omega_i (1-based)."""
         return self.weight([int(j == i - 1) for j in range(self.rank)])
 
-    def alpha(self, i):
-        """Simple root alpha_i as a Weight (1-based)."""
-        return self.weight([self.cartan_matrix[j][i - 1] for j in range(self.rank)])
-
     @property
     def rho(self):
         return self.weight([1] * self.rank)
 
     # -- root utilities (roots are tuples in the simple-root basis) ----
-
-    def is_root(self, beta):
-        return tuple(beta) in self._coroots
 
     def coroot(self, beta):
         """Integer coordinates c of beta^vee = sum_i c_i alpha_i^vee."""
@@ -239,18 +225,6 @@ class RootSystem:
             for i in range(self.rank)
         ]
         return self.weight(coords)
-
-    def root_norm_half(self, beta):
-        """(beta, beta) / 2."""
-        n = self.rank
-        val = Fraction(0)
-        for i in range(n):
-            if beta[i] == 0:
-                continue
-            for j in range(n):
-                if beta[j]:
-                    val += beta[i] * beta[j] * self.d[i] * self.cartan_matrix[i][j]
-        return val / 2
 
     def __repr__(self):
         return f"RootSystem({self.cartan_label})"
@@ -309,21 +283,6 @@ class Weight:
         return f"Weight({self.coords})"
 
 
-@dataclass(frozen=True)
-class Coweight:
-    """Exact coweight in the basis {x_i} dual to the simple roots."""
-
-    root_system: RootSystem
-    coords: tuple
-
-    def eval_root(self, beta):
-        """alpha(h) for a root-basis vector beta: linear in the coordinates."""
-        return sum(m * c for m, c in zip(beta, self.coords))
-
-    def __repr__(self):
-        return f"Coweight({self.coords})"
-
-
 _LABEL_RE = re.compile(r"^([A-G])([0-9]+)$")
 
 
@@ -369,26 +328,6 @@ def eval_x(lam, k):
     """lam(x_k): the alpha_k-coefficient of lam in the simple-root basis."""
     rs = lam.root_system
     return Fraction(sum(map(mul, rs.x_rows[k - 1], lam.coords)), rs.x_den)
-
-
-def invariant_form(lam, mu):
-    """(lam, mu) under the normalized invariant form."""
-    rs = lam.root_system
-    m = mu.to_root_basis()
-    # (lam, alpha_i) = coords_i * d_i
-    return sum(lam.coords[i] * rs.d[i] * m[i] for i in range(rs.rank))
-
-
-def kappa(lam):
-    """Killing-form isomorphism weight -> coweight: alpha_i(kappa(lam)) = (lam, alpha_i)."""
-    rs = lam.root_system
-    return rs.coweight([lam.coords[i] * rs.d[i] for i in range(rs.rank)])
-
-
-def kappa_inv(h):
-    """Inverse of :func:`kappa`."""
-    rs = h.root_system
-    return rs.weight([h.coords[i] / rs.d[i] for i in range(rs.rank)])
 
 
 class ParabolicSpec:
@@ -489,13 +428,6 @@ class ParabolicSpec:
         ]
         label = classify_cartan(sub)
         return RootSystem(sub, label), nodes
-
-    def levi_labels(self):
-        """Cartan labels of the Levi components, e.g. ["A1", "A1", "A1"]."""
-        return [
-            self.levi_factor(comp)[0].cartan_label
-            for comp in self.levi_components()
-        ]
 
     def __repr__(self):
         return (

@@ -64,9 +64,6 @@ class SchubertClass:
     def is_zero(self):
         return not self.coeffs
 
-    def coefficient(self, w):
-        return self.coeffs.get(w, 0)
-
     def __eq__(self, other):
         return (
             isinstance(other, SchubertClass)

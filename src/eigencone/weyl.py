@@ -42,7 +42,6 @@ __all__ = [
     "covers",
     "cover_test",
     "inversion_set",
-    "delta_sets",
 ]
 
 
@@ -122,15 +121,6 @@ class WeylElem:
             beta = rs.reflect_root(i, beta)
         return beta
 
-    def inverse_act_root(self, beta):
-        """w^-1(beta) for a root in the simple-root basis: the reduced word
-        read backwards, so its letters act first to last."""
-        rs = self.root_system
-        beta = tuple(beta)
-        for i in self._reduced_word():
-            beta = rs.reflect_root(i, beta)
-        return beta
-
     def compose(self, other):
         """w o other (other acts first)."""
         assert self.root_system is other.root_system
@@ -143,9 +133,6 @@ class WeylElem:
     @property
     def length(self):
         return len(self._reduced_word())
-
-    def is_identity(self):
-        return self.matrix == _word_matrix(self.root_system, ())
 
     def is_minimal_rep(self, P):
         """w in W^P: w(alpha_i) positive for every alpha_i in Delta(P).
@@ -335,24 +322,13 @@ def covers(w, P):
 
 
 def cover_test(u, ell, P):
-    """Does u -> s_ell u stay a cover inside W^P?
-
-    True iff u^-1(alpha_ell) is positive and not a Levi root. The equivalent
-    length criterion (s_ell u is in u's upper covers and in W^P) is checked
-    too and asserted to agree.
-    """
+    """Does u -> s_ell u stay a cover inside W^P: is s_ell u among the
+    upper entries of u's cover row, and in W^P?"""
     rs = P.root_system
     require_minimal_rep(u, P)
-    alpha = rs.simple_roots[ell - 1]
-    img = u.inverse_act_root(alpha)
-    root_crit = all(x >= 0 for x in img) and any(
-        img[k - 1] != 0 for k in P.complement
-    )
     W = weyl_group(rs)
-    su = dict(W.cover_row(W.id_of(u))[1]).get(alpha)
-    len_crit = su is not None and W.elements[su].is_minimal_rep(P)
-    assert root_crit == len_crit, (u.word_str(), ell, sorted(P.delta_P))
-    return root_crit
+    su = dict(W.cover_row(W.id_of(u))[1]).get(rs.simple_roots[ell - 1])
+    return su is not None and W.elements[su].is_minimal_rep(P)
 
 
 def inversion_set(v):
@@ -364,18 +340,3 @@ def inversion_set(v):
     assert len(out) == v.length
     return out
 
-
-def delta_sets(w, P):
-    """(Delta_w, Delta'_w): simple roots whose w-preimage is a Levi-positive
-    or negative root, resp. a negative root."""
-    require_minimal_rep(w, P)
-    big, small = set(), set()
-    levi = set(P.levi_positive_roots)
-    for i, alpha in enumerate(P.root_system.simple_roots, start=1):
-        img = w.inverse_act_root(alpha)
-        if any(x < 0 for x in img):
-            big.add(i)
-            small.add(i)
-        elif tuple(img) in levi:
-            big.add(i)
-    return big, small

@@ -104,6 +104,55 @@ def test_product_engine_failure_is_math_error_under_optimize(breaker):
     assert proc.stderr.startswith("error: "), proc.stderr
 
 
+# each patch breaks one identity that a face inventory or a ray list must
+# satisfy: (patch, argv, start of the error message)
+IDENTITY_BREAKERS = {
+    "pair-evaluations": (
+        "rays._pair_evals = lambda face, x: [1]",
+        ["face-rays", "--type", "D4", "--parabolic", "2", "--words", MAIN_WORDS],
+        "error: type II ray",
+    ),
+    "zero-count": (
+        "rays.induct = lambda face, x: x.scale(0)",
+        ["face-rays", "--type", "D4", "--parabolic", "2", "--words", MAIN_WORDS],
+        "error: 9 Levi rays induce to zero",
+    ),
+    "induction-image": (
+        "induct = rays.induct\n"
+        "rays.induct = lambda face, x: rays.RayTuple(induct(face, x).weights[::-1])",
+        ["face-rays", "--type", "D4", "--parabolic", "2", "--words", MAIN_WORDS],
+        "error: type II ray",
+    ),
+    "ray-containment": (
+        "cone.contains = lambda h, x: False",
+        ["cone-rays", "--type", "A2"],
+        "error: extremal ray",
+    ),
+}
+
+
+@pytest.mark.parametrize("breaker", sorted(IDENTITY_BREAKERS))
+def test_broken_identity_is_math_error_under_optimize(breaker):
+    # these checks were asserts, which python -O skips silently
+    patch, argv, message = IDENTITY_BREAKERS[breaker]
+    script = (
+        "import sys\n"
+        "from eigencone import cli, cone, rays\n"
+        f"{patch}\n"
+        f"sys.exit(cli.main({argv!r}))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 3, proc.stdout + proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(message), proc.stderr
+
+
 def test_bad_type_is_parse_error(capsys):
     code, _ = run(capsys, "facets", "--type", "Q7")
     assert code == 2

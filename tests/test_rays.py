@@ -9,14 +9,7 @@ import pytest
 
 from eigencone import cli, cone, faces, rays, schubert
 from eigencone.rays import RayTuple
-from eigencone.rootdata import (
-    ParabolicSpec,
-    build_root_system,
-    eval_x,
-    invariant_form,
-    kappa,
-    pair,
-)
+from eigencone.rootdata import ParabolicSpec, build_root_system, eval_x, pair
 from eigencone.weyl import covers, parse_word, weyl_group
 
 
@@ -33,9 +26,11 @@ def test_ray_tuple_vector_round_trip(d4):
     x = RayTuple((d4.omega(2), d4.omega(3), d4.rho))
     back = RayTuple.from_vector(d4, 3, x.to_vector())
     assert back.to_vector() == x.to_vector()
-    assert x.primitive().same_ray(x.scale(6))
-    blob = x.to_json()
-    assert RayTuple.from_json(d4, json.dumps(blob)).to_vector() == x.to_vector()
+    assert x.scale(6).primitive().to_vector() == x.to_vector()
+    assert x.scale(6).to_json() == {
+        "weights": [[0, 1, 0, 0], [0, 0, 1, 0], [1, 1, 1, 1]],
+        "tag": "user",
+    }
 
 
 def test_basic_divisor_fixture(d4, main_face):
@@ -319,13 +314,59 @@ def test_chi_tuple_induces_zero(d4, main_face):
     assert rays.induct(main_face, shifted).is_zero()
 
 
-def test_induct_coweights_route(d4, p2, main_face):
-    mu = rays.levi_cone_rays(p2, 3)[0]
-    shifted = rays.shift_to_degree0(mu, p2)
-    hs = tuple(kappa(w) for w in shifted.weights)
-    got = rays.induct_coweights(main_face, hs)
-    want = tuple(kappa(w) for w in rays.induct(main_face, shifted).weights)
-    assert all(g.coords == w.coords for g, w in zip(got, want))
+# -- reference induction on the eigencone side -------------------------
+
+
+def _kappa(lam):
+    """Killing-form isomorphism weight -> coweight, in the basis {x_i} dual
+    to the simple roots: alpha_i(kappa(lam)) = (lam, alpha_i) = lam_i d_i."""
+    return tuple(c * d for c, d in zip(lam.coords, lam.root_system.d))
+
+
+def _induct_coweights(face, hs):
+    """The induction formula transported through kappa: move kappa^-1(h_j)
+    by w_j, then subtract kappa of each basic class D(j, v, ell) times
+    <w_j mu_j, alpha_ell^vee> = 2 alpha_ell(h) / (alpha_ell, alpha_ell)."""
+    rs = face.root_system
+    moved = [
+        _kappa(w.act(rs.weight([c / d for c, d in zip(h, rs.d)])))
+        for w, h in zip(face.words, hs)
+    ]
+    out = list(moved)
+    for j, v, ell in faces.typeI_pairs(face):
+        delta = rays.basic_divisor_class(face, j, v)
+        coeff = 2 * moved[j - 1][ell - 1] / (2 * rs.d[ell - 1])
+        out = [
+            tuple(a - coeff * b for a, b in zip(h, _kappa(lam)))
+            for h, lam in zip(out, delta.weights)
+        ]
+    return out
+
+
+def _check_coweight_route(face):
+    """Compare both routes on every Levi ray of the face; the ray count."""
+    levi = rays.levi_cone_rays(face.P, face.s)
+    for mu in levi:
+        shifted = rays.shift_to_degree0(mu, face.P)
+        want = [_kappa(w) for w in rays.induct(face, shifted).weights]
+        got = _induct_coweights(face, [_kappa(w) for w in shifted.weights])
+        assert got == want, (face, mu)
+    return len(levi)
+
+
+def test_induct_coweights_route(d4, p4, main_face):
+    # every Levi ray of the main P2 face and of the seven P4 faces
+    p4_faces = [
+        faces.FaceSpec(3, p4, tuple(parse_word(d4, w) for w in row["words"]))
+        for row in _golden("p4_table.json")["rows"]
+    ]
+    assert sum(map(_check_coweight_route, [main_face] + p4_faces)) == 9 + 7 * 18
+    # kappa is the identity on D4; on B3, C3 and G2 it scales the short
+    # coordinates, so check every regular facet orbit representative there
+    for label in ("B3", "C3", "G2"):
+        rs = build_root_system(label)
+        for face in faces.enumerate_regular_facets(3, rs, quotient_symmetry=True):
+            _check_coweight_route(face)
 
 
 def test_invariant_dim_a1_clebsch_gordan():
@@ -370,6 +411,10 @@ def test_invariant_dim_rejects_untyped_input(d4):
         rays.invariant_dim(mixed)
     with pytest.raises(ValueError, match="D4 and A2"):
         rays.invariant_dim((a2.weight((0, 0)), d4.zero_weight()))
+    # the cone test reads one root system for the whole tuple too
+    mixed = (a2.weight((1, 1)), d4.weight((1, 0, 0, 0)), a2.weight((1, 1)))
+    with pytest.raises(ValueError, match="D4 and A2"):
+        faces.tens_membership(mixed)
 
 
 def test_invariant_dim_one_and_two_factors(d4):
@@ -405,6 +450,13 @@ def test_invariant_dim_four_factors():
 # -- reference oracle: Fraction Freudenthal and full Brauer-Klimyk ----
 
 
+def _invariant_form(lam, mu):
+    """(lam, mu) under the normalized invariant form: (lam, alpha_i) is
+    lam_i d_i, paired with the simple-root coordinates of mu."""
+    rs = lam.root_system
+    return sum(c * d * m for c, d, m in zip(lam.coords, rs.d, mu.to_root_basis()))
+
+
 def _reference_dominants(rs, lam_coords):
     """(depth, ks, mu) for each dominant mu <= lam, sorted, by scanning the
     whole root-basis box 0 <= ks <= lam for dominant lam - ks."""
@@ -430,13 +482,13 @@ def _reference_weight_mults(rs, lam_coords):
     lam_rc = lam.to_root_basis()
     mults = {}
     rho = rs.rho
-    top = invariant_form(lam + rho, lam + rho)
+    top = _invariant_form(lam + rho, lam + rho)
     for depth, _, mu in _reference_dominants(rs, lam_coords):
         if depth == 0:
             mults[mu] = 1
             continue
         shifted = rs.weight(mu) + rho
-        denom = top - invariant_form(shifted, shifted)
+        denom = top - _invariant_form(shifted, shifted)
         acc = Fraction(0)
         for beta in rs.positive_roots:
             bw = rs.root_to_weight(beta)
@@ -448,7 +500,7 @@ def _reference_weight_mults(rs, lam_coords):
                 if any(a < b for a, b in zip(lam_rc, cand.to_root_basis())):
                     break
                 m = mults.get(rs.dominant_walk(cand.coords)[0], 0)
-                acc += m * invariant_form(cand, bw)
+                acc += m * _invariant_form(cand, bw)
                 t += 1
         val = 2 * acc / denom
         assert val.denominator == 1
