@@ -290,12 +290,16 @@ def _dd(rows, n):
             # with a, b > 0 a slack can be negative only where a parent's is
             packed = a * sj + b * si
             born.append((ray, packed // g if g > 1 else packed, z, {*ni, *nj}))
+        dead = 0  # the processed rows tight at some deleted ray
         for s in _bits(negative):
-            del rays[s], zsets[s]
+            dead |= zsets.pop(s)
+            del rays[s]
             for q in slack.pop(s)[2]:
                 viol[q] -= 1
             free.append(s)
-        for p in range(pos):
+        # bit s of tight[p] is set iff p is in zsets[s], so only the rows
+        # in a deleted ray's zero set can hold a deleted slot
+        for p in _bits(dead):
             tight[p] &= ~negative
         tight.append(zero)
         for args in born:

@@ -172,12 +172,18 @@ def eval_inequality(face, x, k):
     return Fraction(-_row_value(face, _weights(x), k), face.root_system.x_den)
 
 
+def _int_row(face, k):
+    """``x_den`` times ``inequality_row(face, k)``: the words' integer
+    blocks, concatenated."""
+    return tuple(b for w in face.words for b in _int_block(w, k))
+
+
 def inequality_row(face, k):
     """The inequality as a flat rational row over stacked fundamental
     coordinates (lambda_1 .. lambda_s), oriented so that row . x >= 0 holds
-    on the cone."""
+    on the cone: ``_int_row(face, k)`` over ``x_den``."""
     den = face.root_system.x_den
-    return tuple(Fraction(b, den) for w in face.words for b in _int_block(w, k))
+    return tuple(Fraction(b, den) for b in _int_row(face, k))
 
 
 def tens_membership(x):

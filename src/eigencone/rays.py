@@ -7,8 +7,11 @@ Two mechanisms produce rays on a face F(w, P):
 * induction from the Levi: the linear map sending a degree-0 tuple of Levi
   weights mu to (w_1 mu_1, .., w_s mu_s) minus its basic-class corrections.
 
-``classify_face`` combines both with the polyhedral engine to reproduce the
-complete extremal-ray inventory of a face, and ``invariant_dim`` is the
+Both run on integers: the face's inequality rows are ``faces._int_row``, and
+the induction carries each entry as integer numerators over one positive
+denominator, divided once at the end. ``classify_face`` combines both with
+the polyhedral engine to reproduce the complete extremal-ray inventory of a
+face, and ``invariant_dim`` is the
 independent representation-theoretic oracle (tensor invariant dimensions from
 Freudenthal's multiplicity formula, Brauer-Klimyk folding and one
 Racah-Speiser coefficient, all in integers).
@@ -24,7 +27,7 @@ from operator import add, mul, sub
 
 from . import cone, faces, linalg, schubert
 from .linalg import clear_denominators
-from .rootdata import Weight, eval_x
+from .rootdata import Weight
 from .weyl import covers, cover_test, weyl_group
 
 __all__ = [
@@ -194,52 +197,94 @@ def _levi_cartan(P):
     return nodes, cols, linalg.inverse([cols[i - 1] for i in nodes])
 
 
+def _levi_lift(x, P):
+    """(D, rows): row j holds D times the coordinates of ``shift_to_degree0``
+    of entry j, D the ``_levi_cartan`` denominator; integers for an integral
+    x."""
+    nodes, cols, (den, inv) = _levi_cartan(P)
+    rows = []
+    for mu in x.weights:
+        restricted = [mu.coords[j - 1] for j in nodes]
+        b = [sum(map(mul, row, restricted)) for row in inv]
+        rows.append([sum(map(mul, c, b)) for c in cols])
+    return den, rows
+
+
+def _numerators(x):
+    """(D, rows): D the lcm of the coordinate denominators of x, row j the
+    integer coordinates of D times entry j."""
+    den = math.lcm(*(c.denominator for w in x.weights for c in w.coords))
+    return den, [
+        [c.numerator * (den // c.denominator) for c in w.coords]
+        for w in x.weights
+    ]
+
+
+def _over(rs, den, rows, tag):
+    """The RayTuple with entries row / den: one division at the end."""
+    if den != 1:
+        rows = [[Fraction(c, den) for c in row] for row in rows]
+    return RayTuple(tuple(rs.weight(row) for row in rows), tag)
+
+
+def _induced_rows(face, rows):
+    """The induction formula on integer rows: each row moved by w_j's
+    matrix, minus the basic classes D(j, v, ell) times coordinate ell of the
+    moved row j. It is linear, so numerators over D map to numerators over
+    D."""
+    moved = [
+        [sum(map(mul, r, row)) for r in w.matrix]
+        for w, row in zip(face.words, rows)
+    ]
+    out = [list(row) for row in moved]
+    for j, _, ell, delta in _face_basic_rays(face):
+        coeff = moved[j - 1][ell - 1]
+        if coeff:
+            for row, lam in zip(out, delta.weights):
+                for i, c in enumerate(lam.coords):
+                    row[i] -= coeff * c
+    return out
+
+
 def shift_to_degree0(x, P):
     """Lift each entry's Levi restriction to the degree-0 weight with the
     same coordinates on Delta(P). Every x_k with k outside Delta(P) vanishes
     exactly on the span of the alpha_j in Delta(P), so the lift is
     sum_j b_j alpha_j, b the inverse Cartan block on Delta(P) applied to
     the entry's coordinates there."""
-    rs = P.root_system
-    nodes, cols, (den, inv) = _levi_cartan(P)
-    out = []
-    for mu in x.weights:
-        restricted = [mu.coords[j - 1] for j in nodes]
-        b = [sum(map(mul, row, restricted)) for row in inv]
-        out.append(rs.weight([Fraction(sum(map(mul, c, b)), den) for c in cols]))
-    return RayTuple(tuple(out), x.tag)
+    den, rows = _levi_lift(x, P)
+    return _over(P.root_system, den, rows, x.tag)
 
 
 def induction_image(face, x):
     """The raw induction formula: (w_j mu_j)_j minus basic-class corrections
     weighted by the simple-coroot evaluations at the cover pairs."""
-    moved = [w.act(mu) for w, mu in zip(face.words, x.weights)]
-    result = RayTuple(tuple(moved), "induced")
-    for j, v, ell, delta in _face_basic_rays(face):
-        coeff = moved[j - 1].coords[ell - 1]
-        if coeff:
-            result = result - delta.scale(coeff)
-    return RayTuple(result.weights, "induced")
+    den, rows = _numerators(x)
+    return _over(face.root_system, den, _induced_rows(face, rows), "induced")
 
 
 def induct(face, x):
     """Induction of a degree-0 Levi weight tuple; rejects non-degree-0 input
-    and input whose image is not dominant."""
-    for j, mu in enumerate(x.weights, start=1):
+    and input whose image is not dominant. The denominator is positive, so
+    both tests read the numerators; the messages print the quotients."""
+    rs = face.root_system
+    den, rows = _numerators(x)
+    for j, row in enumerate(rows, start=1):
         for k in face.P.complement:
-            val = eval_x(mu, k)
-            if val != 0:
+            val = sum(map(mul, rs.x_rows[k - 1], row))
+            if val:
                 raise ValueError(
-                    f"entry {j} is not degree-0: x_{k} evaluation is {val}"
+                    f"entry {j} is not degree-0: x_{k} evaluation is "
+                    f"{Fraction(val, den * rs.x_den)}"
                 )
-    out = induction_image(face, x)
-    for j, w in enumerate(out.weights, start=1):
-        if not w.is_dominant():
+    out = _induced_rows(face, rows)
+    for j, row in enumerate(out, start=1):
+        if min(row) < 0:
             raise ValueError(
                 f"induced entry {j} is not dominant: "
-                + " ".join(map(str, w.coords))
+                + " ".join(str(Fraction(c, den)) for c in row)
             )
-    return out
+    return _over(rs, den, out, "induced")
 
 
 @lru_cache(maxsize=None)
@@ -250,7 +295,7 @@ def gamma_hrep(rs, s):
     ineqs = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     for f in faces.enumerate_regular_facets(s, rs):
         for k in f.P.complement:
-            ineqs.append(faces.inequality_row(f, k))
+            ineqs.append(faces._int_row(f, k))
     return cone.HRep(n, ineqs)
 
 
@@ -315,18 +360,21 @@ def decompose_on_face(face, x):
     return coeffs, RayTuple(residual.weights, x.tag)
 
 
-def face_extremal_rays(face):
-    """All extremal rays of the face, via the polyhedral engine."""
-    rs = face.root_system
-    full = gamma_hrep(rs, face.s)
-    h = cone.HRep(
+def _face_hrep(face):
+    """The cone's H-rep with the face's integer rows as equalities."""
+    full = gamma_hrep(face.root_system, face.s)
+    return cone.HRep(
         full.dim,
         full.inequalities,
-        [faces.inequality_row(face, k) for k in face.P.complement],
+        [faces._int_row(face, k) for k in face.P.complement],
     )
+
+
+def face_extremal_rays(face):
+    """All extremal rays of the face, via the polyhedral engine."""
     return [
-        RayTuple.from_vector(rs, face.s, r, "dd")
-        for r in cone.extremal_rays(h)
+        RayTuple.from_vector(face.root_system, face.s, r, "dd")
+        for r in cone.extremal_rays(_face_hrep(face))
     ]
 
 
@@ -356,7 +404,11 @@ def classify_face(face):
     ray_set = {r.primitive().to_vector() for r in all_rays}
     matched = set()
     for mu in levi:
-        image = induct(face, shift_to_degree0(mu, P))
+        # the lift's integer numerators: induct is linear and its checks
+        # hold or fail alike under a positive scale, so the image is the
+        # induced ray scaled by the lift's denominator
+        rows = _levi_lift(mu, P)[1]
+        image = induct(face, RayTuple(tuple(map(face.root_system.weight, rows))))
         pairs.append((mu, image))
         if image.is_zero():
             zero_count += 1

@@ -301,10 +301,12 @@ def require_minimal_rep(w, P):
         raise ValueError(f"{w.word_str()} is not in W^P")
 
 
+@lru_cache(maxsize=None)
 def minimal_reps(P):
-    """W^P, ordered by (length, canonical form)."""
+    """W^P as a tuple, ordered by (length, canonical form); one scan of W
+    per parabolic."""
     W = weyl_group(P.root_system)
-    reps = [w for w in W if w.is_minimal_rep(P)]
+    reps = tuple(w for w in W if w.is_minimal_rep(P))
     assert len(reps) * (len(W) // len(reps)) == len(W)
     return reps
 

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import json
@@ -306,12 +307,114 @@ def test_face_report_gate(label):
     assert (len(facets), digest.hexdigest()) == REPORT_DIGESTS[label]
 
 
+@pytest.mark.parametrize("label", ["A2", "B3", "C3", "D4", "G2"])
+def test_integer_rows_match_rational_rows(label):
+    # the H-reps take their rows from faces._int_row; normalizing the
+    # rational rows of inequality_row must give the same rows, in order
+    rs = build_root_system(label)
+    n = 3 * rs.rank
+    rows = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    for f in faces.enumerate_regular_facets(3, rs):
+        rows += [faces.inequality_row(f, k) for k in f.P.complement]
+    assert rays.gamma_hrep(rs, 3).inequalities == cone.HRep(n, rows).inequalities
+    if label != "D4":
+        return
+    for face in faces.enumerate_regular_facets(3, rs, quotient_symmetry=True):
+        eqs = [faces.inequality_row(face, k) for k in face.P.complement]
+        want = cone.HRep(n, rows, eqs)
+        got = rays._face_hrep(face)
+        assert (got.inequalities, got.equalities) == (
+            want.inequalities, want.equalities
+        ), face
+
+
 def test_chi_tuple_induces_zero(d4, main_face):
     chis = RayTuple(
         tuple(schubert.chi(w, main_face.P) for w in main_face.words)
     )
     shifted = rays.shift_to_degree0(chis, main_face.P)
     assert rays.induct(main_face, shifted).is_zero()
+
+
+# -- reference induction on Fraction weights ---------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _basic_classes(face):
+    return [
+        (j, ell, rays.basic_divisor_class(face, j, v))
+        for j, v, ell in faces.typeI_pairs(face)
+    ]
+
+
+def _reference_image(face, x):
+    """The raw induction formula on Fraction weights: w_j acting by its
+    matrix, then each basic class subtracted as a scaled RayTuple."""
+    moved = [w.act(mu) for w, mu in zip(face.words, x.weights)]
+    result = RayTuple(tuple(moved), "induced")
+    for j, ell, delta in _basic_classes(face):
+        coeff = moved[j - 1].coords[ell - 1]
+        if coeff:
+            result = result - delta.scale(coeff)
+    return RayTuple(result.weights, "induced")
+
+
+def _reference_induct(face, x):
+    """``_reference_image`` behind the degree-0 test by ``eval_x`` and the
+    dominance test on the image's Fraction coordinates."""
+    for j, mu in enumerate(x.weights, start=1):
+        for k in face.P.complement:
+            val = eval_x(mu, k)
+            if val != 0:
+                raise ValueError(
+                    f"entry {j} is not degree-0: x_{k} evaluation is {val}"
+                )
+    out = _reference_image(face, x)
+    for j, w in enumerate(out.weights, start=1):
+        if not w.is_dominant():
+            raise ValueError(
+                f"induced entry {j} is not dominant: "
+                + " ".join(map(str, w.coords))
+            )
+    return out
+
+
+def _outcome(fn, face, x):
+    """The value of fn(face, x), or the text of its ValueError."""
+    try:
+        return fn(face, x)
+    except ValueError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("label", ["A2", "B3", "C3", "D4"])
+def test_integer_induction_against_fraction_reference(label):
+    rs = build_root_system(label)
+    reps = faces.enumerate_regular_facets(3, rs, quotient_symmetry=True)
+    failures = set()
+    for face in reps:
+        for mu, image in rays.classify_face(face).levi_rays:
+            shifted = rays.shift_to_degree0(mu, face.P)
+            want = _reference_induct(face, shifted)
+            # the report keeps the integer image: same ray, same zero test
+            assert image.is_zero() == want.is_zero(), (face, mu)
+            assert image.primitive().to_vector() == want.primitive().to_vector()
+            # the public routes, on the lift and on inputs that may fail:
+            # the Levi ray unlifted, the lift rotated and the lift negated
+            rotated = RayTuple(shifted.weights[1:] + shifted.weights[:1])
+            for x in (shifted, mu, rotated, shifted.scale(-1)):
+                got = _outcome(rays.induct, face, x)
+                ref = _outcome(_reference_induct, face, x)
+                if isinstance(ref, str):
+                    assert got == ref, (face, x)
+                    failures.add(ref.split()[0])
+                    # the raw formula still applies where induct rejects
+                    got = rays.induction_image(face, x)
+                    assert got.weights == _reference_image(face, x).weights
+                else:
+                    assert got.weights == ref.weights, (face, x)
+    # both rejections were met
+    assert failures == {"entry", "induced"}
 
 
 # -- reference induction on the eigencone side -------------------------

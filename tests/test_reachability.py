@@ -12,6 +12,7 @@ PACKAGE = ROOT / "src" / "eigencone"
 ENTRY_POINTS = {
     "cone.is_extremal": "README.md",
     "rays.decompose_on_face": "README.md",
+    "faces.inequality_row": "README.md",
     "rootdata.ParabolicSpec.borel": "README.md",
     "rays.classify_nonsimple": "tests/test_acceptance.py",
     "schubert.cup": "tests/test_acceptance.py",
