@@ -54,7 +54,7 @@ def _normalize_rows(rows):
     out = []
     for row in rows:
         prim = clear_denominators(row)
-        if all(x == 0 for x in prim):
+        if not any(prim):
             continue
         if prim not in seen:
             seen.add(prim)
@@ -78,17 +78,6 @@ class HRep:
                 raise ValueError(
                     f"row {row} has length {len(row)}, expected {self.dim}"
                 )
-
-
-def _dot(a, b):
-    return sum(map(mul, a, b))
-
-
-def contains(h, x):
-    """Exact membership of the vector x."""
-    return all(_dot(row, x) == 0 for row in h.equalities) and all(
-        _dot(row, x) >= 0 for row in h.inequalities
-    )
 
 
 def _bits(x):
@@ -154,6 +143,48 @@ def _unpack(packed, width, bias, m):
     return vals
 
 
+def _l1(rows):
+    """The largest L1 norm of a row: |row . x| <= _l1(rows) * max|x_i|."""
+    return max((sum(map(abs, row)) for row in rows), default=0)
+
+
+def _evaluate(rows, vecs):
+    """The slack vector (row . v for every row) of each integer vector v,
+    packed, with the field width and bias that decode it.
+
+    The columns of the rows are packed once, so the packed slack vector of
+    v is sum of v_c * (packed column c): n big-integer multiply-adds. The
+    fields hold every slack, as |row . v| <= _l1(rows) * max|v_i|, and every
+    column entry. Field r of packed + bias has its top bit set iff row r is
+    >= 0 at v, and the packed value is 0 iff every row is 0 at v.
+    """
+    top = max((abs(x) for v in vecs for x in v), default=0)
+    width = _width(_l1(rows) * max(top, 1), _START_WIDTH)
+    bias = _bias(width, len(rows))
+    cols = [_pack(col, width, bias) for col in zip(*rows)]
+    return [sum(map(mul, v, cols)) for v in vecs], width, bias
+
+
+def _values(rows, vecs):
+    """The slack vector of each integer vector in vecs, decoded by row."""
+    packed, width, bias = _evaluate(rows, vecs)
+    return [_unpack(p, width, bias, len(rows)) for p in packed]
+
+
+def _violators(h, vecs):
+    """The integer vectors in vecs that break an equality or an inequality."""
+    ineq, _, bias = _evaluate(h.inequalities, vecs)
+    eq = _evaluate(h.equalities, vecs)[0]
+    return [
+        v for v, p, z in zip(vecs, ineq, eq) if z or (p + bias) & bias != bias
+    ]
+
+
+def contains(h, x):
+    """Exact membership of the vector x."""
+    return not _violators(h, [clear_denominators(x)])
+
+
 def _dd(rows, n):
     """Double description for {y in Q^n : row . y >= 0}.
 
@@ -198,7 +229,7 @@ def _dd(rows, n):
     start = linalg.rref_int(zip(*rows))[1]
     if len(start) < n:
         raise NotPointedError(linalg.nullspace(rows, ncols=n)[0])
-    l1 = max(sum(map(abs, row)) for row in rows)
+    l1 = _l1(rows)
     rays, slack, zsets = {}, {}, {}
     viol = [0] * m
     tight = [0] * n
@@ -219,11 +250,9 @@ def _dd(rows, n):
     # all of them but row c
     inv = linalg.inverse([rows[i] for i in start])[1]
     first = [clear_denominators(col) for col in zip(*inv)]
-    width = _width(l1 * max(max(map(abs, ray)) for ray in first), _START_WIDTH)
-    bias = _bias(width, m)
-    for c, ray in enumerate(first):
-        packed = _pack([_dot(row, ray) for row in rows], width, bias)
-        enter(ray, packed, ((1 << n) - 1) ^ (1 << c), range(m))
+    packed, width, bias = _evaluate(rows, first)
+    for c, (ray, p) in enumerate(zip(first, packed)):
+        enter(ray, p, ((1 << n) - 1) ^ (1 << c), range(m))
     need = max(n - 2, 0)
     while any(viol):
         r = viol.index(max(viol))
@@ -308,37 +337,42 @@ def _dd(rows, n):
 
 
 def extremal_rays(h):
-    """Minimal generating rays of the cone, primitive and lex sorted."""
+    """Minimal generating rays of the cone, primitive and lex sorted.
+
+    The double description runs on the inequalities written in a basis of
+    the equality subspace, each basis vector's slacks over all of them read
+    off packed columns. Every ray found is then evaluated exactly, again
+    from packed columns, against every inequality and every equality of h
+    itself; a ray outside the system raises ConsistencyError.
+    """
     basis = linalg.nullspace(h.equalities, ncols=h.dim)
     n = len(basis)
     if n == 0:
         return []
-    proj = _normalize_rows(
-        [[_dot(row, b) for b in basis] for row in h.inequalities]
-    )
+    proj = _normalize_rows(zip(*_values(h.inequalities, basis)))
 
-    def ambient(v):
-        return clear_denominators(
-            [sum(v[i] * basis[i][c] for i in range(n)) for c in range(h.dim)]
-        )
+    def ambient(vecs):
+        # coordinate c of sum v_i basis[i] is column c of the basis at v
+        return [clear_denominators(v) for v in _values(list(zip(*basis)), vecs)]
 
     try:
         found = _dd(proj, n)
     except NotPointedError as e:
-        raise NotPointedError(ambient(e.vector)) from None
-    result = sorted({ambient(r) for r in found})
-    for r in result:
-        if not contains(h, r):
-            raise ConsistencyError(f"extremal ray {r} violates its own system")
+        raise NotPointedError(ambient([e.vector])[0]) from None
+    result = sorted(set(ambient(found)))
+    bad = _violators(h, result)
+    if bad:
+        raise ConsistencyError(f"extremal ray {bad[0]} violates its own system")
     return result
 
 
 def is_extremal(h, r):
     """Is r on an extremal ray: tight constraints cut out a line."""
-    if not contains(h, r):
+    x = clear_denominators(r)
+    vals = _values(h.inequalities, [x])[0]
+    if min(vals, default=0) < 0 or _evaluate(h.equalities, [x])[0][0]:
         raise ValueError(f"{r} does not satisfy the system")
-    if all(x == 0 for x in r):
+    if not any(x):
         return False
-    tight = h.equalities + [row for row in h.inequalities if _dot(row, r) == 0]
+    tight = h.equalities + [row for row, v in zip(h.inequalities, vals) if v == 0]
     return len(linalg.nullspace(tight, ncols=h.dim)) == 1
-

@@ -116,9 +116,12 @@ def clear_denominators(vec):
 
     The zero vector is returned unchanged.
     """
-    if all(isinstance(x, int) for x in vec):
-        g = gcd(*vec)
-        return tuple(x // g for x in vec) if g else tuple(vec)
+    try:
+        g = gcd(*vec)  # TypeError on a Fraction or a float
+    except TypeError:
+        pass
+    else:
+        return tuple(x // g for x in vec) if g > 1 else tuple(vec)
     fracs = [Fraction(x) for x in vec]
     if all(x == 0 for x in fracs):
         return tuple(0 for _ in fracs)

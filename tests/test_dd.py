@@ -13,6 +13,7 @@ the row order: each type also runs with its rows shuffled and reversed
 import hashlib
 import itertools
 import random
+from array import array
 from operator import mul
 
 import pytest
@@ -174,3 +175,68 @@ def test_packed_fields_round_trip_at_the_range_ends(width):
     packed = cone._pack(vals, width, bias)
     assert packed == sum(v << (width * r) for r, v in enumerate(vals))
     assert list(cone._unpack(packed, width, bias, len(vals))) == vals
+
+
+@pytest.mark.parametrize("width", [16, 32, 64, 128, 256])
+def test_packed_row_evaluation_matches_dot_products(width):
+    # row 0 starts with 2^a and every vector with 2^b, a + b = width - 4, so
+    # the bound l1(rows) * max|x| lands in [2^(width-4), 2^(width-1)) with
+    # at most five columns; fields past 64 bits decode to int lists
+    rng = random.Random(width)
+    a = (width - 4) // 2
+    b = width - 4 - a
+    for _ in range(20):
+        n = rng.randint(2, 5)
+        rows = [
+            tuple(rng.randint(-(2**a), 2**a) for _ in range(n))
+            for _ in range(rng.randint(1, 8))
+        ]
+        rows[0] = (2**a,) + rows[0][1:]
+        rows.append((0,) * n)
+        # nonnegative rows against nonnegative vectors give all >= 0
+        if rng.random() < 0.5:
+            rows = [tuple(map(abs, row)) for row in rows]
+        vecs = [
+            (2**b,) + tuple(rng.randint(-(2**b), 2**b) for _ in range(n - 1))
+            for _ in range(4)
+        ]
+        vecs += [tuple(map(abs, v)) for v in vecs]
+        vecs.append((0,) * n)
+        rng.shuffle(rows)
+        packed, got_width, bias = cone._evaluate(rows, vecs)
+        assert got_width == width
+        for x, p in zip(vecs, packed):
+            want = [sum(map(mul, row, x)) for row in rows]
+            vals = cone._unpack(p, width, bias, len(rows))
+            assert type(vals) is (list if width > 64 else array)
+            assert list(vals) == want
+            assert ((p + bias) & bias == bias) == (min(want) >= 0)
+            assert (p == 0) == all(v == 0 for v in want)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_equality_faces_match_brute_force(seed):
+    # One or two rows tight at some extremal ray become equalities. A face
+    # of a pointed cone is generated by the cone's extremal rays on it, so
+    # the DD over the projected rows must give the brute-force rays of the
+    # whole system that are tight on those rows.
+    rng = random.Random(2000 + seed)
+    n = 3 + seed % 3
+    scale = (1, 2**20, 2**40, 2**40)[seed % 4]
+    full = []
+    while not full:  # a cone that is only the origin has no faces to cut
+        rows = [
+            tuple(x * rng.randint(1, scale) for x in row)
+            for row in _random_pointed_rows(rng, n)
+        ]
+        full = _brute_force_rays(rows, n)
+    ray = rng.choice(full)
+    tight = [row for row in rows if not sum(map(mul, row, ray))]
+    eqs = rng.sample(tight, 1 + (seed // 4) % 2)
+    expected = [x for x in full if not any(sum(map(mul, e, x)) for e in eqs)]
+    assert ray in expected
+    ineqs = [row for row in rows if row not in eqs]
+    assert cone.extremal_rays(cone.HRep(n, ineqs, eqs)) == expected
+    rng.shuffle(ineqs)
+    rng.shuffle(eqs)
+    assert cone.extremal_rays(cone.HRep(n, ineqs, eqs)) == expected

@@ -29,12 +29,28 @@ def test_clear_denominators():
 
 
 @pytest.mark.parametrize(
-    "vec", [(4, -6, 0), (0, 0, 0), (-3,), (0, 5), (12, 18, -30), (-7, 0, 14), ()]
+    "vec",
+    [
+        (4, -6, 0), (0, 0, 0), (-3,), (0, 5), (12, 18, -30), (-7, 0, 14), (),
+        (3, -5, 0), (1,), (-1, 0), (0,), (2**70, -(2**71)),
+    ],
 )
 def test_clear_denominators_int_path_matches_fraction_path(vec):
+    # the int path (gcd succeeds) against the Fraction path, fed the same
+    # values as Fractions of denominator 1 and as int/Fraction mixtures
     got = linalg.clear_denominators(list(vec))
+    assert type(got) is tuple
+    assert got == linalg.clear_denominators(vec)
     assert got == linalg.clear_denominators([Fraction(x) for x in vec])
+    for parity in (0, 1):
+        mixed = [Fraction(x) if i % 2 == parity else x for i, x in enumerate(vec)]
+        assert linalg.clear_denominators(mixed) == got
     assert all(type(x) is int for x in got)
+    # a primitive or zero vector comes back as it is
+    if gcd(*vec) <= 1:
+        assert got == tuple(vec)
+    # halving every entry leaves the primitive vector unchanged
+    assert linalg.clear_denominators([Fraction(x, 2) for x in vec]) == got
 
 
 def _reference_rref(mat):
