@@ -1,16 +1,20 @@
 """Weyl group arithmetic.
 
-Elements are encoded by their action on the weight lattice: the canonical
-form of ``w`` is the integer matrix whose column j holds the
-fundamental-weight coordinates of w(omega_j). This encoding is faithful,
-hashable, and makes compose/act plain matrix operations.
+``WeylGroup`` is the one place that makes elements. It builds W once, by a
+breadth-first walk over w(rho) with left multiplication. The negative
+coordinates of w(rho) are the left descents of w, so the walk steps from w to
+s_i w only where coordinate i of w(rho) is positive: there the length goes
+up. It keeps s_i w only where i is the first negative coordinate of
+s_i w(rho), so each element arises once, and its word (i,) + word(w) is the
+reduced word that ``RootSystem.dominant_walk`` reads off its image of rho.
+Each element also carries its integer matrix, whose column j holds the
+fundamental-weight coordinates of w(omega_j): ``act`` is a matrix-vector
+product, and W is ordered by (length, matrix).
 
-Everything else comes from one integer walk: the negative coordinates of
-w(rho) are the left descents of w, so ``RootSystem.dominant_walk`` from
-w(rho) back to rho reads off a reduced word. The length is the length of
-that word, the inverse is the reversed word, and the action on roots
-applies simple reflections along the word. Since rho is regular, w(rho)
-also determines w: ``WeylGroup.by_rho`` finds an element's position from it.
+Since rho is regular, w(rho) determines w: ``WeylGroup.by_rho`` finds an
+element's position from it. Every other constructor -- ``identity``,
+``simple_reflection``, ``reflection``, ``parse_word``, ``WeylElem.inverse``
+and ``WeylElem.compose`` -- computes an image of rho and looks it up.
 
 Orientation conventions, fixed once:
 
@@ -45,14 +49,6 @@ __all__ = [
 ]
 
 
-def _matmul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
-
-
 def _matvec(a, v):
     return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in a)
 
@@ -70,41 +66,33 @@ def _reflect_along(rs, letters, coords):
     return c
 
 
-def _word_matrix(rs, word):
-    """Matrix of s_{word[0]} o .. o s_{word[-1]}: each omega_j is reflected
-    by the letters from right to left."""
-    n = rs.rank
-    letters = word[::-1]
-    cols = [
-        _reflect_along(rs, letters, [int(r == j) for r in range(n)])
-        for j in range(n)
-    ]
-    return tuple(tuple(col[r] for col in cols) for r in range(n))
+def _element(rs, rho_image):
+    """The element of W whose image of rho is ``rho_image``."""
+    W = weyl_group(rs)
+    return W.elements[W.by_rho[tuple(rho_image)]]
 
 
 class WeylElem:
-    """A Weyl group element, canonically encoded by its weight-lattice matrix."""
+    """A Weyl group element: its weight-lattice matrix, its image of rho and
+    a reduced word. Only ``WeylGroup`` makes them."""
 
-    __slots__ = ("root_system", "matrix", "_word")
+    __slots__ = ("root_system", "matrix", "rho", "_word")
 
-    def __init__(self, root_system, matrix, word=None):
-        """``word``, if given, must be a reduced word of the matrix."""
+    def __init__(self, root_system, matrix, rho, word):
         self.root_system = root_system
-        self.matrix = tuple(tuple(row) for row in matrix)
+        self.matrix = matrix
+        self.rho = rho
         self._word = word
 
     def __eq__(self, other):
         return (
             isinstance(other, WeylElem)
             and self.root_system is other.root_system
-            and self.matrix == other.matrix
+            and self.rho == other.rho
         )
 
     def __hash__(self):
-        return hash(self.matrix)
-
-    def __lt__(self, other):
-        return (self.length, self.matrix) < (other.length, other.matrix)
+        return hash(self.rho)
 
     # -- actions -------------------------------------------------------
 
@@ -117,22 +105,22 @@ class WeylElem:
         """w(beta) for a root in the simple-root basis."""
         rs = self.root_system
         beta = tuple(beta)
-        for i in reversed(self._reduced_word()):
+        for i in reversed(self._word):
             beta = rs.reflect_root(i, beta)
         return beta
 
     def compose(self, other):
         """w o other (other acts first)."""
         assert self.root_system is other.root_system
-        return WeylElem(self.root_system, _matmul(self.matrix, other.matrix))
+        return _element(self.root_system, _matvec(self.matrix, other.rho))
 
     def inverse(self):
-        word = self._reduced_word()[::-1]
-        return WeylElem(self.root_system, _word_matrix(self.root_system, word), word)
+        rs = self.root_system
+        return _element(rs, _reflect_along(rs, self._word, rs.rho.coords))
 
     @property
     def length(self):
-        return len(self._reduced_word())
+        return len(self._word)
 
     def is_minimal_rep(self, P):
         """w in W^P: w(alpha_i) positive for every alpha_i in Delta(P).
@@ -142,26 +130,12 @@ class WeylElem:
         the reduced word read backwards, so its letters act first to last.
         """
         rs = self.root_system
-        inv_rho = _reflect_along(rs, self._reduced_word(), rs.rho.coords)
+        inv_rho = _reflect_along(rs, self._word, rs.rho.coords)
         return all(inv_rho[i - 1] > 0 for i in P.delta_P)
-
-    def rho_image(self):
-        """w(rho) in fundamental coordinates: the row sums of the matrix.
-        rho is regular, so this determines w."""
-        return tuple(sum(row) for row in self.matrix)
-
-    def _reduced_word(self):
-        """The word given at construction, else the rho walk's word."""
-        if self._word is None:
-            rs = self.root_system
-            end, word = rs.dominant_walk(self.rho_image())
-            assert end == rs.rho.coords, (self.matrix, end)
-            self._word = word
-        return self._word
 
     def word(self):
         """A reduced word, as a list of 1-based simple indices."""
-        return list(self._reduced_word())
+        return list(self._word)
 
     def word_str(self):
         w = self.word()
@@ -192,23 +166,21 @@ class CoverDatum:
 
 
 def identity(rs):
-    return WeylElem(rs, _word_matrix(rs, ()), ())
+    return weyl_group(rs).elements[0]
 
 
 def simple_reflection(rs, i):
-    """s_i acting on fundamental coordinates (1-based i)."""
-    return WeylElem(rs, _word_matrix(rs, (i,)), (i,))
+    """s_i (1-based i)."""
+    return _element(rs, _reflect_along(rs, (i,), rs.rho.coords))
 
 
 def reflection(rs, beta):
-    """s_beta for any root beta (simple-root basis), as a matrix."""
-    # s_beta(omega_j) = omega_j - <omega_j, beta^vee> beta, and
-    # <omega_j, beta^vee> is the j-th coroot coordinate
-    co = rs.coroot(beta)
+    """s_beta for any root beta (simple-root basis)."""
+    # s_beta(rho) = rho - <rho, beta^vee> beta, and <rho, beta^vee> is the
+    # sum of the coroot coordinates
+    h = sum(rs.coroot(beta))
     bw = rs.root_to_weight(beta).coords
-    n = rs.rank
-    mat = [[int(r == j) - bw[r] * co[j] for j in range(n)] for r in range(n)]
-    return WeylElem(rs, mat)
+    return _element(rs, (r - h * b for r, b in zip(rs.rho.coords, bw)))
 
 
 _WORD_RE = re.compile(r"s_?(\d+)")
@@ -226,31 +198,44 @@ def parse_word(rs, text):
     for i in letters:
         if not 1 <= i <= rs.rank:
             raise ValueError(f"simple index {i} out of range in {text!r}")
-    # a typed word need not be reduced, so the element finds its own
-    return WeylElem(rs, _word_matrix(rs, letters))
+    # a typed word need not be reduced: look up where it sends rho
+    return _element(rs, _reflect_along(rs, letters[::-1], rs.rho.coords))
 
 
 class WeylGroup:
-    """Full enumeration of W, ordered by (length, canonical form)."""
+    """Full enumeration of W, ordered by (length, matrix)."""
 
     def __init__(self, rs):
+        """Walk W layer by layer from the identity: s_i w, for w in a layer,
+        joins the next one where coordinate i of w(rho) is positive and is
+        the first negative coordinate of s_i w(rho). Its matrix is w's with
+        row r less a[r][i] times row i, and each layer is sorted by matrix."""
         self.root_system = rs
-        gens = [simple_reflection(rs, i) for i in range(1, rs.rank + 1)]
-        e = identity(rs)
-        seen = {e.matrix: e}
-        frontier = [e]
-        while frontier:
+        a = rs.cartan_matrix
+        n = rs.rank
+        one = tuple(tuple(int(r == j) for j in range(n)) for r in range(n))
+        layer = [(one, tuple(rs.rho.coords), ())]
+        self.elements = []
+        while layer:
+            layer.sort()  # by matrix: no two elements share one
+            self.elements += [WeylElem(rs, m, c, word) for m, c, word in layer]
             nxt = []
-            for w in frontier:
-                for s in gens:
-                    ws = w.compose(s)
-                    if ws.matrix not in seen:
-                        seen[ws.matrix] = ws
-                        nxt.append(ws)
-            frontier = nxt
-        self.elements = sorted(seen.values(), key=lambda w: (w.length, w.matrix))
+            for m, c, word in layer:
+                for i, ci in enumerate(c):
+                    if ci < 0:
+                        continue
+                    v = tuple(x - ci * ar[i] for x, ar in zip(c, a))
+                    if any(x < 0 for x in v[:i]):
+                        continue
+                    mi = m[i]
+                    m2 = tuple(
+                        tuple(x - ar[i] * y for x, y in zip(row, mi)) if ar[i] else row
+                        for row, ar in zip(m, a)
+                    )
+                    nxt.append((m2, v, (i + 1,) + word))
+            layer = nxt
         # w(rho) -> position in ``elements``
-        self.by_rho = {w.rho_image(): i for i, w in enumerate(self.elements)}
+        self.by_rho = {w.rho: i for i, w in enumerate(self.elements)}
         self.longest = self.elements[-1]
         self._rows = {}  # id -> cover_row
         # (gamma, gamma^vee, gamma as a weight) per positive root
@@ -266,7 +251,7 @@ class WeylGroup:
         return iter(self.elements)
 
     def id_of(self, w):
-        return self.by_rho[w.rho_image()]
+        return self.by_rho[w.rho]
 
     def cover_row(self, xid):
         """The Bruhat covers of element ``xid`` as (lower, upper): pairs
@@ -276,7 +261,7 @@ class WeylGroup:
         got = self._rows.get(xid)
         if got is None:
             x = self.elements[xid]
-            x_rho, lx = x.rho_image(), x.length
+            x_rho, lx = x.rho, x.length
             lower, upper = [], []
             for gamma, co, gw in self._roots:
                 h = sum(map(mul, co, x_rho))
@@ -303,8 +288,8 @@ def require_minimal_rep(w, P):
 
 @lru_cache(maxsize=None)
 def minimal_reps(P):
-    """W^P as a tuple, ordered by (length, canonical form); one scan of W
-    per parabolic."""
+    """W^P as a tuple, ordered by (length, matrix); one scan of W per
+    parabolic."""
     W = weyl_group(P.root_system)
     reps = tuple(w for w in W if w.is_minimal_rep(P))
     assert len(reps) * (len(W) // len(reps)) == len(W)

@@ -5,13 +5,8 @@ import pytest
 
 from eigencone import schubert as sc
 from eigencone.rootdata import ParabolicSpec, build_root_system
-from eigencone.weyl import (
-    identity,
-    minimal_reps,
-    parse_word,
-    reflection,
-    weyl_group,
-)
+from eigencone.weyl import identity, minimal_reps, parse_word, weyl_group
+from test_weyl import matmul, matrix_length, reflection_matrix
 
 
 def test_codim(d4, p2, uvw):
@@ -226,7 +221,7 @@ def test_longest_levi_element(label):
             w0p = W.elements[W.by_rho[sc._levi_rho(P)]]
             assert w0p.length == len(P.levi_positive_roots)
             # the matrix route: w_0 = w_0^P w_{0,P}
-            assert w0p == minimal_reps(P)[-1].inverse().compose(W.longest)
+            assert matmul(minimal_reps(P)[-1].matrix, w0p.matrix) == W.longest.matrix
             for k in P.complement:
                 assert w0p.act(rs.omega(k)) == rs.omega(k)
 
@@ -241,10 +236,11 @@ def test_dual_id_against_matrix_products(label):
     for k in range(1, rs.rank + 1):
         P = ParabolicSpec.maximal(rs, k)
         w0p = W.elements[W.by_rho[sc._levi_rho(P)]]
-        assert w0p == minimal_reps(P)[-1].inverse().compose(W.longest)
+        assert matmul(minimal_reps(P)[-1].matrix, w0p.matrix) == W.longest.matrix
         for w in minimal_reps(P):
             xid = sc._dual_id(w, P, table)
-            assert xid == W.id_of(W.longest.compose(w).compose(w0p))
+            want = matmul(matmul(W.longest.matrix, w.matrix), w0p.matrix)
+            assert W.elements[xid].matrix == want
             assert sc._dual_id(W.elements[xid], P, table) == W.id_of(w)
 
 
@@ -258,11 +254,12 @@ def test_chevalley_data_against_reflection_route(label):
     for xid, x in enumerate(W.elements):
         lower, upper = [], []
         for gamma in rs.positive_roots:
-            y = reflection(rs, gamma).compose(x)
-            if y.length == x.length - 1:
-                lower.append((gamma, y.matrix))
-            elif y.length == x.length + 1:
-                upper.append((gamma, y.matrix))
+            y = matmul(reflection_matrix(rs, gamma), x.matrix)
+            ly = matrix_length(rs, y)
+            if ly == x.length - 1:
+                lower.append((gamma, y))
+            elif ly == x.length + 1:
+                upper.append((gamma, y))
         got_lower, got_upper = W.cover_row(xid)
         assert [(g, W.elements[y].matrix) for g, y in got_lower] == lower
         assert [(g, W.elements[y].matrix) for g, y in got_upper] == upper

@@ -4,6 +4,102 @@ from eigencone import weyl as wl
 from eigencone.rootdata import ParabolicSpec, build_root_system, pair
 
 
+# Matrix references that do not go through ``WeylGroup.by_rho``: the library
+# makes every element by looking up its image of rho, so these multiply the
+# weight-lattice matrices themselves. test_schubert.py imports them too.
+
+def matmul(a, b):
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b))
+        for row in a
+    )
+
+
+def unit_matrix(n):
+    return tuple(tuple(int(r == j) for j in range(n)) for r in range(n))
+
+
+def reflection_matrix(rs, beta):
+    """s_beta(omega_j) = omega_j - <omega_j, beta^vee> beta, and
+    <omega_j, beta^vee> is the j-th coroot coordinate."""
+    co = rs.coroot(beta)
+    bw = rs.root_to_weight(beta).coords
+    n = rs.rank
+    return tuple(
+        tuple(int(r == j) - bw[r] * co[j] for j in range(n)) for r in range(n)
+    )
+
+
+def matrix_length(rs, m):
+    """l(w) from w's matrix: the positive roots beta with
+    <w(rho), beta^vee> < 0, where w(rho) is the row sums."""
+    w_rho = rs.weight([sum(row) for row in m])
+    return sum(1 for b in rs.positive_roots if pair(w_rho, b) < 0)
+
+
+def matrix_closure(rs):
+    """(length, matrix) over W, sorted: the closure of the identity under
+    right multiplication by the simple reflection matrices, breadth first,
+    so that an element's length is its distance from the identity."""
+    gens = [reflection_matrix(rs, b) for b in rs.simple_roots]
+    e = unit_matrix(rs.rank)
+    dist = {e: 0}
+    frontier = [e]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for s in gens:
+                ms = matmul(m, s)
+                if ms not in dist:
+                    dist[ms] = dist[m] + 1
+                    nxt.append(ms)
+        frontier = nxt
+    return sorted((d, m) for m, d in dist.items())
+
+
+@pytest.mark.parametrize(
+    "label",
+    ["A1", "A2", "B2", "G2", "A3", "B3", "C3", "A4", "D4", "F4", "A1xA1xA1"],
+)
+def test_weyl_group_against_matrix_closure(label):
+    # the w(rho) walk against the matrix closure it replaced: the same
+    # elements in the same (length, matrix) order, the same index by w(rho),
+    # and the words the rho walk reads off
+    rs = build_root_system(label)
+    W = wl.weyl_group(rs)
+    ref = matrix_closure(rs)
+    assert [(w.length, w.matrix) for w in W] == ref
+    assert W.by_rho == {
+        tuple(sum(row) for row in m): i for i, (_, m) in enumerate(ref)
+    }
+    for w in W:
+        end, word = rs.dominant_walk(w.rho)
+        assert end == rs.rho.coords and tuple(w.word()) == word
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", "B3"])
+def test_lookups_against_matrices(label):
+    # compose, simple_reflection and reflection are lookups by the image of
+    # rho; their matrices must be the products and the coroot formula
+    rs = build_root_system(label)
+    W = wl.weyl_group(rs)
+    for beta in rs.positive_roots:
+        assert wl.reflection(rs, beta).matrix == reflection_matrix(rs, beta)
+    for i, alpha in enumerate(rs.simple_roots, 1):
+        assert wl.simple_reflection(rs, i).matrix == reflection_matrix(rs, alpha)
+    for u in W:
+        for v in W:
+            assert u.compose(v).matrix == matmul(u.matrix, v.matrix)
+
+
+def test_unreduced_words_resolve_to_group_elements():
+    a2 = build_root_system("A2")
+    W = wl.weyl_group(a2)
+    assert wl.parse_word(a2, "s1 s1") is wl.identity(a2)
+    assert wl.parse_word(a2, "s1 s2 s1") is wl.parse_word(a2, "s2 s1 s2")
+    assert wl.parse_word(a2, "s2 s1 s2") is W.longest
+
+
 def test_simple_reflection_fixes_other_fundamentals(d4):
     for i in range(1, 5):
         s = wl.simple_reflection(d4, i)
@@ -57,15 +153,15 @@ def test_uvw_are_minimal_reps(p2, uvw):
 
 def test_covers_of_v(d4, p2, uvw):
     _, v, _ = uvw
-    s3v = wl.simple_reflection(d4, 3).compose(v)
+    s3v = matmul(reflection_matrix(d4, (0, 0, 1, 0)), v.matrix)
     cv = wl.covers(v, p2)
-    hit = [c for c in cv if c.lower == s3v]
+    hit = [c for c in cv if c.lower.matrix == s3v]
     assert len(hit) == 1
     assert hit[0].simple and hit[0].beta == (0, 0, 1, 0)
     for c in cv:
         assert c.upper == v
         assert c.lower.length == v.length - 1
-        assert wl.reflection(d4, c.beta).compose(c.lower) == v
+        assert matmul(reflection_matrix(d4, c.beta), c.lower.matrix) == v.matrix
 
 
 def test_covers_a1():
@@ -196,20 +292,18 @@ def test_word_composition_order(d4):
 
 @pytest.mark.parametrize("label", ["A2", "B3", "C3", "G2", "D4", "F4", "A1xA1xA1"])
 def test_weyl_layer_against_independent_routes(label):
-    # the rho walk gives words, lengths, inverses and root actions; check
-    # each against a route that does not use it
+    # the w(rho) walk gives words and lengths, inverses are looked up by
+    # w^-1(rho), and root actions follow the word; check each against a
+    # route that does none of these
     rs = build_root_system(label)
-    rho = rs.rho
-    positive = rs.positive_roots
     for w in wl.weyl_group(rs):
-        w_rho = w.act(rho)
-        assert w.length == sum(1 for b in positive if pair(w_rho, b) < 0)
-        prod = wl.identity(rs)
+        assert w.length == matrix_length(rs, w.matrix)
+        prod = unit_matrix(rs.rank)
         for i in w.word():
-            prod = prod.compose(wl.simple_reflection(rs, i))
-        assert prod.matrix == w.matrix
-        assert w.compose(w.inverse()) == wl.identity(rs)
-        for b in positive:
+            prod = matmul(prod, reflection_matrix(rs, rs.simple_roots[i - 1]))
+        assert prod == w.matrix
+        assert matmul(w.matrix, w.inverse().matrix) == unit_matrix(rs.rank)
+        for b in rs.positive_roots:
             assert rs.root_to_weight(w.act_root(b)) == w.act(rs.root_to_weight(b))
 
 
