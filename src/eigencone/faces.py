@@ -114,7 +114,6 @@ def _int_block(w, k):
 
 @lru_cache(maxsize=None)
 def _facets_cached(rs, s, quotient):
-    table = schubert.product_table(rs)
     out = []
     for k in range(1, rs.rank + 1):
         P = ParabolicSpec.maximal(rs, k)
@@ -132,15 +131,17 @@ def _facets_cached(rs, s, quotient):
             for head in itertools.product(*(by_codim[c] for c in parts)):
                 # the last factor must close both the codimension and the gap
                 need = e.gaps[k] - sum(x.gaps[k] for x in head)
+                product = None  # formed for the first last factor tested
                 for last in by_key.get((rest, need), ()):
                     tup = tuple(x.w for x in head) + (last.w,)
                     if quotient:
-                        key = tuple(sorted(w.matrix for w in tup))
+                        key = tuple(sorted(w.rho for w in tup))
                         if key in seen:
                             continue
                         seen.add(key)
-                    ids = [x.pid for x in head] + [last.pid]
-                    if table.point_coefficient(ids, e.pid) == 1:
+                    if product is None:
+                        product = schubert.head_product(head, P)
+                    if schubert.duality_coeff(product, last, P) == 1:
                         out.append(FaceSpec(s, P, tup))
     return tuple(out)
 

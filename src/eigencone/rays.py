@@ -28,7 +28,7 @@ from operator import add, mul, sub
 from . import cone, faces, linalg, schubert
 from .linalg import clear_denominators
 from .rootdata import Weight
-from .weyl import covers, cover_test, weyl_group
+from .weyl import covers, cover_test, simple_cover, weyl_group
 
 __all__ = [
     "RayTuple",
@@ -139,24 +139,24 @@ def _find_cover(face, j, v):
 def _divisor_formula(face, j, v):
     """Intersection-number coordinates of the divisor attached to replacing
     w_j by its codimension-one sub-cell v: coordinate ell of entry k is the
-    point coefficient of the tuple with u_k moved up to s_ell u_k."""
+    point coefficient of the tuple with u_k moved up to s_ell u_k, read off
+    the product of the other entries."""
     rs = face.root_system
-    W = weyl_group(rs)
     classes = schubert.class_table(face.P)
-    point = next(iter(classes.values())).pid
-    product = schubert.product_table(rs)
     us = list(face.words)
     us[j - 1] = v
-    ids = [classes[u].pid for u in us]
+    entries = [classes[u] for u in us]
     lams = []
     for kpos, u in enumerate(us):
         coords = [0] * rs.rank
-        upper = dict(W.cover_row(W.id_of(u))[1])
+        head = None
         for ell in range(1, rs.rank + 1):
             if cover_test(u, ell, face.P):
-                up = classes[W.elements[upper[rs.simple_roots[ell - 1]]]]
-                hatted = ids[:kpos] + [up.pid] + ids[kpos + 1:]
-                coords[ell - 1] = product.point_coefficient(hatted, point)
+                if head is None:
+                    head = schubert.head_product(
+                        entries[:kpos] + entries[kpos + 1:], face.P)
+                up = classes[simple_cover(u, ell)]
+                coords[ell - 1] = schubert.duality_coeff(head, up, face.P)
         lams.append(rs.weight(coords))
     return RayTuple(tuple(lams), "basic")
 

@@ -13,12 +13,17 @@ degree by degree, and arbitrary products recurse through that expression.
 All of it runs in integers. The Chevalley rule reads its covers from the
 Weyl group's cover table, which multiplies on the left: the cover
 x -> x s_beta is s_gamma x with gamma = x(beta), and its coefficient
-<omega_k, beta^vee> is <x omega_k, gamma^vee>. Each degree is solved by
-fraction-free row reduction, and each class keeps integer numerators over
-one denominator, which a product divides out exactly once.
+<omega_k, beta^vee> is <x omega_k, gamma^vee>, stored with the cover. Each
+degree is solved by fraction-free row reduction, and each class keeps
+integer numerators over one denominator, which a product divides out
+exactly once.
 
 ``class_table(P)`` is the one table of the classes of H*(G/P): codimension,
 product-table id and integer degree-gap terms, read by every caller.
+
+A point coefficient needs no product with the last factor: by Poincare
+duality it is one coefficient of the product of the others
+(``duality_coeff``).
 """
 
 from __future__ import annotations
@@ -38,6 +43,8 @@ __all__ = [
     "product_table",
     "class_table",
     "cup",
+    "head_product",
+    "duality_coeff",
     "multi_coeff",
     "chi",
     "levi_movable",
@@ -100,15 +107,14 @@ class ProductTable:
 
         Chevalley's rule sums over the upper covers s_gamma x of x; the
         coefficient <omega_k, (x^-1 gamma)^vee> equals <x omega_k, gamma^vee>,
-        and x omega_k is column k of x's matrix.
+        entry k of the cover's Chevalley vector.
         """
-        W = self.W
-        coroot = self.root_system.coroot
+        cover_row = self.W.cover_row
+        k -= 1
         out = {}
         for xid, c in vec.items():
-            col = [row[k - 1] for row in W.elements[xid].matrix]
-            for gamma, yid in W.cover_row(xid)[1]:
-                coeff = sum(map(mul, coroot(gamma), col))
+            for yid, chev in cover_row(xid)[1]:
+                coeff = chev[k]
                 if coeff:
                     out[yid] = out.get(yid, 0) + c * coeff
         return {w: c for w, c in out.items() if c}
@@ -186,15 +192,6 @@ class ProductTable:
                     result[w] = q
         self._products[key] = result
         return result
-
-    def point_coefficient(self, ids, point):
-        """c with sigma_{ids[0]} * .. * sigma_{ids[-1]} = c sigma_point, for
-        classes whose degrees add up to the degree of ``point``."""
-        vec = {ids[0]: 1}
-        for i in ids[1:]:
-            vec = self.product_vec(vec, {i: 1})
-        assert all(xid == point for xid in vec), "product left the expected span"
-        return vec.get(point, 0)
 
     def product_vec(self, vec_a, vec_b):
         out = {}
@@ -286,6 +283,31 @@ def cup(u, v, P):
     return SchubertClass(P, coeffs, a.codim + b.codim)
 
 
+def head_product(entries, P):
+    """(total codimension, product in H*(G/B) as {id: int}) of the classes of
+    some class-table entries of P; no entries give the unit, whose id is 0."""
+    table = product_table(P.root_system)
+    vec = {entries[0].pid: 1} if entries else {0: 1}
+    for x in entries[1:]:
+        vec = table.product_vec(vec, {x.pid: 1})
+    return sum(x.codim for x in entries), vec
+
+
+def duality_coeff(head, last, P):
+    """The integer c with (``head_product``) * (class of ``last``) = c [point].
+
+    By Poincare duality on G/P, c is the coefficient in the head product of
+    the class dual to ``last``, whose pullback id is the id of last.w itself.
+    Codimensions must sum exactly to dim G/P; a mismatch is an error, not 0.
+    """
+    total = head[0] + last.codim
+    if total != P.dim_flag:
+        raise CodimensionError(
+            f"codimensions sum to {total}, expected {P.dim_flag}"
+        )
+    return head[1].get(weyl_group(P.root_system).id_of(last.w), 0)
+
+
 def multi_coeff(words, P):
     """The integer c with product of the classes of w_i equal to c [point].
 
@@ -294,14 +316,9 @@ def multi_coeff(words, P):
     """
     classes = class_table(P)
     entries = [classes[w] for w in words]
-    total = sum(x.codim for x in entries)
-    if total != P.dim_flag:
-        raise CodimensionError(
-            f"codimensions sum to {total}, expected {P.dim_flag}"
-        )
-    point = next(iter(classes.values())).pid
-    return product_table(P.root_system).point_coefficient(
-        [x.pid for x in entries], point)
+    if not entries:
+        raise CodimensionError("no classes to multiply")
+    return duality_coeff(head_product(entries[:-1], P), entries[-1], P)
 
 
 def chi(w, P):

@@ -16,6 +16,10 @@ element's position from it. Every other constructor -- ``identity``,
 ``simple_reflection``, ``reflection``, ``parse_word``, ``WeylElem.inverse``
 and ``WeylElem.compose`` -- computes an image of rho and looks it up.
 
+W^P is the orbit of lambda_P = sum of omega_k over k outside Delta(P), whose
+stabilizer is W_P: ``minimal_reps`` walks it from lambda_P, carrying w(rho)
+to find each element, and W^P is computed nowhere else.
+
 Orientation conventions, fixed once:
 
 * words compose so that the leftmost letter acts last: "s4 s3 s1 s2" is the
@@ -44,6 +48,7 @@ __all__ = [
     "require_minimal_rep",
     "minimal_reps",
     "covers",
+    "simple_cover",
     "cover_test",
     "inversion_set",
 ]
@@ -123,15 +128,8 @@ class WeylElem:
         return len(self._word)
 
     def is_minimal_rep(self, P):
-        """w in W^P: w(alpha_i) positive for every alpha_i in Delta(P).
-
-        <w^-1 rho, alpha_i^vee> = <rho, w(alpha_i)^vee>, so that holds iff
-        the i-th fundamental coordinate of w^-1(rho) is positive; w^-1 is
-        the reduced word read backwards, so its letters act first to last.
-        """
-        rs = self.root_system
-        inv_rho = _reflect_along(rs, self._word, rs.rho.coords)
-        return all(inv_rho[i - 1] > 0 for i in P.delta_P)
+        """w in W^P: w(alpha_i) positive for every alpha_i in Delta(P)."""
+        return weyl_group(self.root_system).by_rho[self.rho] in _rep_ids(P)
 
     def word(self):
         """A reduced word, as a list of 1-based simple indices."""
@@ -238,6 +236,7 @@ class WeylGroup:
         self.by_rho = {w.rho: i for i, w in enumerate(self.elements)}
         self.longest = self.elements[-1]
         self._rows = {}  # id -> cover_row
+        self._chev = {}  # each Chevalley vector of an upper cover, once
         # (gamma, gamma^vee, gamma as a weight) per positive root
         self._roots = [
             (g, rs.coroot(g), rs.root_to_weight(g).coords)
@@ -254,14 +253,16 @@ class WeylGroup:
         return self.by_rho[w.rho]
 
     def cover_row(self, xid):
-        """The Bruhat covers of element ``xid`` as (lower, upper): pairs
-        (gamma, id of s_gamma x) over the positive roots gamma, in order, with
-        l(s_gamma x) = l(x) - 1, resp. l(x) + 1. Filled on first use from
-        s_gamma x(rho) = x(rho) - <x(rho), gamma^vee> gamma."""
+        """The Bruhat covers of element ``xid`` as (lower, upper): lower holds
+        pairs (gamma, id of s_gamma x) over the positive roots gamma, in
+        order, with l(s_gamma x) = l(x) - 1; upper holds pairs (id of
+        s_gamma x, Chevalley vector) with l(s_gamma x) = l(x) + 1, where
+        entry k of the vector is <x omega_k, gamma^vee>. Filled on first use
+        from s_gamma x(rho) = x(rho) - <x(rho), gamma^vee> gamma."""
         got = self._rows.get(xid)
         if got is None:
             x = self.elements[xid]
-            x_rho, lx = x.rho, x.length
+            x_rho, lx, cols = x.rho, x.length, tuple(zip(*x.matrix))
             lower, upper = [], []
             for gamma, co, gw in self._roots:
                 h = sum(map(mul, co, x_rho))
@@ -270,7 +271,10 @@ class WeylGroup:
                 if ly == lx - 1:
                     lower.append((gamma, yid))
                 elif ly == lx + 1:
-                    upper.append((gamma, yid))
+                    # column k of x's matrix holds x omega_k; equal vectors
+                    # are stored once
+                    chev = tuple(sum(map(mul, co, col)) for col in cols)
+                    upper.append((yid, self._chev.setdefault(chev, chev)))
             got = self._rows[xid] = (lower, upper)
         return got
 
@@ -287,35 +291,64 @@ def require_minimal_rep(w, P):
 
 
 @lru_cache(maxsize=None)
+def _rep_ids(P):
+    """The ids of W^P, by a walk over the orbit of lambda_P from lambda_P.
+
+    For w in W^P, s_i w is longer and again in W^P exactly where coordinate
+    i of w(lambda_P) is positive. Each layer maps w(lambda_P) to w(rho),
+    which finds the element, and s_i moves both images."""
+    rs = P.root_system
+    W = weyl_group(rs)
+    lam = tuple(int(k not in P.delta_P) for k in range(1, rs.rank + 1))
+    layer = {lam: tuple(rs.rho.coords)}
+    ids = set()
+    while layer:
+        ids.update(W.by_rho[rho] for rho in layer.values())
+        nxt = {}
+        for mu, rho in layer.items():
+            for i, c in enumerate(mu):
+                if c > 0:
+                    mu2 = tuple(_reflect_along(rs, (i + 1,), mu))
+                    if mu2 not in nxt:
+                        nxt[mu2] = tuple(_reflect_along(rs, (i + 1,), rho))
+        layer = nxt
+    return frozenset(ids)
+
+
+@lru_cache(maxsize=None)
 def minimal_reps(P):
-    """W^P as a tuple, ordered by (length, matrix); one scan of W per
-    parabolic."""
+    """W^P as a tuple, ordered by (length, matrix) as W is."""
     W = weyl_group(P.root_system)
-    reps = tuple(w for w in W if w.is_minimal_rep(P))
-    assert len(reps) * (len(W) // len(reps)) == len(W)
-    return reps
+    return tuple(W.elements[i] for i in sorted(_rep_ids(P)))
 
 
 def covers(w, P):
     """All Bruhat covers v -> w with v in W^P (w = s_beta v, codimension one)."""
     require_minimal_rep(w, P)
     W = weyl_group(P.root_system)
+    reps = _rep_ids(P)
     out = [
         CoverDatum(W.elements[vid], w, beta)
         for beta, vid in W.cover_row(W.id_of(w))[0]
-        if W.elements[vid].is_minimal_rep(P)
+        if vid in reps
     ]
     return sorted(out, key=lambda c: (c.lower.matrix, c.beta))
 
 
+def simple_cover(u, ell):
+    """s_ell u if it covers u, else None: s_ell u(rho) = u(rho) - c alpha_ell
+    with c coordinate ell of u(rho), and it is longer iff c is positive."""
+    if u.rho[ell - 1] <= 0:
+        return None
+    return _element(u.root_system, _reflect_along(u.root_system, (ell,), u.rho))
+
+
 def cover_test(u, ell, P):
-    """Does u -> s_ell u stay a cover inside W^P: is s_ell u among the
-    upper entries of u's cover row, and in W^P?"""
-    rs = P.root_system
+    """Does u -> s_ell u stay a cover inside W^P: is s_ell u longer than u,
+    and in W^P?"""
     require_minimal_rep(u, P)
-    W = weyl_group(rs)
-    su = dict(W.cover_row(W.id_of(u))[1]).get(rs.simple_roots[ell - 1])
-    return su is not None and W.elements[su].is_minimal_rep(P)
+    su = simple_cover(u, ell)
+    return su is not None and su.is_minimal_rep(P)
 
 
 def inversion_set(v):

@@ -39,9 +39,66 @@ def test_cover_triple_intersection(d4, p2, uvw):
 
 
 def test_codim_mismatch_raises(p2, uvw):
-    u, v, _ = uvw
+    u, v, w = uvw
     with pytest.raises(sc.CodimensionError):
         sc.multi_coeff([u, v], p2)
+    classes = sc.class_table(p2)
+    head = sc.head_product([classes[u], classes[v]], p2)
+    with pytest.raises(sc.CodimensionError, match="sum to 12, expected 9"):
+        sc.duality_coeff(head, classes[u], p2)
+
+
+def test_divisor_formula_codim_mismatch_raises(main_face):
+    # with w_1 left in place, every hatted tuple falls one codimension short
+    from eigencone import rays
+    with pytest.raises(sc.CodimensionError):
+        rays._divisor_formula(main_face, 1, main_face.words[0])
+
+
+def _coefficient_by_products(entries, P):
+    """Reference: multiply every class in H*(G/B), then read the coefficient
+    of the point class, the pullback of the identity's class."""
+    table = sc.product_table(P.root_system)
+    vec = {entries[0].pid: 1}
+    for x in entries[1:]:
+        vec = table.product_vec(vec, {x.pid: 1})
+    point = next(iter(sc.class_table(P).values())).pid
+    assert set(vec) <= {point}
+    return vec.get(point, 0)
+
+
+def _admissible_tuples(P, s):
+    """Every s-tuple of class-table entries whose codimensions sum to dim G/P
+    and whose degree gap vanishes: the tuples the enumeration tests."""
+    entries = list(sc.class_table(P).values())
+    e = entries[0]
+    for tup in itertools.product(entries, repeat=s):
+        if sum(x.codim for x in tup) != P.dim_flag:
+            continue
+        if all(sum(x.gaps[k] for x in tup) == g for k, g in e.gaps.items()):
+            yield tup
+
+
+# the coefficients met, capped at 2: together they cover 0, 1 and >= 2
+@pytest.mark.parametrize("label,s,values", [
+    ("A2", 3, {1}), ("B3", 3, {0, 1, 2}), ("C3", 3, {0, 1, 2}),
+    ("G2", 3, {1, 2}), ("D4", 3, {0, 1, 2}), ("A2", 4, {1}), ("B3", 4, {0, 1, 2}),
+])
+def test_duality_coeff_against_full_products(label, s, values):
+    # the duality route reads one coefficient off the product of all but
+    # the last factor; the reference multiplies all s classes
+    rs = build_root_system(label)
+    seen = set()
+    for k in range(1, rs.rank + 1):
+        P = ParabolicSpec.maximal(rs, k)
+        pids = {x.pid for x in sc.class_table(P).values()}
+        for tup in _admissible_tuples(P, s):
+            head = sc.head_product(tup[:-1], P)
+            assert set(head[1]) <= pids  # pulled back from G/P
+            got = sc.duality_coeff(head, tup[-1], P)
+            assert got == _coefficient_by_products(tup, P)
+            seen.add(min(got, 2))
+    assert seen == values
 
 
 def test_words_outside_w_p_rejected(d4, p2, uvw):
@@ -262,16 +319,15 @@ def test_chevalley_data_against_reflection_route(label):
                 upper.append((gamma, y))
         got_lower, got_upper = W.cover_row(xid)
         assert [(g, W.elements[y].matrix) for g, y in got_lower] == lower
-        assert [(g, W.elements[y].matrix) for g, y in got_upper] == upper
         # Chevalley: sigma_{s_k} sigma_x has coefficient <omega_k, beta^vee>
-        # at x s_beta = s_gamma x, where beta = x^-1 gamma
+        # at x s_beta = s_gamma x, where beta = x^-1 gamma; each upper entry
+        # carries these coefficients over k
         xinv = x.inverse()
+        upper = [(y, tuple(rs.coroot(xinv.act_root(g)))) for g, y in upper]
+        assert [(W.elements[y].matrix, chev) for y, chev in got_upper] == upper
+        ids = {w.matrix: i for i, w in enumerate(W.elements)}
         for k in range(1, rs.rank + 1):
-            want = {}
-            for gamma, yid in got_upper:
-                coeff = rs.coroot(xinv.act_root(gamma))[k - 1]
-                if coeff:
-                    want[yid] = coeff
+            want = {ids[y]: chev[k - 1] for y, chev in upper if chev[k - 1]}
             assert table._mult_degree_one(k, {xid: 1}) == want
 
 

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from eigencone import weyl as wl
@@ -307,18 +309,24 @@ def test_weyl_layer_against_independent_routes(label):
             assert rs.root_to_weight(w.act_root(b)) == w.act(rs.root_to_weight(b))
 
 
-@pytest.mark.parametrize("label", ["A2", "B3", "C3", "G2", "D4"])
+@pytest.mark.parametrize("label", ["A2", "B3", "C3", "G2", "D4", "F4"])
 def test_minimal_rep_against_root_action(label):
-    # is_minimal_rep reads w^-1(rho); w is in W^P iff w(alpha_i) is a
-    # positive root for every i in Delta(P)
+    # minimal_reps walks the orbit of lambda_P; scan W instead and keep w
+    # where w(alpha_i) is a positive root for every i in Delta(P), on every
+    # standard parabolic
     rs = build_root_system(label)
+    W = wl.weyl_group(rs)
     nodes = range(1, rs.rank + 1)
-    parabolics = [ParabolicSpec(rs, {i}) for i in nodes]
-    parabolics += [ParabolicSpec.maximal(rs, k) for k in nodes]
-    for w in wl.weyl_group(rs):
-        positive = {
-            i for i in nodes
-            if all(x >= 0 for x in w.act_root(rs.simple_roots[i - 1]))
-        }
-        for P in parabolics:
-            assert w.is_minimal_rep(P) == (P.delta_P <= positive)
+    positive = [
+        {i for i in nodes
+         if all(x >= 0 for x in w.act_root(rs.simple_roots[i - 1]))}
+        for w in W
+    ]
+    for size in range(rs.rank + 1):
+        for delta in itertools.combinations(nodes, size):
+            P = ParabolicSpec(rs, delta)
+            want = tuple(w for w, pos in zip(W, positive) if P.delta_P <= pos)
+            assert wl.minimal_reps(P) == want
+            assert len(W) % len(want) == 0
+            for w, pos in zip(W, positive):
+                assert w.is_minimal_rep(P) == (P.delta_P <= pos)
