@@ -22,7 +22,7 @@ from operator import mul
 
 from .rootdata import ParabolicSpec, build_root_system
 from .weyl import covers, parse_word, require_minimal_rep
-from . import schubert
+from . import cone, schubert
 
 __all__ = [
     "FaceSpec",
@@ -187,21 +187,27 @@ def inequality_row(face, k):
     return tuple(Fraction(b, den) for b in _int_row(face, k))
 
 
+@lru_cache(maxsize=None)
+def _cone_hrep(rs, s):
+    """The H-rep of the s-fold tensor cone: the dominance rows, then the
+    ``_int_row`` of every regular facet inequality."""
+    n = s * rs.rank
+    ineqs = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    for f in enumerate_regular_facets(s, rs):
+        ineqs.extend(_int_row(f, k) for k in f.P.complement)
+    return cone.HRep(n, ineqs)
+
+
 def tens_membership(x):
     """Is the weight tuple in the saturated tensor cone: dominant and on the
-    correct side of every regular facet inequality."""
+    correct side of every regular facet inequality, read off one packed
+    evaluation of the cone's H-rep."""
     lams = _weights(x)
     s = len(lams)
     if s < 3:  # checked first: s = 0 leaves no root system to read
         raise ValueError(f"regular facets need s >= 3 factors, got s = {s}")
     rs = _root_system(lams)
-    if not all(l.is_dominant() for l in lams):
-        return False
-    for face in enumerate_regular_facets(s, rs):
-        for k in face.P.complement:
-            if _row_value(face, lams, k) < 0:
-                return False
-    return True
+    return cone.contains(_cone_hrep(rs, s), [c for lam in lams for c in lam.coords])
 
 
 def typeI_pairs(face):

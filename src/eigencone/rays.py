@@ -28,7 +28,7 @@ from operator import add, mul, sub
 from . import cone, faces, linalg, schubert
 from .linalg import clear_denominators
 from .rootdata import Weight
-from .weyl import covers, cover_test, simple_cover, weyl_group
+from .weyl import covers, cover_test, simple_cover
 
 __all__ = [
     "RayTuple",
@@ -75,7 +75,11 @@ class RayTuple:
     @classmethod
     def from_vector(cls, rs, s, vec, tag="user"):
         r = rs.rank
-        assert len(vec) == s * r
+        if len(vec) != s * r:
+            raise ValueError(
+                f"a vector of {len(vec)} coordinates is not {s} weights of "
+                f"rank {r}"
+            )
         ws = tuple(
             Weight(rs, tuple(vec[j * r : (j + 1) * r])) for j in range(s)
         )
@@ -287,16 +291,10 @@ def induct(face, x):
     return _over(rs, den, out, "induced")
 
 
-@lru_cache(maxsize=None)
 def gamma_hrep(rs, s):
     """Full H-representation of the tensor cone: dominance plus every
-    regular facet inequality."""
-    n = s * rs.rank
-    ineqs = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    for f in faces.enumerate_regular_facets(s, rs):
-        for k in f.P.complement:
-            ineqs.append(faces._int_row(f, k))
-    return cone.HRep(n, ineqs)
+    regular facet inequality, assembled once by ``faces._cone_hrep``."""
+    return faces._cone_hrep(rs, s)
 
 
 @lru_cache(maxsize=None)
@@ -449,9 +447,10 @@ def classify_face(face):
 # nu = -w0 lambda_s, in V_1 x .. x V_{s-1}: the factors but two fold by
 # Brauer-Klimyk, and that one coefficient is the Racah-Speiser sum over W
 #     mult(V_nu, V_mu x V_lam) = sum_w det(w) m_lam(w(nu + rho) - mu - rho).
-# Each call reads m_lam from one weight diagram {weight: multiplicity} of
-# the cheapest factor, expanded from the cached dominant table and dropped
-# when the call returns.
+# Each oracle table is computed once per process and kept in an
+# ``lru_cache``: the signed W-orbit of each dominant weight, and the weight
+# diagram {weight: multiplicity} of each highest weight, the one Freudenthal
+# builds. Callers read both and never change them.
 
 
 def _scaled_form(rs):
@@ -485,12 +484,14 @@ def _dominant_weights(rs, lam_coords):
 
 @lru_cache(maxsize=None)
 def _weight_mults(rs, lam_coords):
-    """Dominant weight multiplicities {mu: m} of the irreducible with highest
-    weight lam, by Freudenthal's formula
+    """The weight diagram {weight: multiplicity} of the irreducible with
+    highest weight lam. The dominant multiplicities come from Freudenthal's
+    formula
     m(mu) (lam + mu + 2 rho, lam - mu)
-        = 2 sum_{beta > 0} sum_{t >= 1} m(mu + t beta) (mu + t beta, beta).
-    Each chain term is looked up in the diagram of the weights found so far,
-    and the chain stops at the first miss: root strings of the weights of an
+        = 2 sum_{beta > 0} sum_{t >= 1} m(mu + t beta) (mu + t beta, beta),
+    and once m(mu) is known every weight of mu's W-orbit gets it. Each chain
+    term is looked up in the diagram of the weights found so far, and the
+    chain stops at the first miss: root strings of the weights of an
     irreducible module are unbroken."""
     form = _scaled_form(rs)
     # (beta as a weight, D_i beta_i, L (beta, beta)), where
@@ -501,7 +502,6 @@ def _weight_mults(rs, lam_coords):
         fb = tuple(map(mul, form, beta))
         roots.append((bw, fb, sum(map(mul, bw, fb))))
     top = tuple(c + 2 for c in lam_coords)  # lam + 2 rho
-    mults = {}
     diagram = {}
     for depth, ks, mu in _dominant_weights(rs, lam_coords):
         m = 1
@@ -526,12 +526,12 @@ def _weight_mults(rs, lam_coords):
                     f"non-integral multiplicity {2 * acc}/{denom} of {mu} in "
                     f"V{lam_coords}"
                 )
-        mults[mu] = m
         for x in _signed_orbit(rs, mu):
             diagram[x] = m
-    return mults
+    return diagram
 
 
+@lru_cache(maxsize=None)
 def _signed_orbit(rs, coords):
     """{w(coords): (-1)^k} over the W-orbit of a dominant weight, k the BFS
     layer over the simple reflections s_i at positive coordinates i. Each
@@ -566,20 +566,10 @@ def _signed_orbit(rs, coords):
     return out
 
 
-def _diagram(rs, lam_coords):
-    """The weight diagram {weight: multiplicity} of V_lam: each dominant
-    weight's multiplicity spread over its W-orbit."""
-    return {
-        x: m
-        for mu, m in _weight_mults(rs, lam_coords).items()
-        for x in _signed_orbit(rs, mu)
-    }
-
-
 def _tensor_decompose(rs, acc, lam_coords):
     """Decompose (sum of irreducibles in acc) tensor V_lam by Brauer-Klimyk:
     summing the weight diagram of V_lam with shifted dominance reflections."""
-    diagram = _diagram(rs, lam_coords)
+    diagram = _weight_mults(rs, lam_coords)
     out = {}
     for nu, mult in acc.items():
         for mu, m in diagram.items():
@@ -599,7 +589,7 @@ def _tensor_decompose(rs, acc, lam_coords):
 def _coefficient(rs, acc, lam_coords, nu):
     """Multiplicity of V_nu in (sum of irreducibles in acc) tensor V_lam, by
     the Racah-Speiser sum over the signed orbit of nu + rho."""
-    diagram = _diagram(rs, lam_coords)
+    diagram = _weight_mults(rs, lam_coords)
     orbit = _signed_orbit(rs, tuple(c + 1 for c in nu))
     total = 0
     for mu, mult in acc.items():
@@ -626,9 +616,9 @@ def invariant_dim(x, max_height=20):
                 f"weight height {w.height()} exceeds the bound {max_height}"
             )
     coords = sorted((tuple(int(c) for c in w.coords) for w in ws), key=sum)
-    # the invariants pair V_last with its dual V_nu inside the other factors
-    w0 = weyl_group(rs).longest
-    nu = (-w0.act(rs.weight(coords.pop()))).coords
+    # the invariants pair V_last with its dual V_nu inside the other
+    # factors; nu = -w0 lam is the dominant translate of -lam
+    nu = rs.dominant_walk(tuple(-c for c in coords.pop()))[0]
     if len(coords) < 2:
         # s <= 2: the other factors are V_0 or one irreducible
         return int(nu == (coords[0] if coords else (0,) * rs.rank))

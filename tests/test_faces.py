@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -89,6 +90,41 @@ def test_tens_membership(d4):
     assert not faces.tens_membership((om(2), zero, zero))
     neg = zero - om(1)
     assert not faces.tens_membership((neg, om(1), om(1)))
+
+
+def _reference_membership(lams):
+    """The per-facet loop: dominant, and x_den times every facet row is
+    >= 0 at the tuple."""
+    if not all(lam.is_dominant() for lam in lams):
+        return False
+    return all(
+        faces._row_value(face, lams, k) >= 0
+        for face in faces.enumerate_regular_facets(len(lams), lams[0].root_system)
+        for k in face.P.complement
+    )
+
+
+@pytest.mark.parametrize("s", [3, 4])
+@pytest.mark.parametrize("label", ["A2", "B3", "C3", "G2", "D4", "B4", "A1xA2"])
+def test_packed_membership_matches_facet_loop(label, s):
+    # integral, half-integral and non-dominant tuples, in turn
+    rs = build_root_system(label)
+    rng = random.Random(2021)
+    draws = (
+        lambda: rng.randint(0, 3),
+        lambda: Fraction(rng.randint(0, 7), 2),
+        lambda: rng.randint(-1, 3),
+    )
+    answers = []
+    for trial in range(45):
+        draw = draws[trial % 3]
+        lams = tuple(
+            rs.weight([draw() for _ in range(rs.rank)]) for _ in range(s)
+        )
+        want = _reference_membership(lams)
+        assert faces.tens_membership(lams) == want, lams
+        answers.append(want)
+    assert any(answers) and not all(answers)
 
 
 def test_typeI_pairs_main(d4, main_face, uvw):

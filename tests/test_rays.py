@@ -34,6 +34,11 @@ def test_ray_tuple_vector_round_trip(d4):
     }
 
 
+def test_ray_tuple_from_vector_rejects_wrong_length(d4):
+    with pytest.raises(ValueError, match="not 3 weights of rank 4"):
+        RayTuple.from_vector(d4, 3, (1,) * 11)
+
+
 def test_basic_divisor_fixture(d4, main_face):
     s3v = parse_word(d4, "s1 s2 s4 s3 s1 s2")
     delta = rays.basic_divisor_class(main_face, 2, s3v)
@@ -681,6 +686,20 @@ def test_invariant_dim_matches_reference(label):
     assert positive >= 3
 
 
+def _reference_diagram(rs, lam):
+    """{weight: multiplicity} of V_lam: the reference dominant table spread
+    over the reference orbits."""
+    return {
+        x: m
+        for mu, m in _reference_weight_mults(rs, lam).items()
+        for x in _reference_orbit(rs, mu)
+    }
+
+
+def _dominant_part(diagram):
+    return {mu: m for mu, m in diagram.items() if min(mu) >= 0}
+
+
 @pytest.mark.parametrize("label", ORACLE_TYPES)
 def test_weight_mults_match_reference_and_weyl_dimension(label):
     rs = build_root_system(label)
@@ -688,8 +707,10 @@ def test_weight_mults_match_reference_and_weyl_dimension(label):
     lams = [tuple(rng.randint(0, 2) for _ in range(rs.rank)) for _ in range(4)]
     lams += [(0,) * rs.rank, (1,) * rs.rank]
     for lam in lams:
-        mults = rays._weight_mults(rs, lam)
+        diagram = rays._weight_mults(rs, lam)
+        mults = _dominant_part(diagram)
         assert mults == _reference_weight_mults(rs, lam)
+        assert diagram == _reference_diagram(rs, lam)
         weight = rs.weight(lam)
         dim = 1
         for beta in rs.positive_roots:
@@ -697,6 +718,7 @@ def test_weight_mults_match_reference_and_weyl_dimension(label):
         assert sum(
             m * len(_reference_orbit(rs, mu)) for mu, m in mults.items()
         ) == dim
+        assert sum(diagram.values()) == dim
 
 
 @pytest.mark.parametrize("label", ORACLE_TYPES + ("A1xA1",))
@@ -717,12 +739,77 @@ def test_diagram_matches_reference_orbits(label):
     lams = [tuple(rng.randint(0, 2) for _ in range(rs.rank)) for _ in range(3)]
     lams += [(0,) * rs.rank, (1,) * rs.rank]
     for lam in lams:
-        want = {
-            x: m
-            for mu, m in _reference_weight_mults(rs, lam).items()
-            for x in _reference_orbit(rs, mu)
-        }
-        assert rays._diagram(rs, lam) == want
+        diagram = rays._weight_mults(rs, lam)
+        assert diagram == _reference_diagram(rs, lam)
+        assert _dominant_part(diagram) == _reference_weight_mults(rs, lam)
+
+
+def _racah_speiser(rs, diagram, mu, nu):
+    """mult(V_nu, V_mu x V_lam), diagram the weight diagram of V_lam, by the
+    Racah-Speiser sum over the elements of W:
+    sum_w det(w) m_lam(w(nu + rho) - mu - rho)."""
+    top = rs.weight(tuple(c + 1 for c in nu))
+    total = 0
+    for w in weyl_group(rs).elements:
+        x = w.act(top).coords
+        m = diagram.get(tuple(a - b - 1 for a, b in zip(x, mu)), 0)
+        total += (-1) ** w.length * m
+    return total
+
+
+def _racah_speiser_product(rs, lams):
+    """V_{lams[0]} x V_{lams[1]} x .. as {highest weight: multiplicity}; each
+    new factor's summands are the dominant kappa + weight of its diagram."""
+    acc = {lams[0]: 1}
+    for lam in lams[1:]:
+        diagram = _reference_diagram(rs, lam)
+        out = {}
+        for kappa, mult in acc.items():
+            tops = {tuple(map(sum, zip(kappa, x))) for x in diagram}
+            for top in tops:
+                if min(top) >= 0:
+                    c = _racah_speiser(rs, diagram, kappa, top)
+                    if c:
+                        out[top] = out.get(top, 0) + mult * c
+        acc = out
+    return acc
+
+
+@pytest.mark.parametrize("label", ORACLE_TYPES + ("A1xA2",))
+def test_invariant_dim_matches_racah_speiser_over_w(label):
+    # V_1 x .. x V_s has as many invariants as V_1 x .. x V_{s-1} has copies
+    # of V_nu, nu = -w0 lam_s, read off Racah-Speiser sums over all of W;
+    # the last factor is the dual of a random summand half of the time
+    rs = build_root_system(label)
+    w0 = weyl_group(rs).longest
+    rng = random.Random(21)
+    top = 2 if rs.rank < 3 else 1
+    cases, wants = [], []
+    for s in (3, 3, 3, 3, 4, 4, 4, 4):
+        lams = [
+            tuple(rng.randint(0, top) for _ in range(rs.rank))
+            for _ in range(s - 1)
+        ]
+        product = _racah_speiser_product(rs, lams)
+        if rng.random() < 0.5:
+            last = tuple(rng.randint(0, top) for _ in range(rs.rank))
+        else:
+            last = (-w0.act(rs.weight(rng.choice(sorted(product))))).coords
+        nu = (-w0.act(rs.weight(last))).coords
+        cases.append(tuple(rs.weight(lam) for lam in lams + [last]))
+        wants.append(product.get(tuple(nu), 0))
+    assert any(wants) and not all(wants)
+    # cold, from emptied oracle tables, then warm, reading the kept ones
+    rays._weight_mults.cache_clear()
+    rays._signed_orbit.cache_clear()
+    for _ in range(2):
+        assert [rays.invariant_dim(ws, max_height=100) for ws in cases] == wants
+
+
+def test_invariant_dim_large_d4():
+    d4 = build_root_system("D4")
+    lam = d4.weight((4, 4, 4, 4))
+    assert rays.invariant_dim((lam, lam, lam), max_height=200) == 24925
 
 
 def test_signed_orbit_signs_are_determinants():

@@ -11,7 +11,6 @@ PACKAGE = ROOT / "src" / "eigencone"
 # entry points that nothing in src/ calls -> where each one is pinned
 ENTRY_POINTS = {
     "cone.is_extremal": "README.md",
-    "cone.contains": "README.md",
     "rays.decompose_on_face": "README.md",
     "faces.inequality_row": "README.md",
     "rootdata.ParabolicSpec.borel": "README.md",
