@@ -64,15 +64,19 @@ def _normalize_rows(rows):
 
 @dataclass
 class HRep:
-    """Homogeneous system {x : ineq . x >= 0, eq . x = 0}."""
+    """Homogeneous system {x : ineq . x >= 0, eq . x = 0}. Each block of rows
+    is normalized once into a ``_Rows``, which keeps its packed columns; a
+    block of another H-rep is shared as it is. Replace blocks, never edit."""
 
     dim: int
     inequalities: list = field(default_factory=list)
     equalities: list = field(default_factory=list)
 
     def __post_init__(self):
-        self.inequalities = _normalize_rows(self.inequalities)
-        self.equalities = _normalize_rows(self.equalities)
+        for name in ("inequalities", "equalities"):
+            rows = getattr(self, name)
+            if not isinstance(rows, _Rows):
+                setattr(self, name, _Rows(_normalize_rows(rows)))
         for row in self.inequalities + self.equalities:
             if len(row) != self.dim:
                 raise ValueError(
@@ -143,25 +147,36 @@ def _unpack(packed, width, bias, m):
     return vals
 
 
-def _l1(rows):
-    """The largest L1 norm of a row: |row . x| <= _l1(rows) * max|x_i|."""
-    return max((sum(map(abs, row)) for row in rows), default=0)
+class _Rows(list):
+    """A block of rows with its largest row L1 norm, so |row . x| <= l1 *
+    max|x_i|, and per field width its packed columns, packed on first use."""
+
+    def __init__(self, rows=()):
+        super().__init__(rows)
+        self.l1 = max((sum(map(abs, row)) for row in self), default=0)
+        self._packs = {}
+
+    def packed(self, width):
+        """The bias and the packed columns at a field width."""
+        if width not in self._packs:
+            bias = _bias(width, len(self))
+            self._packs[width] = bias, [_pack(c, width, bias) for c in zip(*self)]
+        return self._packs[width]
 
 
 def _evaluate(rows, vecs):
     """The slack vector (row . v for every row) of each integer vector v,
     packed, with the field width and bias that decode it.
 
-    The columns of the rows are packed once, so the packed slack vector of
-    v is sum of v_c * (packed column c): n big-integer multiply-adds. The
-    fields hold every slack, as |row . v| <= _l1(rows) * max|v_i|, and every
-    column entry. Field r of packed + bias has its top bit set iff row r is
-    >= 0 at v, and the packed value is 0 iff every row is 0 at v.
+    It is sum of v_c * (packed column c), with the columns packed once per
+    ``_Rows`` block and width. The fields hold every slack, as |row . v| <=
+    rows.l1 * max|v_i|, and every column entry. Field r of packed + bias has
+    its top bit set iff row r is >= 0 at v; packed is 0 iff every row is.
     """
+    rows = rows if isinstance(rows, _Rows) else _Rows(rows)
     top = max((abs(x) for v in vecs for x in v), default=0)
-    width = _width(_l1(rows) * max(top, 1), _START_WIDTH)
-    bias = _bias(width, len(rows))
-    cols = [_pack(col, width, bias) for col in zip(*rows)]
+    width = _width(rows.l1 * max(top, 1), _START_WIDTH)
+    bias, cols = rows.packed(width)
     return [sum(map(mul, v, cols)) for v in vecs], width, bias
 
 
@@ -198,103 +213,110 @@ def _dd(rows, n):
     method revisited", 1996), until no row is violated. Both the work and
     the result therefore depend only on the set of rows.
 
-    Each ray lives in a slot. slack[s] holds the slack vector of the ray in
-    slot s (its integer value on every row) twice: packed into one integer,
-    sum of v_r * 2^(width*r), and decoded into an array read by row, with
-    the rows where it is negative; viol[r] counts the rays negative on row
-    r. A new ray's packed slacks are (a * S_j + b * S_i) // g, with the
-    coefficients and gcd of the ray itself: row . combo is g times the
-    integer row . ray, so the division is exact field by field, and the
-    work is a few big-integer operations instead of one per row. The packed
-    value is exact whatever the fields hold; decoding needs every field in
-    the signed width, and |row . ray| <= (max row L1 norm) * max|ray_i|.
-    Fields start at 16 bits. The bound is checked for every new ray before
-    its slacks are formed, and when it fails the width doubles and every
-    live ray is repacked from its array (fields of 8-64 bits decode to
-    arrays, wider ones to lists).
+    Each ray lives in a slot s. slack[s] holds its slack vector (its value
+    on every row) packed into one integer, sum of v_r * 2^(width*r), with
+    the rows where it is negative, and value[s] the decoded array. A new
+    ray's packed slacks are (a * S_j + b * S_i) // g, with the coefficients
+    and gcd of the ray itself, exact field by field. Decoding needs every
+    |row . ray| <= (max row L1 norm) * max|ray_i| to fit the signed width:
+    fields start at 16 bits and double, with every live ray repacked from
+    its array, when a new ray breaks the bound (past 64 bits they decode
+    to lists). The start rays' negative rows are the fields of packed +
+    bias whose top bit is clear. viol[r] counts the rays negative at row r
+    and negm[r] is their slot bitmask, so a step reads its violators off
+    negm[r] and finds its zero rays in one pass over the arrays.
 
-    zsets[s] is the bitmask of processed rows tight at the ray, and tight[p]
-    the bitmask of slots tight at the p-th processed row. All of these are
-    kept up to date as rays come and go, so a step reads values instead of
-    taking dot products, and the combinatorial adjacency test costs a few
-    big-integer ANDs per pair. Adjacent rays share at least n - 2 tight
-    rows, so the candidates for a violating ray j are the positive rays
-    that miss at most popcount(zsets[j]) - (n - 2) of j's tight rows:
-    within[k] holds those that miss at most k of the rows seen so far, and
-    the scan stops once the last level is empty. Returns the extremal rays
-    as primitive integer tuples, in no particular order.
+    zrows[s] lists the processed rows tight at the ray, ascending, and
+    tight[p] is the slot bitmask of the rays tight at processed row p. Rays
+    i and j are adjacent iff the AND of tight[p] over the rows where both
+    are tight leaves only the pair (the combinatorial test). They then
+    share at least n - 2 rows, so the candidates for a violating ray j are
+    the positive rays that miss at most len(zrows[j]) - (n - 2) of j's
+    rows: within[k] holds those that miss at most k of the rows seen so
+    far, and the scan stops once the last level is empty. Returns the
+    extremal rays as primitive integer tuples, in no particular order.
     """
-    rows = sorted(rows, key=_row_key)
+    rows = _Rows(sorted(rows, key=_row_key))
     m = len(rows)
     start = linalg.rref_int(zip(*rows))[1]
     if len(start) < n:
         raise NotPointedError(linalg.nullspace(rows, ncols=n)[0])
-    l1 = _l1(rows)
-    rays, slack, zsets = {}, {}, {}
-    viol = [0] * m
-    tight = [0] * n
-    free = []
+    rays, slack, value, zrows = {}, {}, {}, {}
+    viol, negm = [0] * m, [0] * m
+    tight, free = [0] * n, []
 
-    def enter(ray, packed, z, maybe):
-        # maybe: the rows where the slack can be negative
+    def enter(ray, packed, zl, maybe):
+        # maybe: the rows where the slack can be negative; returns the slot bit
         vals = _unpack(packed, width, bias, m)
         negs = [r for r in maybe if vals[r] < 0]
         s = free.pop() if free else len(rays)
-        rays[s], slack[s], zsets[s] = ray, (packed, vals, negs), z
-        for p in _bits(z):
-            tight[p] |= 1 << s
+        bit = 1 << s
+        rays[s], slack[s], value[s], zrows[s] = ray, (packed, negs), vals, zl
+        for p in zl:
+            tight[p] |= bit
         for r in negs:
             viol[r] += 1
+            negm[r] |= bit
+        return bit
 
     # the start rows are processed rows 0..n-1; initial ray c is tight at
     # all of them but row c
     inv = linalg.inverse([rows[i] for i in start])[1]
     first = [clear_denominators(col) for col in zip(*inv)]
     packed, width, bias = _evaluate(rows, first)
+    live = 0
     for c, (ray, p) in enumerate(zip(first, packed)):
-        enter(ray, p, ((1 << n) - 1) ^ (1 << c), range(m))
+        negs = [b // width for b in _bits(~(p + bias) & bias)]
+        live |= enter(ray, p, [q for q in range(n) if q != c], negs)
     need = max(n - 2, 0)
     while any(viol):
         r = viol.index(max(viol))
         pos = len(tight)
-        positive = zero = negative = 0
-        for s, (_, vals, _) in slack.items():
-            v = vals[r]
-            if v > 0:
-                positive |= 1 << s
-            elif v < 0:
-                negative |= 1 << s
-            else:
+        negative, zero = negm[r], 0
+        for s, vals in value.items():
+            if not vals[r]:
                 zero |= 1 << s
-                zsets[s] |= 1 << pos
-        alive = positive | zero | negative
-        new = {}  # ray -> (zero set, a, b, g, slot i, slot j)
+                zrows[s].append(pos)
+        positive = live & ~negative & ~zero
+        new = {}  # ray -> (tight rows, a, b, g, slot i, slot j)
         for j in _bits(negative):
-            zj = zsets[j]
-            spare = zj.bit_count() - need
+            zj = zrows[j]
+            spare = len(zj) - need
             if spare < 0:
                 continue
-            within = [positive] * (spare + 1)
-            for p in _bits(zj):
-                t = tight[p]
-                for k in range(spare, 0, -1):
-                    within[k] = within[k] & t | within[k - 1]
-                within[0] &= t
-                if not within[spare]:
-                    break
-            for i in _bits(within[spare]):
+            if spare < 2:  # within[spare - 1] (none at spare 0), within[spare]
+                low, cand = positive if spare else 0, positive
+                for p in zj:
+                    t = tight[p]
+                    cand = cand & t | low
+                    low &= t
+                    if not cand:
+                        break
+            else:
+                within = [positive] * (spare + 1)
+                for p in zj:
+                    t = tight[p]
+                    for k in range(spare, 0, -1):
+                        within[k] = within[k] & t | within[k - 1]
+                    within[0] &= t
+                    if not within[spare]:
+                        break
+                cand = within[spare]
+            for i in _bits(cand):
                 # i and j are adjacent iff no other ray is tight at every
                 # row where both are; stop as soon as only the pair is left
-                common = zsets[i] & zj
-                pair = (1 << i) | (1 << j)
-                acc = alive
-                for p in _bits(common):
-                    acc &= tight[p]
-                    if acc == pair:
-                        break
+                bit = 1 << i
+                pair = bit | 1 << j
+                acc = live
+                for p in zj:
+                    t = tight[p]
+                    if t & bit:
+                        acc &= t
+                        if acc == pair:
+                            break
                 if acc != pair:
                     continue
-                a, b = slack[i][1][r], -slack[j][1][r]
+                a, b = value[i][r], -value[j][r]
                 combo = [a * y + b * x for x, y in zip(rays[i], rays[j])]
                 g = gcd(*combo)
                 # Both coefficients are positive and both parents are >= 0
@@ -306,33 +328,36 @@ def _dd(rows, n):
                 # every common row and fail the test above.
                 ray = tuple(x // g for x in combo)
                 if ray not in new:
-                    new[ray] = (common | (1 << pos), a, b, g, i, j)
-        bound = l1 * max((max(map(abs, ray)) for ray in new), default=0)
+                    zl = [p for p in zj if tight[p] & bit] + [pos]
+                    new[ray] = (zl, a, b, g, i, j)
+        bound = rows.l1 * max((max(map(abs, ray)) for ray in new), default=0)
         if bound >> (width - 1):
             width = _width(bound, width)
             bias = _bias(width, m)
-            for s, (_, vals, negs) in slack.items():
-                slack[s] = (_pack(vals, width, bias), vals, negs)
+            for s, vals in value.items():
+                slack[s] = (_pack(vals, width, bias), slack[s][1])
         born = []
-        for ray, (z, a, b, g, i, j) in new.items():
-            (si, _, ni), (sj, _, nj) = slack[i], slack[j]
+        for ray, (zl, a, b, g, i, j) in new.items():
+            (si, ni), (sj, nj) = slack[i], slack[j]
             # with a, b > 0 a slack can be negative only where a parent's is
             packed = a * sj + b * si
-            born.append((ray, packed // g if g > 1 else packed, z, {*ni, *nj}))
-        dead = 0  # the processed rows tight at some deleted ray
+            born.append((ray, packed // g if g > 1 else packed, zl, {*ni, *nj}))
+        dead = set()  # the processed rows tight at some deleted ray
         for s in _bits(negative):
-            dead |= zsets.pop(s)
-            del rays[s]
-            for q in slack.pop(s)[2]:
+            dead.update(zrows.pop(s))
+            del rays[s], value[s]
+            for q in slack.pop(s)[1]:
                 viol[q] -= 1
+                negm[q] ^= 1 << s
             free.append(s)
-        # bit s of tight[p] is set iff p is in zsets[s], so only the rows
-        # in a deleted ray's zero set can hold a deleted slot
-        for p in _bits(dead):
+        live ^= negative
+        # bit s of tight[p] is set iff p is in zrows[s], so only the rows
+        # tight at a deleted ray can hold a deleted slot
+        for p in dead:
             tight[p] &= ~negative
         tight.append(zero)
         for args in born:
-            enter(*args)
+            live |= enter(*args)
     return list(rays.values())
 
 

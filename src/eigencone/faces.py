@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-from .rootdata import ParabolicSpec, build_root_system
+from .rootdata import ParabolicSpec, build_root_system, one_root_system
 from .weyl import covers, parse_word, require_minimal_rep
 from . import cone, schubert
 
@@ -93,14 +93,9 @@ def _weights(x):
 def _root_system(lams):
     """The root system of a nonempty weight tuple; ValueError if the weights
     come from two root systems."""
-    rs = lams[0].root_system
     for w in lams:
-        if w.root_system is not rs:
-            raise ValueError(
-                f"weights of {w.root_system.cartan_label} and "
-                f"{rs.cartan_label} in one tuple"
-            )
-    return rs
+        one_root_system(w, lams[0])
+    return lams[0].root_system
 
 
 @lru_cache(maxsize=None)

@@ -359,7 +359,8 @@ def decompose_on_face(face, x):
 
 
 def _face_hrep(face):
-    """The cone's H-rep with the face's integer rows as equalities."""
+    """The cone's H-rep with the face's integer rows as equalities; it
+    shares the cone's normalized inequality block and its packed columns."""
     full = gamma_hrep(face.root_system, face.s)
     return cone.HRep(
         full.dim,
@@ -448,9 +449,10 @@ def classify_face(face):
 # Brauer-Klimyk, and that one coefficient is the Racah-Speiser sum over W
 #     mult(V_nu, V_mu x V_lam) = sum_w det(w) m_lam(w(nu + rho) - mu - rho).
 # Each oracle table is computed once per process and kept in an
-# ``lru_cache``: the signed W-orbit of each dominant weight, and the weight
+# ``lru_cache``: the positive roots of each root system in the forms the
+# oracle reads, the signed W-orbit of each dominant weight, and the weight
 # diagram {weight: multiplicity} of each highest weight, the one Freudenthal
-# builds. Callers read both and never change them.
+# builds. Callers read them and never change them.
 
 
 def _scaled_form(rs):
@@ -461,19 +463,33 @@ def _scaled_form(rs):
     return tuple(int(scale * d) for d in rs.d)
 
 
+@lru_cache(maxsize=None)
+def _root_table(rs):
+    """(beta, beta as a weight, D_i beta_i, L (beta, beta)) for each positive
+    root beta, with D and L from ``_scaled_form``: L (x, beta) = x . (D_i
+    beta_i) for x in fundamental coordinates."""
+    form = _scaled_form(rs)
+    out = []
+    for beta in rs.positive_roots:
+        bw = rs.root_to_weight(beta).coords
+        fb = tuple(map(mul, form, beta))
+        out.append((beta, bw, fb, sum(map(mul, bw, fb))))
+    return tuple(out)
+
+
 def _dominant_weights(rs, lam_coords):
     """(depth, ks, mu) for each dominant mu <= lam, ks = lam - mu in the root
     basis and depth = sum(ks), sorted. Every such mu is reached from lam by
     subtracting positive roots through dominant weights (Stembridge, "The
     partial order of dominant weights", 1998), so one search finds them."""
-    roots = [(beta, rs.root_to_weight(beta).coords) for beta in rs.positive_roots]
+    roots = _root_table(rs)
     found = {lam_coords: (0,) * rs.rank}
     frontier = [lam_coords]
     while frontier:
         nxt = []
         for mu in frontier:
             ks = found[mu]
-            for beta, bw in roots:
+            for beta, bw, _, _ in roots:
                 new = tuple(c - b for c, b in zip(mu, bw))
                 if min(new) >= 0 and new not in found:
                     found[new] = tuple(k + b for k, b in zip(ks, beta))
@@ -493,14 +509,7 @@ def _weight_mults(rs, lam_coords):
     term is looked up in the diagram of the weights found so far, and the
     chain stops at the first miss: root strings of the weights of an
     irreducible module are unbroken."""
-    form = _scaled_form(rs)
-    # (beta as a weight, D_i beta_i, L (beta, beta)), where
-    # L (x, beta) = x . (D_i beta_i) for x in fundamental coordinates
-    roots = []
-    for beta in rs.positive_roots:
-        bw = rs.root_to_weight(beta).coords
-        fb = tuple(map(mul, form, beta))
-        roots.append((bw, fb, sum(map(mul, bw, fb))))
+    form, roots = _scaled_form(rs), _root_table(rs)
     top = tuple(c + 2 for c in lam_coords)  # lam + 2 rho
     diagram = {}
     for depth, ks, mu in _dominant_weights(rs, lam_coords):
@@ -509,7 +518,7 @@ def _weight_mults(rs, lam_coords):
             # L ((lam + rho)^2 - (mu + rho)^2)
             denom = sum(k * (h + c) * d for k, h, c, d in zip(ks, top, mu, form))
             acc = 0
-            for bw, fb, step in roots:
+            for _, bw, fb, step in roots:
                 # L (mu + t beta, beta) = base + t step
                 base = sum(map(mul, mu, fb))
                 cand = tuple(map(add, mu, bw))

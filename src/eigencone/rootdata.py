@@ -230,6 +230,17 @@ class RootSystem:
         return f"RootSystem({self.cartan_label})"
 
 
+def one_root_system(a, b):
+    """The root system of a and b (weights or Weyl elements); ValueError if
+    they belong to two."""
+    if a.root_system is not b.root_system:
+        raise ValueError(
+            f"{a.root_system.cartan_label} and {b.root_system.cartan_label} "
+            "are different root systems"
+        )
+    return a.root_system
+
+
 @dataclass(frozen=True)
 class Weight:
     """Exact weight (int or Fraction coordinates), in the fundamental-weight basis."""
@@ -238,16 +249,14 @@ class Weight:
     coords: tuple
 
     def __add__(self, other):
-        assert self.root_system is other.root_system
         return Weight(
-            self.root_system,
+            one_root_system(self, other),
             tuple(a + b for a, b in zip(self.coords, other.coords)),
         )
 
     def __sub__(self, other):
-        assert self.root_system is other.root_system
         return Weight(
-            self.root_system,
+            one_root_system(self, other),
             tuple(a - b for a, b in zip(self.coords, other.coords)),
         )
 

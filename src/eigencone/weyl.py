@@ -35,7 +35,7 @@ import re
 from functools import lru_cache
 from operator import mul
 
-from .rootdata import Weight, pair
+from .rootdata import Weight, one_root_system, pair
 
 __all__ = [
     "WeylElem",
@@ -103,8 +103,8 @@ class WeylElem:
 
     def act(self, lam):
         """w(lam) for a Weight in fundamental coordinates."""
-        assert lam.root_system is self.root_system
-        return Weight(self.root_system, _matvec(self.matrix, lam.coords))
+        rs = one_root_system(self, lam)
+        return Weight(rs, _matvec(self.matrix, lam.coords))
 
     def act_root(self, beta):
         """w(beta) for a root in the simple-root basis."""
@@ -116,8 +116,8 @@ class WeylElem:
 
     def compose(self, other):
         """w o other (other acts first)."""
-        assert self.root_system is other.root_system
-        return _element(self.root_system, _matvec(self.matrix, other.rho))
+        rs = one_root_system(self, other)
+        return _element(rs, _matvec(self.matrix, other.rho))
 
     def inverse(self):
         rs = self.root_system

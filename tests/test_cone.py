@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -142,3 +143,41 @@ def test_row_length_mismatch_is_value_error():
         cone.HRep(3, inequalities=[(1, 0, 0), (0, 1)])
     with pytest.raises(ValueError):
         cone.HRep(2, equalities=[(1, 1, 1)])
+
+
+def test_packs_are_kept_per_field_width():
+    # an H-rep keeps its packed columns per field width; a vector that
+    # needs wider fields than the last one gets its own packs and is
+    # evaluated exactly, and a narrow vector after it still reads narrow ones
+    rows = [(1, 0, 0), (0, 1, 0), (1, -1, 1), (3, -2, -5)]
+    h = cone.HRep(3, inequalities=rows)
+    assert cone.contains(h, (1, 1, 0))
+    for top in (2**12, 2**20, 2**40, 2**70, 2):
+        member, outside = (top, top - 1, 0), (top - 1, top, 0)
+        assert cone.contains(h, member)
+        assert not cone.contains(h, outside)
+        got = cone._values(h.inequalities, [member, outside])
+        want = [[sum(map(mul, row, x)) for row in rows] for x in (member, outside)]
+        assert [list(v) for v in got] == want
+    assert sorted(h.inequalities._packs) == [16, 32, 64, 128]
+
+
+def test_replaced_rows_do_not_reuse_packs():
+    h = cone.HRep(2, inequalities=[(1, 0), (0, 1)])
+    assert cone.contains(h, (1, 1))
+    h.inequalities = [(-1, 0)]
+    assert not cone.contains(h, (1, 1))
+    assert cone.contains(h, (-1, 5))
+    h.inequalities = cone.HRep(2, inequalities=[(1, 1)]).inequalities
+    assert cone.contains(h, (-1, 5)) and not cone.contains(h, (-5, 1))
+    h.equalities = [(1, -1)]
+    assert not cone.contains(h, (-1, 5)) and cone.contains(h, (1, 1))
+    assert cone.extremal_rays(h) == [(1, 1)]
+
+
+def test_hrep_shares_a_block_of_another_hrep():
+    full = cone.HRep(3, inequalities=[(2, 0, 0), (0, 1, 0), (0, 0, 1)])
+    face = cone.HRep(3, full.inequalities, [(0, 0, 1)])
+    assert face.inequalities is full.inequalities
+    assert face.inequalities == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert cone.extremal_rays(face) == [(0, 1, 0), (1, 0, 0)]

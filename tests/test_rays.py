@@ -333,6 +333,23 @@ def test_integer_rows_match_rational_rows(label):
         ), face
 
 
+@pytest.mark.parametrize("label", ["B3", "C3", "D4"])
+def test_face_hrep_shares_rows_and_matches_a_fresh_hrep(label):
+    # a face H-rep shares the full cone's normalized rows and their packed
+    # columns, which earlier faces have already packed; it must give the
+    # rays of an H-rep built from copies of the same rows
+    rs = build_root_system(label)
+    full = rays.gamma_hrep(rs, 3)
+    for face in faces.enumerate_regular_facets(3, rs, quotient_symmetry=True):
+        h = rays._face_hrep(face)
+        assert h.inequalities is full.inequalities
+        fresh = cone.HRep(
+            h.dim, [list(r) for r in h.inequalities], [list(r) for r in h.equalities]
+        )
+        assert fresh.inequalities is not full.inequalities
+        assert cone.extremal_rays(h) == cone.extremal_rays(fresh), face
+
+
 def test_chi_tuple_induces_zero(d4, main_face):
     chis = RayTuple(
         tuple(schubert.chi(w, main_face.P) for w in main_face.words)

@@ -1,10 +1,16 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from eigencone import rays, schubert
 from eigencone import rootdata as rd
 from eigencone.weyl import identity, minimal_reps, reflection, weyl_group
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _alpha(rs, i):
@@ -254,3 +260,44 @@ def test_integral_values_are_int(label):
             assert exact(w.coords)
         for w in minimal_reps(P):
             assert exact(schubert.chi(w, P).coords)
+
+
+# weights and Weyl elements of two root systems, combined; under -O the
+# bare asserts these replaced vanished, and A2 (1,1) + D4 (1,0,0,0) gave
+# A2 (2,1)
+MIXED = {
+    "Weight.__add__": "a.weight((1, 1)) + d.weight((1, 0, 0, 0))",
+    "Weight.__sub__": "d.weight((1, 0, 0, 0)) - a.weight((1, 1))",
+    "WeylElem.act": "weyl_group(d).longest.act(a.weight((1, 1)))",
+    "WeylElem.compose": "weyl_group(a).longest.compose(weyl_group(d).longest)",
+}
+
+
+@pytest.mark.parametrize("op", sorted(MIXED))
+def test_mixed_root_systems_are_value_errors(op):
+    scope = {
+        "a": rd.build_root_system("A2"),
+        "d": rd.build_root_system("D4"),
+        "weyl_group": weyl_group,
+    }
+    with pytest.raises(ValueError, match="A2 and D4|D4 and A2"):
+        eval(MIXED[op], scope)
+
+
+def test_mixed_root_systems_are_value_errors_under_optimize():
+    script = (
+        "from eigencone.rootdata import build_root_system\n"
+        "from eigencone.weyl import weyl_group\n"
+        "a, d = build_root_system('A2'), build_root_system('D4')\n"
+        f"for expr in {sorted(MIXED.values())!r}:\n"
+        "    try:\n"
+        "        eval(expr)\n"
+        "    except ValueError:\n"
+        "        continue\n"
+        "    raise SystemExit(f'no ValueError: {expr}')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
