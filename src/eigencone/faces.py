@@ -108,17 +108,25 @@ def _int_block(w, k):
 
 
 @lru_cache(maxsize=None)
-def _facets_cached(rs, s, quotient):
-    out = []
+def _facets_cached(rs, s):
+    """(all facets, orbit representatives) of the s-fold cone, from one scan.
+
+    The codimension and gap sums and the coefficient are symmetric in the s
+    factors, so only the first tuple of each S_s orbit in the scan's order
+    is tested. The full list is the orbits of the representatives that pass,
+    sorted back into that order (see ``enumerate_regular_facets``).
+    """
+    plain, reps = [], []
     for k in range(1, rs.rank + 1):
         P = ParabolicSpec.maximal(rs, k)
-        entries = tuple(schubert.class_table(P).values())
+        table = schubert.class_table(P)
+        entries = tuple(table.values())
         e = entries[0]  # the identity, the only element of length 0
         by_codim, by_key = {}, {}
         for x in entries:
             by_codim.setdefault(x.codim, []).append(x)
             by_key.setdefault((x.codim, x.gaps[k]), []).append(x)
-        seen = set()
+        seen, found = set(), []
         for parts in itertools.product(sorted(by_codim), repeat=s - 1):
             rest = P.dim_flag - sum(parts)
             if rest not in by_codim:
@@ -129,27 +137,36 @@ def _facets_cached(rs, s, quotient):
                 product = None  # formed for the first last factor tested
                 for last in by_key.get((rest, need), ()):
                     tup = tuple(x.w for x in head) + (last.w,)
-                    if quotient:
-                        key = tuple(sorted(w.rho for w in tup))
-                        if key in seen:
-                            continue
-                        seen.add(key)
+                    key = tuple(sorted(w.rho for w in tup))
+                    if key in seen:
+                        continue
+                    seen.add(key)
                     if product is None:
                         product = schubert.head_product(head, P)
                     if schubert.duality_coeff(product, last, P) == 1:
-                        out.append(FaceSpec(s, P, tup))
-    return tuple(out)
+                        found.append(tup)
+        pos = {w: i for i, w in enumerate(table)}
+        orbits = {t for rep in found for t in itertools.permutations(rep)}
+        plain.extend(FaceSpec(s, P, t) for t in sorted(orbits, key=lambda t: (
+            [table[w].codim for w in t[:-1]], [pos[w] for w in t]
+        )))
+        reps.extend(FaceSpec(s, P, t) for t in found)
+    return tuple(plain), tuple(reps)
 
 
 def enumerate_regular_facets(s, rs, quotient_symmetry=False):
     """All regular facet data (P maximal, w tuple), deterministic order.
 
-    With ``quotient_symmetry`` only the lexicographically least
-    representative of each orbit under permuting the s factors is kept.
+    The order is P_1, P_2, ..., then the codimensions of the first s - 1
+    words, then the words' positions in ``minimal_reps``. With
+    ``quotient_symmetry`` only the first tuple of each orbit under permuting
+    the s factors, in that order, is kept. Only those representatives are
+    tested: the full list is the expansion of their orbits, sorted back into
+    the same order.
     """
     if s < 3:
         raise ValueError(f"regular facets need s >= 3 factors, got s = {s}")
-    return list(_facets_cached(rs, s, bool(quotient_symmetry)))
+    return list(_facets_cached(rs, s)[bool(quotient_symmetry)])
 
 
 def _row_value(face, lams, k):

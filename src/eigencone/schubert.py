@@ -66,7 +66,8 @@ class SchubertClass:
     grade: int  # codimension
 
     def __post_init__(self):
-        assert all(c != 0 for c in self.coeffs.values())
+        if any(c == 0 for c in self.coeffs.values()):
+            raise ValueError("a Schubert class stores no zero coefficient")
 
     def is_zero(self):
         return not self.coeffs

@@ -35,6 +35,7 @@ import re
 from functools import lru_cache
 from operator import mul
 
+from .cone import ConsistencyError
 from .rootdata import Weight, one_root_system, pair
 
 __all__ = [
@@ -153,7 +154,11 @@ class CoverDatum:
         self.upper = upper
         self.beta = tuple(beta)
         self.simple = sum(self.beta) == 1
-        assert self.upper.length == self.lower.length + 1
+        if upper.length != lower.length + 1:
+            raise ValueError(
+                f"{upper.word_str()} is not a cover of {lower.word_str()}: "
+                f"lengths {upper.length} and {lower.length}"
+            )
 
     def __repr__(self):
         tag = "simple" if self.simple else "nonsimple"
@@ -357,6 +362,9 @@ def inversion_set(v):
     rs = v.root_system
     v_rho = v.act(rs.rho)
     out = {beta for beta in rs.positive_roots if pair(v_rho, beta) < 0}
-    assert len(out) == v.length
+    if len(out) != v.length:
+        raise ConsistencyError(
+            f"{v.word_str()} has length {v.length} but {len(out)} inversions"
+        )
     return out
 

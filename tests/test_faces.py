@@ -211,6 +211,12 @@ FACET_DIGESTS = {
            (84, "abf3b4575566156fc115e6df05faa6a68027f8b1fd9f6ba3dad3521c4a119360")),
     "D5": ((1967, "de5878cf7cbd14f91f67f62f789f8d7864a12827649e8d132aa8075769300ab7"),
            (353, "fb478b4a3e2cfa7dcf331e6f6d285c909eb697e7a8a7efea58339325bbe777c7")),
+    # recorded from the enumeration that formed a head product for every
+    # member of every orbit in its plain scan
+    "A5": ((521, "b6b5c225bb914f2de001ed719ebc5591854dc91b7d5bb1f74c01fd28dfff36cb"),
+           (111, "60f5df5ee40e680f680268acc7fa5e2f6324c4573afaf8b8a4de02a93f88b452")),
+    "F4": ((1290, "1a22dde6574b736b7321582186977bbea8287df5a663b6b7ba76aeb3909bd79c"),
+           (220, "a5ac6a661c97f245334db2dad77d4e66633fba20e26f7ffde59c12a829e3ab33")),
 }
 
 
@@ -258,13 +264,35 @@ def _brute_force_facets(rs, s, quotient):
     return out
 
 
+# (plain, quotiented) counts at s = 4: the only gate on the order for s >= 4
+S4_COUNTS = {"A2": (20, 4), "B2": (32, 4), "G2": (56, 6), "A3": (92, 12)}
+
+
 @pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", "B3", "C3"])
 def test_facets_match_brute_force(label):
     rs = build_root_system(label)
+    for s in (3, 4) if label in S4_COUNTS else (3,):
+        got = [faces.enumerate_regular_facets(s, rs, quotient_symmetry=q)
+               for q in (False, True)]
+        for quotient, facet_list in zip((False, True), got):
+            want = _brute_force_facets(rs, s, quotient)
+            assert _facet_lines(facet_list) == _facet_lines(want), (s, quotient)
+        if s == 4:
+            assert tuple(map(len, got)) == S4_COUNTS[label]
+
+
+@pytest.mark.parametrize("label", ["B3", "D4", "B4"])
+def test_plain_facets_take_only_the_quotient_products(label):
+    """Only orbit representatives are tested, so the full list costs no
+    Schubert product beyond those of the quotiented one."""
+    rs = build_root_system(label)
+    counts = []
     for quotient in (False, True):
-        got = faces.enumerate_regular_facets(3, rs, quotient_symmetry=quotient)
-        want = _brute_force_facets(rs, 3, quotient)
-        assert _facet_lines(got) == _facet_lines(want), quotient
+        schubert.product_table.cache_clear()
+        faces._facets_cached.cache_clear()
+        faces.enumerate_regular_facets(3, rs, quotient_symmetry=quotient)
+        counts.append(len(schubert.product_table(rs)._products))
+    assert counts[0] == counts[1] > 0
 
 
 @pytest.mark.parametrize("label", ["A2", "B3", "C3", "G2", "D4"])

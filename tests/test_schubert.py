@@ -1,5 +1,9 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -380,3 +384,62 @@ def test_engine_invariants_raise_typed_errors(monkeypatch, breaker, message):
     breaker(monkeypatch)
     with pytest.raises(sc.ProductTableError, match=message):
         sc.ProductTable(rs).product_ids(uid, vid)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# checks that were bare asserts, which python -O skips: two public
+# constructors fed a zero coefficient and a non-cover, and an inversion set
+# whose size is not the element's length (an element that claims length 1
+# but fixes rho). (expression, error class, start of the message)
+TYPED_ERRORS = {
+    "zero-coefficient": (
+        "schubert.SchubertClass(P, {e: 0}, P.dim_flag)",
+        "ValueError", "a Schubert class stores no zero coefficient",
+    ),
+    "non-cover": (
+        "weyl.CoverDatum(e, e, (1, 0))",
+        "ValueError", "e is not a cover of e",
+    ),
+    "inversion-count": (
+        "weyl.inversion_set(types.SimpleNamespace("
+        "root_system=rs, act=e.act, length=1, word_str=lambda: 'fake'))",
+        "ConsistencyError", "fake has length 1 but 0 inversions",
+    ),
+}
+TYPED_ERROR_SCOPE = (
+    "import types\n"
+    "from eigencone import schubert, weyl\n"
+    "from eigencone.cone import ConsistencyError\n"
+    "from eigencone.rootdata import ParabolicSpec, build_root_system\n"
+    "rs = build_root_system('A2')\n"
+    "P = ParabolicSpec.maximal(rs, 1)\n"
+    "e = weyl.identity(rs)\n"
+)
+
+
+@pytest.mark.parametrize("case", sorted(TYPED_ERRORS))
+def test_bare_assert_checks_raise_typed_errors(case):
+    expr, error, message = TYPED_ERRORS[case]
+    scope = {}
+    exec(TYPED_ERROR_SCOPE, scope)
+    with pytest.raises(eval(error, scope), match=message):
+        eval(expr, scope)
+
+
+def test_bare_assert_checks_raise_typed_errors_under_optimize():
+    script = TYPED_ERROR_SCOPE + (
+        f"for expr, error, message in {sorted(TYPED_ERRORS.values())!r}:\n"
+        "    try:\n"
+        "        eval(expr)\n"
+        "    except (ValueError, ConsistencyError) as exc:\n"
+        "        if type(exc).__name__ == error and str(exc).startswith(message):\n"
+        "            continue\n"
+        "        raise\n"
+        "    raise SystemExit(f'no {error}: {expr}')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
