@@ -125,11 +125,7 @@ def clear_denominators(vec):
     fracs = [Fraction(x) for x in vec]
     if all(x == 0 for x in fracs):
         return tuple(0 for _ in fracs)
-    denom = 1
-    for x in fracs:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
+    denom = lcm(*(x.denominator for x in fracs))
     ints = [int(x * denom) for x in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
+    g = gcd(*ints)
     return tuple(x // g for x in ints)

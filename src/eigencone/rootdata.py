@@ -13,13 +13,17 @@ Conventions:
 * roots are integer vectors in the simple-root basis;
 * weights are canonically stored in the fundamental-weight basis, so the
   i-th coordinate of a weight ``lam`` is ``<lam, alpha_i^vee>``;
-* the tables read off the Cartan matrix are integers: each coroot, in the
-  simple-coroot basis, comes with its root from one closure of the pairs
-  (alpha_i, alpha_i^vee) under simple reflections, and the inverse Cartan
-  matrix (row k is x_k) is held as integer rows over one denominator;
+* the Dynkin structure is read off one table, with no walk of the diagram:
+  each positive root with its coroot in the simple-coroot basis, from one
+  closure of the pairs (alpha_i, alpha_i^vee) under simple reflections. The
+  highest root through node i is long, so it gives d_i; the highest Levi
+  roots give the components of Delta(P); and rank, root count and short
+  simple roots give each component's Cartan label;
+* the inverse Cartan matrix (row k is x_k) is held as integer rows over one
+  denominator;
 * integral coordinates stay ``int``; a ``Fraction`` appears only where a
-  division makes one (rho^L, simple-root coordinates and x_k values of a
-  weight); integral values such as chi_w(x_k) are found in integers.
+  division makes one (d_i, rho^L, simple-root coordinates and x_k values of
+  a weight); integral values such as chi_w(x_k) are found in integers.
 """
 
 from __future__ import annotations
@@ -93,30 +97,6 @@ def _simple_cartan_matrix(family, n):
     return a
 
 
-def _symmetrizer(cartan):
-    """Half squared lengths d_i with long roots per connected component at 1."""
-    n = len(cartan)
-    d = [None] * n
-    for start in range(n):
-        if d[start] is not None:
-            continue
-        comp = [start]
-        d[start] = Fraction(1)
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            for j in range(n):
-                if i != j and cartan[i][j] != 0 and d[j] is None:
-                    # d_j / d_i = a_ij / a_ji
-                    d[j] = d[i] * cartan[i][j] / cartan[j][i]
-                    comp.append(j)
-                    stack.append(j)
-        top = max(d[i] for i in comp)
-        for i in comp:
-            d[i] /= top
-    return tuple(d)
-
-
 def _coroot_table(cartan, simples):
     """{beta: beta^vee} over the positive roots, in simple root and coroot
     coordinates: the closure of the pairs (alpha_i, alpha_i^vee) under
@@ -140,6 +120,31 @@ def _coroot_table(cartan, simples):
     return table
 
 
+def _highest(roots, i):
+    """The root of greatest height in ``roots`` (sorted by height) with a
+    positive alpha_i-coefficient (0-based i): the highest root of node i's
+    component, which is long and has full support on it."""
+    return next(b for b in reversed(roots) if b[i])
+
+
+def _type_label(rs):
+    """Cartan label of a connected root system, read off its rank n, its
+    number N of positive roots and its short simple roots (d_i != 1). It
+    names the isomorphism type; only B2 and C2, one type, are told apart by
+    position: alpha_2 is short in B2."""
+    n, N = rs.rank, len(rs.positive_roots)
+    short = [i for i, d in enumerate(rs.d) if d != 1]
+    if not short:
+        if 2 * N == n * (n + 1):
+            return f"A{n}"
+        return f"D{n}" if N == n * (n - 1) else f"E{n}"
+    if N != n * n:
+        return "G2" if n == 2 else "F4"
+    if n == 2:
+        return "B2" if short == [1] else "C2"
+    return f"B{n}" if len(short) == 1 else f"C{n}"
+
+
 class RootSystem:
     """Immutable root datum for one finite Cartan type (possibly a product)."""
 
@@ -147,13 +152,15 @@ class RootSystem:
         self.cartan_label = label
         self.rank = len(cartan)
         self.cartan_matrix = tuple(tuple(int(x) for x in row) for row in cartan)
-        self.d = _symmetrizer(self.cartan_matrix)
         # simple_roots[i - 1] is alpha_i as a vector in the simple-root basis
         self.simple_roots = tuple(
             tuple(int(i == j) for j in range(self.rank)) for i in range(self.rank)
         )
         table = _coroot_table(self.cartan_matrix, self.simple_roots)
         self.positive_roots = tuple(sorted(table, key=lambda b: (sum(b), b)))
+        # a long theta has theta^vee = theta = sum_i theta_i d_i alpha_i^vee
+        highest = [_highest(self.positive_roots, i) for i in range(self.rank)]
+        self.d = tuple(Fraction(table[t][i], t[i]) for i, t in enumerate(highest))
         self._coroots = dict(table)
         for beta, co in table.items():
             self._coroots[tuple(-m for m in beta)] = tuple(-c for c in co)
@@ -408,35 +415,28 @@ class ParabolicSpec:
         return self._rho_L
 
     def levi_components(self):
-        """Connected components of Delta(P), each a sorted tuple of 1-based nodes."""
-        nodes = sorted(self.delta_P)
-        cartan = self.root_system.cartan_matrix
-        comps = []
-        unvisited = set(nodes)
-        while unvisited:
-            start = min(unvisited)
-            comp = {start}
-            stack = [start]
-            unvisited.remove(start)
-            while stack:
-                i = stack.pop()
-                for j in list(unvisited):
-                    if cartan[i - 1][j - 1] != 0:
-                        comp.add(j)
-                        unvisited.remove(j)
-                        stack.append(j)
-            comps.append(tuple(sorted(comp)))
-        return comps
+        """Connected components of Delta(P), each a sorted tuple of 1-based
+        nodes, in order of their least node: the supports of the highest Levi
+        roots through the nodes of Delta(P)."""
+        roots = self.levi_positive_roots
+        return sorted({
+            tuple(j + 1 for j, m in enumerate(_highest(roots, i - 1)) if m)
+            for i in self.delta_P
+        })
 
     def levi_factor(self, component):
-        """Root system of one Levi component; nodes map positionally."""
+        """(root system, nodes) of one Levi component.
+
+        The factor keeps the parent's positional numbering: its Cartan block
+        is the parent's rows and columns at ``nodes``, and its node t is the
+        parent's node ``nodes[t]``. Its label (``_type_label``) names only the
+        isomorphism type: F4's component {2, 3, 4} is C3 numbered in reverse.
+        """
         nodes = tuple(component)
-        sub = [
-            [self.root_system.cartan_matrix[i - 1][j - 1] for j in nodes]
-            for i in nodes
-        ]
-        label = classify_cartan(sub)
-        return RootSystem(sub, label), nodes
+        a = self.root_system.cartan_matrix
+        factor = RootSystem([[a[i - 1][j - 1] for j in nodes] for i in nodes], None)
+        factor.cartan_label = _type_label(factor)
+        return factor, nodes
 
     def __repr__(self):
         return (
@@ -453,61 +453,3 @@ class ParabolicSpec:
 
     def __hash__(self):
         return hash((id(self.root_system), self.delta_P))
-
-
-def classify_cartan(cartan):
-    """Identify the Cartan label of a connected simple Cartan matrix."""
-    n = len(cartan)
-    if n == 1:
-        return "A1"
-    degs = [sum(1 for j in range(n) if j != i and cartan[i][j] != 0) for i in range(n)]
-    offdiag = sorted(
-        cartan[i][j] for i in range(n) for j in range(n) if i != j and cartan[i][j] != 0
-    )
-    if min(offdiag) == -3:
-        return "G2"
-    if min(offdiag) == -2:
-        if max(degs) > 2:
-            raise CartanLabelError("unrecognized multiply-laced branched diagram")
-        double = [
-            (i, j)
-            for i in range(n)
-            for j in range(n)
-            if i != j and cartan[i][j] == -2
-        ]
-        if len(double) != 1:
-            raise CartanLabelError("unrecognized doubly-laced diagram")
-        short, lng = double[0]  # cartan[i][j] = -2 means alpha_i is short
-        if degs[short] == 2 and degs[lng] == 2:
-            if n == 4:
-                return "F4"
-            raise CartanLabelError("interior double bond outside rank 4")
-        # chain with the double bond at one end: the short root sits at the
-        # high end for B, at the low end for C (positional convention)
-        return f"B{n}" if short > lng else f"C{n}"
-    if max(degs) <= 2:
-        return f"A{n}"
-    if degs.count(3) != 1:
-        raise CartanLabelError("unrecognized branched diagram")
-    branch = degs.index(3)
-    arms = []
-    for j in range(n):
-        if j != branch and cartan[branch][j] != 0:
-            length = 1
-            prev, cur = branch, j
-            while True:
-                nxts = [
-                    k for k in range(n)
-                    if k not in (prev, cur) and cartan[cur][k] != 0
-                ]
-                if not nxts:
-                    break
-                prev, cur = cur, nxts[0]
-                length += 1
-            arms.append(length)
-    arms.sort()
-    if arms[:2] == [1, 1]:
-        return f"D{n}"
-    if arms[0] == 1 and arms[1] == 2 and n in (6, 7, 8):
-        return f"E{n}"
-    raise CartanLabelError("unrecognized simply-laced branched diagram")

@@ -337,7 +337,7 @@ def covers(w, P):
         for beta, vid in W.cover_row(W.id_of(w))[0]
         if vid in reps
     ]
-    return sorted(out, key=lambda c: (c.lower.matrix, c.beta))
+    return sorted(out, key=lambda c: W.id_of(c.lower))
 
 
 def simple_cover(u, ell):

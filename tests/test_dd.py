@@ -14,6 +14,7 @@ import hashlib
 import itertools
 import random
 from array import array
+from fractions import Fraction
 from operator import mul
 
 import pytest
@@ -102,6 +103,32 @@ def test_dd_work_ignores_row_order(typ):
     random.Random(1).shuffle(rows)
     assert rows != h.inequalities
     assert cone._dd(rows, h.dim) == cone._dd(h.inequalities, h.dim)
+
+
+def _epsilon_rays(typ):
+    """The s = 3 cone rays of B_n or C_n in epsilon coordinates, made
+    primitive: omega_k = e_1 + .. + e_k, except omega_n = (e_1 + .. + e_n) / 2
+    in B_n."""
+    n = int(typ[1:])
+    out = set()
+    for ray in cone.extremal_rays(rays.gamma_hrep(build_root_system(typ), 3)):
+        eps = []
+        for t in range(3):
+            c = list(ray[t * n : (t + 1) * n])
+            if typ[0] == "B":
+                c[-1] = Fraction(c[-1], 2)
+            eps += [sum(c[j:]) for j in range(n)]
+        out.add(clear_denominators(eps))
+    return out
+
+
+@pytest.mark.parametrize("n,count", [(3, 51), (4, 237)])
+def test_b_and_c_cones_agree_in_epsilon_coordinates(n, count):
+    # the eigencones of B_n and C_n are one cone once both are written in
+    # epsilon coordinates (Belkale-Kumar 2010)
+    b, c = _epsilon_rays(f"B{n}"), _epsilon_rays(f"C{n}")
+    assert len(b) == count
+    assert b == c
 
 
 def _brute_force_rays(rows, n):

@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -194,6 +195,117 @@ def test_classifier_on_levis():
     d4 = rd.build_root_system("D4")
     p = rd.ParabolicSpec(d4, {1, 2, 3})
     assert _levi_labels(p) == ["A3"]
+
+
+def _symmetrizer(cartan):
+    """Reference d: half squared lengths by a walk of the Dynkin diagram,
+    d_j / d_i = a_ij / a_ji, long roots of each component at 1."""
+    n = len(cartan)
+    d = [None] * n
+    for start in range(n):
+        if d[start] is not None:
+            continue
+        comp = [start]
+        d[start] = Fraction(1)
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            for j in range(n):
+                if i != j and cartan[i][j] != 0 and d[j] is None:
+                    d[j] = d[i] * cartan[i][j] / cartan[j][i]
+                    comp.append(j)
+                    stack.append(j)
+        top = max(d[i] for i in comp)
+        for i in comp:
+            d[i] /= top
+    return tuple(d)
+
+
+def _components_bfs(P):
+    """Reference components of Delta(P): a search of the Dynkin diagram from
+    the least unvisited node."""
+    cartan = P.root_system.cartan_matrix
+    comps = []
+    unvisited = set(P.delta_P)
+    while unvisited:
+        start = min(unvisited)
+        comp = {start}
+        stack = [start]
+        unvisited.remove(start)
+        while stack:
+            i = stack.pop()
+            for j in list(unvisited):
+                if cartan[i - 1][j - 1] != 0:
+                    comp.add(j)
+                    unvisited.remove(j)
+                    stack.append(j)
+        comps.append(tuple(sorted(comp)))
+    return comps
+
+
+ALL_TYPES = (
+    [f"A{n}" for n in range(1, 9)]
+    + [f"{f}{n}" for f in "BC" for n in range(2, 9)]
+    + [f"D{n}" for n in range(3, 9)]
+    + ["E6", "E7", "E8", "F4", "G2", "A1xA1xA1", "B2xG2", "A2xD4", "C3xA1"]
+)
+
+
+@pytest.mark.parametrize("label", ALL_TYPES)
+def test_d_and_levi_components_match_diagram_walks(label):
+    # every Delta(P), all 2^8 of each rank-8 type included
+    rs = rd.build_root_system(label)
+    assert rs.d == _symmetrizer(rs.cartan_matrix)
+    assert all(type(x) is Fraction for x in rs.d)
+    for r in range(rs.rank + 1):
+        for delta in itertools.combinations(range(1, rs.rank + 1), r):
+            P = rd.ParabolicSpec(rs, delta)
+            assert P.levi_components() == _components_bfs(P)
+
+
+# Levi types of P_1, .., P_n, each in order of its components' least node;
+# F4's P_1 is C3 numbered in reverse (alpha_2 long, alpha_3 and alpha_4 short)
+MAXIMAL_LEVI_TYPES = {
+    "B4": [["B3"], ["A1", "B2"], ["A2", "A1"], ["A3"]],
+    "C4": [["C3"], ["A1", "C2"], ["A2", "A1"], ["A3"]],
+    "D5": [["D4"], ["A1", "A3"], ["A2", "A1", "A1"], ["A4"], ["A4"]],
+    "D6": [["D5"], ["A1", "D4"], ["A2", "A3"], ["A3", "A1", "A1"], ["A5"], ["A5"]],
+    "G2": [["A1"], ["A1"]],
+    "F4": [["C3"], ["A1", "A2"], ["A2", "A1"], ["B3"]],
+    "E6": [["D5"], ["A5"], ["A1", "A4"], ["A2", "A1", "A2"], ["A4", "A1"], ["D5"]],
+    "E7": [
+        ["D6"], ["A6"], ["A1", "A5"], ["A2", "A1", "A3"], ["A4", "A2"],
+        ["D5", "A1"], ["E6"],
+    ],
+    "E8": [
+        ["D7"], ["A7"], ["A1", "A6"], ["A2", "A1", "A4"], ["A4", "A3"],
+        ["D5", "A2"], ["E6", "A1"], ["E7"],
+    ],
+}
+
+
+@pytest.mark.parametrize("label", sorted(MAXIMAL_LEVI_TYPES))
+def test_levi_types_of_maximal_parabolics(label):
+    rs = rd.build_root_system(label)
+    got = [
+        _levi_labels(rd.ParabolicSpec.maximal(rs, k)) for k in range(1, rs.rank + 1)
+    ]
+    assert got == MAXIMAL_LEVI_TYPES[label]
+
+
+@pytest.mark.parametrize("label", [t for t in ALL_TYPES if t != "D3" and "x" not in t])
+def test_levi_type_of_the_whole_diagram(label):
+    # the Levi of Delta(P) = Delta is G itself
+    rs = rd.build_root_system(label)
+    full = rd.ParabolicSpec(rs, range(1, rs.rank + 1))
+    assert _levi_labels(full) == [label]
+
+
+def test_parsed_label_is_kept():
+    # D3 is A3 as a Levi type, but a parsed label stays as written
+    d3 = rd.build_root_system("D3")
+    assert d3.cartan_label == "D3"
+    assert _levi_labels(rd.ParabolicSpec(d3, {1, 2, 3})) == ["A3"]
 
 
 COROOT_TABLE_SIZES = {
