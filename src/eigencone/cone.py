@@ -5,9 +5,9 @@ inequalities and equalities into the minimal generating set of extremal
 rays. This is the independent verifier for every ray claim made elsewhere:
 nothing in here knows about root systems.
 
-Only pointed cones are handled (pointedness after restricting to the
-equality subspace is asserted); all cones in scope are cut out inside a
-dominant chamber, so this is not a restriction in practice.
+Only pointed cones are handled (a line left after restricting to the
+equality subspace raises NotPointedError); all cones in scope are cut out
+inside a dominant chamber, so this is not a restriction in practice.
 """
 
 from __future__ import annotations
@@ -101,6 +101,13 @@ def _row_key(row):
 _CODES = {array(c).itemsize * 8: c for c in "bhiq"}
 _SWAP = sys.byteorder != "little"
 _START_WIDTH = 16
+_NEG = bytes(b"01"[b >> 7] for b in range(256))  # top byte of a negative field
+_ZERO = bytes(b"10"[b > 0] for b in range(256))
+
+
+def _mask(column, table):
+    """Bit s is set iff table maps byte s of column to "1"."""
+    return int(column.translate(table)[::-1], 2)
 
 
 def _width(bound, width):
@@ -195,9 +202,16 @@ def _violators(h, vecs):
     ]
 
 
+def _vector(h, x):
+    """x as a primitive integer vector of the ambient space of h."""
+    if len(x) != h.dim:
+        raise ValueError(f"vector has length {len(x)}, expected {h.dim}")
+    return clear_denominators(x)
+
+
 def contains(h, x):
     """Exact membership of the vector x."""
-    return not _violators(h, [clear_denominators(x)])
+    return not _violators(h, [_vector(h, x)])
 
 
 def _dd(rows, n):
@@ -213,18 +227,18 @@ def _dd(rows, n):
     method revisited", 1996), until no row is violated. Both the work and
     the result therefore depend only on the set of rows.
 
-    Each ray lives in a slot s. slack[s] holds its slack vector (its value
-    on every row) packed into one integer, sum of v_r * 2^(width*r), with
-    the rows where it is negative, and value[s] the decoded array. A new
-    ray's packed slacks are (a * S_j + b * S_i) // g, with the coefficients
-    and gcd of the ray itself, exact field by field. Decoding needs every
-    |row . ray| <= (max row L1 norm) * max|ray_i| to fit the signed width:
-    fields start at 16 bits and double, with every live ray repacked from
-    its array, when a new ray breaks the bound (past 64 bits they decode
-    to lists). The start rays' negative rows are the fields of packed +
-    bias whose top bit is clear. viol[r] counts the rays negative at row r
-    and negm[r] is their slot bitmask, so a step reads its violators off
-    negm[r] and finds its zero rays in one pass over the arrays.
+    Each ray lives in a slot s. slack[s] packs its slack vector (its value
+    on every row) into one integer, sum of v_r * 2^(width*r); a new ray's
+    is (a * S_j + b * S_i) // g, with the coefficients and gcd of the ray
+    itself, exact field by field. raw holds the fields of every slot as
+    two's complement bytes, size bytes a slot, so the bytes of row r over
+    all slots are strided slices, and translating them gives the slot masks
+    of the negative rays (top byte) and the zero rays (every byte). count
+    packs the number of rays negative at each row: a ray adds the top bits
+    of packed + bias, shifted to the bottom of each field. Fields must hold
+    every |row . ray| <= (max row L1 norm) * max|ray_i| and the live ray
+    count: they start at 16 bits and double, every live ray repacked and
+    raw and count rebuilt, when a step breaks that bound.
 
     zrows[s] lists the processed rows tight at the ray, ascending, and
     tight[p] is the slot bitmask of the rays tight at processed row p. Rays
@@ -241,42 +255,59 @@ def _dd(rows, n):
     start = linalg.rref_int(zip(*rows))[1]
     if len(start) < n:
         raise NotPointedError(linalg.nullspace(rows, ncols=n)[0])
-    rays, slack, value, zrows = {}, {}, {}, {}
-    viol, negm = [0] * m, [0] * m
-    tight, free = [0] * n, []
+    rays, slack, zrows = {}, {}, {}
+    tight, free, raw = [0] * n, [], bytearray()
 
-    def enter(ray, packed, zl, maybe):
-        # maybe: the rows where the slack can be negative; returns the slot bit
-        vals = _unpack(packed, width, bias, m)
-        negs = [r for r in maybe if vals[r] < 0]
+    def put(s, packed):
+        # slot s holds packed: its bytes in raw, its negative rows in count
+        nonlocal count
+        slack[s] = packed
+        raw[s * size:(s + 1) * size] = ((packed + bias) ^ bias).to_bytes(size, "little")
+        count += (~(packed + bias) & bias) >> (width - 1)
+
+    def widen(bound):
+        nonlocal width, bias, size, raw, count
+        if bound >> (width - 1):
+            old = width, bias
+            width = _width(bound, width)
+            bias, size = _bias(width, m), width * m // 8
+            raw, count = bytearray(len(raw) * width // old[0]), 0
+            for s, p in slack.items():
+                put(s, _pack(_unpack(p, *old, m), width, bias))
+
+    def enter(ray, packed, zl):
         s = free.pop() if free else len(rays)
-        bit = 1 << s
-        rays[s], slack[s], value[s], zrows[s] = ray, (packed, negs), vals, zl
+        rays[s], zrows[s] = ray, zl
+        put(s, packed)
         for p in zl:
-            tight[p] |= bit
-        for r in negs:
-            viol[r] += 1
-            negm[r] |= bit
-        return bit
+            tight[p] |= 1 << s
+        return 1 << s
+
+    def field(s):
+        o = s * size + col
+        return int.from_bytes(raw[o:o + nbytes], "little", signed=True)
 
     # the start rows are processed rows 0..n-1; initial ray c is tight at
     # all of them but row c
     inv = linalg.inverse([rows[i] for i in start])[1]
     first = [clear_denominators(col) for col in zip(*inv)]
     packed, width, bias = _evaluate(rows, first)
-    live = 0
+    size, count, live = width * m // 8, 0, 0
     for c, (ray, p) in enumerate(zip(first, packed)):
-        negs = [b // width for b in _bits(~(p + bias) & bias)]
-        live |= enter(ray, p, [q for q in range(n) if q != c], negs)
+        live |= enter(ray, p, [q for q in range(n) if q != c])
+    widen(n)  # a count is at most the number of live rays
     need = max(n - 2, 0)
-    while any(viol):
-        r = viol.index(max(viol))
-        pos = len(tight)
-        negative, zero = negm[r], 0
-        for s, vals in value.items():
-            if not vals[r]:
-                zero |= 1 << s
-                zrows[s].append(pos)
+    while count:
+        counts = _unpack(count, width, bias, m)
+        r = counts.index(max(counts))
+        pos, nbytes = len(tight), width // 8
+        col = r * nbytes
+        negative = live & _mask(raw[col + nbytes - 1::size], _NEG)
+        zero = live
+        for o in range(col, col + nbytes):
+            zero &= _mask(raw[o::size], _ZERO)
+        for s in _bits(zero):
+            zrows[s].append(pos)
         positive = live & ~negative & ~zero
         new = {}  # ray -> (tight rows, a, b, g, slot i, slot j)
         for j in _bits(negative):
@@ -316,7 +347,7 @@ def _dd(rows, n):
                             break
                 if acc != pair:
                     continue
-                a, b = value[i][r], -value[j][r]
+                a, b = field(i), -field(j)
                 combo = [a * y + b * x for x, y in zip(rays[i], rays[j])]
                 g = gcd(*combo)
                 # Both coefficients are positive and both parents are >= 0
@@ -331,24 +362,17 @@ def _dd(rows, n):
                     zl = [p for p in zj if tight[p] & bit] + [pos]
                     new[ray] = (zl, a, b, g, i, j)
         bound = rows.l1 * max((max(map(abs, ray)) for ray in new), default=0)
-        if bound >> (width - 1):
-            width = _width(bound, width)
-            bias = _bias(width, m)
-            for s, vals in value.items():
-                slack[s] = (_pack(vals, width, bias), slack[s][1])
+        widen(max(bound, len(rays) + len(new)))
         born = []
         for ray, (zl, a, b, g, i, j) in new.items():
-            (si, ni), (sj, nj) = slack[i], slack[j]
-            # with a, b > 0 a slack can be negative only where a parent's is
-            packed = a * sj + b * si
-            born.append((ray, packed // g if g > 1 else packed, zl, {*ni, *nj}))
+            packed = a * slack[j] + b * slack[i]
+            born.append((ray, packed // g if g > 1 else packed, zl))
         dead = set()  # the processed rows tight at some deleted ray
         for s in _bits(negative):
             dead.update(zrows.pop(s))
-            del rays[s], value[s]
-            for q in slack.pop(s)[1]:
-                viol[q] -= 1
-                negm[q] ^= 1 << s
+            del rays[s]
+            p = slack.pop(s)
+            count -= (~(p + bias) & bias) >> (width - 1)
             free.append(s)
         live ^= negative
         # bit s of tight[p] is set iff p is in zrows[s], so only the rows
@@ -393,7 +417,7 @@ def extremal_rays(h):
 
 def is_extremal(h, r):
     """Is r on an extremal ray: tight constraints cut out a line."""
-    x = clear_denominators(r)
+    x = _vector(h, r)
     vals = _values(h.inequalities, [x])[0]
     if min(vals, default=0) < 0 or _evaluate(h.equalities, [x])[0][0]:
         raise ValueError(f"{r} does not satisfy the system")

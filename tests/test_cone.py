@@ -145,6 +145,19 @@ def test_row_length_mismatch_is_value_error():
         cone.HRep(2, equalities=[(1, 1, 1)])
 
 
+@pytest.mark.parametrize("x", [(1, 0), (1, 1, 1, -5), ()])
+def test_vector_length_mismatch_is_value_error(x):
+    # a short or long vector must not be answered from a truncated product:
+    # (1, 0) would read as the extremal ray (1, 0, 0), (1, 1, 1, -5) as the
+    # member (1, 1, 1)
+    h = cone.HRep(3, inequalities=[(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    msg = f"length {len(x)}, expected 3"
+    with pytest.raises(ValueError, match=msg):
+        cone.contains(h, x)
+    with pytest.raises(ValueError, match=msg):
+        cone.is_extremal(h, x)
+
+
 def test_packs_are_kept_per_field_width():
     # an H-rep keeps its packed columns per field width; a vector that
     # needs wider fields than the last one gets its own packs and is

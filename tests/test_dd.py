@@ -15,6 +15,7 @@ import itertools
 import random
 from array import array
 from fractions import Fraction
+from math import gcd
 from operator import mul
 
 import pytest
@@ -103,6 +104,209 @@ def test_dd_work_ignores_row_order(typ):
     random.Random(1).shuffle(rows)
     assert rows != h.inequalities
     assert cone._dd(rows, h.dim) == cone._dd(h.inequalities, h.dim)
+
+
+# -- reference engine -----------------------------------------------------
+
+
+def _reference_dd(rows, n):
+    """The double description engine that kept each ray's slacks decoded
+    into an array, and per row the count and the slot bitmask of the rays
+    negative there: a step found its zero rays in one pass over the arrays,
+    and each entering ray walked its parents' negative rows. Same row
+    order, adjacency test and slot use as ``cone._dd``."""
+    rows = cone._Rows(sorted(rows, key=cone._row_key))
+    m = len(rows)
+    start = linalg.rref_int(zip(*rows))[1]
+    if len(start) < n:
+        raise cone.NotPointedError(linalg.nullspace(rows, ncols=n)[0])
+    rays, slack, value, zrows = {}, {}, {}, {}
+    viol, negm = [0] * m, [0] * m
+    tight, free = [0] * n, []
+
+    def enter(ray, packed, zl, maybe):
+        # maybe: the rows where the slack can be negative; returns the slot bit
+        vals = cone._unpack(packed, width, bias, m)
+        negs = [r for r in maybe if vals[r] < 0]
+        s = free.pop() if free else len(rays)
+        bit = 1 << s
+        rays[s], slack[s], value[s], zrows[s] = ray, (packed, negs), vals, zl
+        for p in zl:
+            tight[p] |= bit
+        for r in negs:
+            viol[r] += 1
+            negm[r] |= bit
+        return bit
+
+    # the start rows are processed rows 0..n-1; initial ray c is tight at
+    # all of them but row c
+    inv = linalg.inverse([rows[i] for i in start])[1]
+    first = [clear_denominators(col) for col in zip(*inv)]
+    packed, width, bias = cone._evaluate(rows, first)
+    live = 0
+    for c, (ray, p) in enumerate(zip(first, packed)):
+        negs = [b // width for b in cone._bits(~(p + bias) & bias)]
+        live |= enter(ray, p, [q for q in range(n) if q != c], negs)
+    need = max(n - 2, 0)
+    while any(viol):
+        r = viol.index(max(viol))
+        pos = len(tight)
+        negative, zero = negm[r], 0
+        for s, vals in value.items():
+            if not vals[r]:
+                zero |= 1 << s
+                zrows[s].append(pos)
+        positive = live & ~negative & ~zero
+        new = {}  # ray -> (tight rows, a, b, g, slot i, slot j)
+        for j in cone._bits(negative):
+            zj = zrows[j]
+            spare = len(zj) - need
+            if spare < 0:
+                continue
+            if spare < 2:  # within[spare - 1] (none at spare 0), within[spare]
+                low, cand = positive if spare else 0, positive
+                for p in zj:
+                    t = tight[p]
+                    cand = cand & t | low
+                    low &= t
+                    if not cand:
+                        break
+            else:
+                within = [positive] * (spare + 1)
+                for p in zj:
+                    t = tight[p]
+                    for k in range(spare, 0, -1):
+                        within[k] = within[k] & t | within[k - 1]
+                    within[0] &= t
+                    if not within[spare]:
+                        break
+                cand = within[spare]
+            for i in cone._bits(cand):
+                # i and j are adjacent iff no other ray is tight at every
+                # row where both are; stop as soon as only the pair is left
+                bit = 1 << i
+                pair = bit | 1 << j
+                acc = live
+                for p in zj:
+                    t = tight[p]
+                    if t & bit:
+                        acc &= t
+                        if acc == pair:
+                            break
+                if acc != pair:
+                    continue
+                a, b = value[i][r], -value[j][r]
+                combo = [a * y + b * x for x, y in zip(rays[i], rays[j])]
+                g = gcd(*combo)
+                # Both coefficients are positive and both parents are >= 0
+                # on every processed row, so the combination is zero on a
+                # processed row exactly where both parents are; it is zero
+                # on this row by construction. Combinatorially distinct
+                # parents can give the same ray, with the same zero set; a
+                # surviving ray never equals it, as it would be tight at
+                # every common row and fail the test above.
+                ray = tuple(x // g for x in combo)
+                if ray not in new:
+                    zl = [p for p in zj if tight[p] & bit] + [pos]
+                    new[ray] = (zl, a, b, g, i, j)
+        bound = rows.l1 * max((max(map(abs, ray)) for ray in new), default=0)
+        if bound >> (width - 1):
+            width = cone._width(bound, width)
+            bias = cone._bias(width, m)
+            for s, vals in value.items():
+                slack[s] = (cone._pack(vals, width, bias), slack[s][1])
+        born = []
+        for ray, (zl, a, b, g, i, j) in new.items():
+            (si, ni), (sj, nj) = slack[i], slack[j]
+            # with a, b > 0 a slack can be negative only where a parent's is
+            packed = a * sj + b * si
+            born.append((ray, packed // g if g > 1 else packed, zl, {*ni, *nj}))
+        dead = set()  # the processed rows tight at some deleted ray
+        for s in cone._bits(negative):
+            dead.update(zrows.pop(s))
+            del rays[s], value[s]
+            for q in slack.pop(s)[1]:
+                viol[q] -= 1
+                negm[q] ^= 1 << s
+            free.append(s)
+        live ^= negative
+        # bit s of tight[p] is set iff p is in zrows[s], so only the rows
+        # tight at a deleted ray can hold a deleted slot
+        for p in dead:
+            tight[p] &= ~negative
+        tight.append(zero)
+        for args in born:
+            live |= enter(*args)
+    return list(rays.values())
+
+
+REFERENCE_TYPES = ["A2", "B2", "G2", "A3", "B3", "C3", "A4", "D4", "B4", "C4"]
+
+
+def _gamma_rows(typ):
+    h = rays.gamma_hrep(build_root_system(typ), 3)
+    assert not h.equalities
+    return list(h.inequalities), h.dim
+
+
+@pytest.mark.parametrize("typ", REFERENCE_TYPES)
+def test_dd_matches_reference_engine(typ):
+    # equal unsorted lists mean every step chose the same row and filled the
+    # same slots in the same order
+    rows, n = _gamma_rows(typ)
+    shuffled = rows[:]
+    random.Random(2).shuffle(shuffled)
+    for order in (sorted(rows, key=cone._row_key), shuffled):
+        assert cone._dd(order, n) == _reference_dd(order, n)
+
+
+def _cube_rows(d):
+    """The cone over the cube [-1, 1]^d: 2d rows, 2^d rays (1, +-1, ..)."""
+    return [
+        tuple([1] + [sign * (c == i) for c in range(d)])
+        for i in range(d)
+        for sign in (1, -1)
+    ]
+
+
+@pytest.mark.parametrize("typ", ["B3", "D4", "cube"])
+def test_dd_widens_from_narrow_fields(typ, monkeypatch):
+    # From 8-bit fields the B3 and D4 slacks outgrow their fields mid-run,
+    # so every live ray is repacked and the raw bytes and the counts are
+    # rebuilt. The cube's slacks fit 8 bits throughout (the reference
+    # engine, which keeps its counts in a list, never widens there), but
+    # its 128 live rays overflow an 8-bit count.
+    rows, n = (_cube_rows(7), 8) if typ == "cube" else _gamma_rows(typ)
+    want = cone._dd(rows, n)
+    real, calls = cone._width, []
+
+    def spy(bound, width):
+        calls.append((width, real(bound, width)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(cone, "_START_WIDTH", 8)
+    monkeypatch.setattr(cone, "_width", spy)
+    assert _reference_dd(rows, n) == want
+    assert (calls == [(8, 8)]) == (typ == "cube")
+    calls.clear()
+    assert cone._dd(rows, n) == want
+    # the start rays fit 8 bits, and one later step widens to 16
+    assert calls == [(8, 8), (8, 16)]
+    if typ == "cube":
+        assert sorted(want) == sorted(
+            (1,) + v for v in itertools.product((1, -1), repeat=7)
+        )
+
+
+@pytest.mark.parametrize("scale", [2**8, 2**24 + 2**16])
+def test_dd_reads_every_byte_of_a_field(scale):
+    # Scaled rows cut out the same cone through the same steps. Every slack
+    # is a multiple of 2^8 (of 2^16 at the second scale), in fields that
+    # widen from 16 to 32 bits (from 32 to 64), so a ray is tight only where
+    # every byte of its field is zero, not only the top or the bottom one.
+    rows, n = _gamma_rows("B3")
+    scaled = [tuple(scale * x for x in row) for row in rows]
+    assert cone._dd(scaled, n) == cone._dd(rows, n)
 
 
 def _epsilon_rays(typ):
