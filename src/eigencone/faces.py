@@ -102,9 +102,14 @@ def _root_system(lams):
 def _int_block(w, k):
     """-(w^-1 omega_i)(x_k) d for i = 1..rank, d = ``x_den``: the slice of
     the inequality row for x_k that multiplies w's factor, as integer
-    numerators over d."""
-    row = w.root_system.x_rows[k - 1]
-    return tuple(-sum(map(mul, row, col)) for col in zip(*w.inverse().matrix))
+    numerators over d. (w^-1 omega_i)(x_k) = <omega_i, w x_k> for x_k the
+    coweight whose simple-coroot coordinates are row k of ``x_rows`` over d,
+    so the slice is -w(d x_k): s_i takes <alpha_i, y> alpha_i^vee off y."""
+    rs = w.root_system
+    y = list(rs.x_rows[k - 1])
+    for i in reversed(w.word()):
+        y[i - 1] -= sum(row[i - 1] * c for row, c in zip(rs.cartan_matrix, y))
+    return tuple(-c for c in y)
 
 
 @lru_cache(maxsize=None)

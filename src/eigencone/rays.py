@@ -232,12 +232,12 @@ def _over(rs, den, rows, tag):
 
 
 def _induced_rows(face, rows):
-    """The induction formula on integer rows: each row moved by w_j's
-    matrix, minus the basic classes D(j, v, ell) times coordinate ell of the
-    moved row j. It is linear, so numerators over D map to numerators over
-    D."""
+    """The induction formula on integer rows: each row moved by w_j, along
+    its reversed word, minus the basic classes D(j, v, ell) times coordinate
+    ell of the moved row j. It is linear, so numerators over D map to
+    numerators over D."""
     moved = [
-        [sum(map(mul, r, row)) for r in w.matrix]
+        face.root_system.reflect_along(w.word()[::-1], row)
         for w, row in zip(face.words, rows)
     ]
     out = [list(row) for row in moved]
@@ -535,44 +535,16 @@ def _weight_mults(rs, lam_coords):
                     f"non-integral multiplicity {2 * acc}/{denom} of {mu} in "
                     f"V{lam_coords}"
                 )
-        for x in _signed_orbit(rs, mu):
-            diagram[x] = m
+        diagram.update(dict.fromkeys(_signed_orbit(rs, mu), m))
     return diagram
 
 
 @lru_cache(maxsize=None)
 def _signed_orbit(rs, coords):
-    """{w(coords): (-1)^k} over the W-orbit of a dominant weight, k the BFS
-    layer over the simple reflections s_i at positive coordinates i. Each
-    such step lengthens the minimal coset representative by one, so k is
-    its length, and for a regular weight the sign is det(w)."""
-    a = rs.cartan_matrix
-    n = rs.rank
-    # s_i negates coordinate i and moves only the neighbours j of node i
-    moves = [
-        (i, [(j, a[j][i]) for j in range(n) if j != i and a[j][i]])
-        for i in range(n)
-    ]
-    out = {coords: 1}
-    frontier = [coords]
-    sign = 1
-    while frontier:
-        sign = -sign
-        nxt = []
-        for c in frontier:
-            for i, nbrs in moves:
-                ci = c[i]
-                if ci > 0:
-                    new = list(c)
-                    new[i] = -ci
-                    for j, aji in nbrs:
-                        new[j] -= ci * aji
-                    new = tuple(new)
-                    if new not in out:
-                        out[new] = sign
-                        nxt.append(new)
-        frontier = nxt
-    return out
+    """{w(coords): (-1)^l(w)} over the W-orbit of a dominant weight, w the
+    minimal coset representative that ``RootSystem.orbit`` walks to it; for
+    a regular weight the sign is det(w)."""
+    return {x: (-1) ** len(word) for layer in rs.orbit(coords, ()) for x, word in layer}
 
 
 def _tensor_decompose(rs, acc, lam_coords):

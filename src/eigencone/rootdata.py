@@ -152,6 +152,15 @@ class RootSystem:
         self.cartan_label = label
         self.rank = len(cartan)
         self.cartan_matrix = tuple(tuple(int(x) for x in row) for row in cartan)
+        a, n = self.cartan_matrix, self.rank
+        # s_i negates coordinate i of a weight and moves only the neighbours
+        # j of node i, by a[j][i]; so from a point whose first negative
+        # coordinate is f (n: none), s_i can leave i first negative only for
+        # i < f or a neighbour i > f of f, which must be checked (``orbit``)
+        self._nbrs = [[(j, row[i]) for j, row in enumerate(a) if j != i and row[i]]
+                      for i in range(n)]
+        self._steps = [[(i, i > f) for i in range(n) if i < f or a[f][i]]
+                       for f in range(n + 1)]
         # simple_roots[i - 1] is alpha_i as a vector in the simple-root basis
         self.simple_roots = tuple(
             tuple(int(i == j) for j in range(self.rank)) for i in range(self.rank)
@@ -176,9 +185,16 @@ class RootSystem:
     def zero_weight(self):
         return self.weight([0] * self.rank)
 
+    def simple_index(self, i):
+        """0-based position of a 1-based simple index; ValueError outside 1..rank."""
+        if not 1 <= i <= self.rank:
+            raise ValueError(f"simple index {i} out of range 1..{self.rank}")
+        return i - 1
+
     def omega(self, i):
         """Fundamental weight omega_i (1-based)."""
-        return self.weight([int(j == i - 1) for j in range(self.rank)])
+        i = self.simple_index(i)
+        return self.weight([int(j == i) for j in range(self.rank)])
 
     @property
     def rho(self):
@@ -195,7 +211,7 @@ class RootSystem:
 
     def root_pairing(self, beta, i):
         """<beta, alpha_i^vee> for a root-basis vector beta (1-based i)."""
-        return sum(m * self.cartan_matrix[i - 1][j] for j, m in enumerate(beta))
+        return sum(map(mul, self.cartan_matrix[self.simple_index(i)], beta))
 
     def reflect_root(self, i, beta):
         """s_i(beta) in the simple-root basis (1-based i)."""
@@ -213,17 +229,61 @@ class RootSystem:
         so the walk ends at rho and ``word`` is a reduced word of w.
         """
         c = list(coords)
-        a = self.cartan_matrix
-        n = self.rank
         word = []
         while True:
-            i = next((i for i in range(n) if c[i] < 0), None)
+            i = next((i for i, x in enumerate(c, 1) if x < 0), None)
             if i is None:
                 return tuple(c), tuple(word)
-            ci = c[i]
-            for r in range(n):
-                c[r] -= ci * a[r][i]
-            word.append(i + 1)
+            c = self.reflect_along((i,), c)
+            word.append(i)
+
+    def reflect_along(self, letters, coords):
+        """Fundamental coordinates of s_{letters[-1]} o .. o s_{letters[0]}
+        applied to a weight, as a list: the 1-based letters act in the order
+        listed, so w acts along reversed(w.word()) and w^-1 along w.word()."""
+        c = list(coords)
+        for i in letters:
+            ci = c[i - 1]
+            if ci:
+                c[i - 1] = -ci
+                for j, aji in self._nbrs[i - 1]:
+                    c[j] -= ci * aji
+        return c
+
+    def orbit(self, top, carry):
+        """Layers of the W-orbit of a dominant weight ``top``: layer k lists
+        (w(top) + w(carry), word) over the w of length k minimal in w W_top,
+        ``word`` reduced; ``carry`` is a weight, or () for none. It is
+        ``dominant_walk`` run backwards: from a point it steps by s_i where
+        coordinate i is positive, keeping the new point only where i is its
+        first negative coordinate, so each point arises once and no visited
+        set is kept. A caller may reorder a layer before asking for the next."""
+        n, nbrs, steps = self.rank, self._nbrs, self._steps
+        blocks = range(n, n + len(carry), n)  # the carried block, if any
+        layer = [(tuple(top) + tuple(carry), ())]
+        while layer:
+            yield layer
+            nxt = []
+            for v, word in layer:
+                # a point's first negative coordinate is its word's first letter
+                f = word[0] - 1 if word else n
+                for i, check in steps[f]:
+                    vi = v[i]
+                    if vi <= 0:
+                        continue
+                    new = list(v)
+                    new[i] = -vi
+                    for j, aji in nbrs[i]:
+                        new[j] -= vi * aji
+                    if check and min(new[f:i]) < 0:
+                        continue
+                    for o in blocks:
+                        x = v[o + i]
+                        new[o + i] = -x
+                        for j, aji in nbrs[i]:
+                            new[o + j] -= x * aji
+                    nxt.append((tuple(new), (i + 1,) + word))
+            layer = nxt
 
     def root_to_weight(self, beta):
         """A root (simple-root basis) as a Weight."""
@@ -359,16 +419,14 @@ class ParabolicSpec:
         self.root_system = root_system
         self.delta_P = frozenset(int(i) for i in delta_P)
         for i in self.delta_P:
-            if not 1 <= i <= root_system.rank:
-                raise ValueError(f"simple-root index {i} out of range")
+            root_system.simple_index(i)
 
     @classmethod
     def dropping(cls, root_system, nodes):
         """The standard parabolic whose Delta(P) omits exactly ``nodes``."""
         nodes = set(nodes)
         for k in nodes:
-            if not 1 <= k <= root_system.rank:
-                raise ValueError(f"simple index {k} out of range")
+            root_system.simple_index(k)
         return cls(root_system, set(range(1, root_system.rank + 1)) - nodes)
 
     @classmethod

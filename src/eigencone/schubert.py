@@ -31,7 +31,6 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import mul
 
 from . import linalg
 from .rootdata import ParabolicSpec
@@ -212,14 +211,11 @@ def _rho_walk(w):
     """(w^-1 rho, rho - w^-1 rho) in fundamental, resp. simple-root
     coordinates: along w's word, s_i takes <lam, alpha_i^vee> alpha_i off lam."""
     rs = w.root_system
-    a = rs.cartan_matrix
     lam = list(rs.rho.coords)
     drop = [0] * rs.rank
     for i in w.word():
-        c = lam[i - 1]
-        drop[i - 1] += c
-        for r in range(rs.rank):
-            lam[r] -= c * a[r][i - 1]
+        drop[i - 1] += lam[i - 1]
+        lam = rs.reflect_along((i,), lam)
     return lam, drop
 
 
@@ -232,11 +228,11 @@ def _levi_rho(P):
 
 def _dual_id(w, P, table):
     """Internal index of the pullback to G/B of the class of w in W^P: the
-    element w_0 w w_{0,P}, found by its image of rho."""
-    v = _levi_rho(P)
-    for x in (w, table.W.longest):
-        v = tuple(sum(map(mul, row, v)) for row in x.matrix)
-    return table.W.by_rho[v]
+    element w_0 w w_{0,P}, found by its image of rho: w_{0,P}(rho) moved by
+    w, then by w_0, each along its reversed word."""
+    W = table.W
+    letters = (W.longest.word() + w.word())[::-1]
+    return W.by_rho[tuple(P.root_system.reflect_along(letters, _levi_rho(P)))]
 
 
 def codim(w, P):

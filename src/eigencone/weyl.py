@@ -1,24 +1,26 @@
 """Weyl group arithmetic.
 
-``WeylGroup`` is the one place that makes elements. It builds W once, by a
-breadth-first walk over w(rho) with left multiplication. The negative
-coordinates of w(rho) are the left descents of w, so the walk steps from w to
-s_i w only where coordinate i of w(rho) is positive: there the length goes
-up. It keeps s_i w only where i is the first negative coordinate of
-s_i w(rho), so each element arises once, and its word (i,) + word(w) is the
-reduced word that ``RootSystem.dominant_walk`` reads off its image of rho.
-Each element also carries its integer matrix, whose column j holds the
-fundamental-weight coordinates of w(omega_j): ``act`` is a matrix-vector
-product, and W is ordered by (length, matrix).
+``WeylGroup`` is the one place that makes elements. It builds W once as the
+orbit of rho (``RootSystem.orbit``), which yields each element once with the
+reduced word ``RootSystem.dominant_walk`` reads off its image of rho. An
+element is that image and that word; ``act`` reflects along the word.
+
+The walk carries lambda_B = sum_j B^(n - j) omega_j, B = 2c + 1 for c the
+largest coefficient of a positive coroot. Write M_w[r][j] for
+<w omega_j, alpha_r^vee>: it is coefficient j of the coroot of w^-1 alpha_r,
+so |M_w[r][j]| <= c, and coordinate r of w(lambda_B) holds the row
+(M_w[r][j])_j in balanced base B. Ordering each length layer by
+w(lambda_B) therefore orders W by (length, M_w read row by row). The same
+packing gives each Chevalley vector (<x omega_k, gamma^vee>)_k of an upper
+cover as the base-B digits of <x lambda_B, gamma^vee> (``cover_row``).
 
 Since rho is regular, w(rho) determines w: ``WeylGroup.by_rho`` finds an
 element's position from it. Every other constructor -- ``identity``,
 ``simple_reflection``, ``reflection``, ``parse_word``, ``WeylElem.inverse``
 and ``WeylElem.compose`` -- computes an image of rho and looks it up.
 
-W^P is the orbit of lambda_P = sum of omega_k over k outside Delta(P), whose
-stabilizer is W_P: ``minimal_reps`` walks it from lambda_P, carrying w(rho)
-to find each element, and W^P is computed nowhere else.
+W^P is computed in one place, ``minimal_reps``: the orbit of lambda_P = sum
+of omega_k over k outside Delta(P), whose stabilizer is W_P.
 
 Orientation conventions, fixed once:
 
@@ -55,23 +57,6 @@ __all__ = [
 ]
 
 
-def _matvec(a, v):
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in a)
-
-
-def _reflect_along(rs, letters, coords):
-    """Fundamental coordinates of s_{letters[-1]} o .. o s_{letters[0]}
-    applied to a weight: the letters act in the order listed."""
-    a = rs.cartan_matrix
-    c = list(coords)
-    for i in letters:
-        ci = c[i - 1]
-        if ci:
-            for r in range(rs.rank):
-                c[r] -= ci * a[r][i - 1]
-    return c
-
-
 def _element(rs, rho_image):
     """The element of W whose image of rho is ``rho_image``."""
     W = weyl_group(rs)
@@ -79,14 +64,13 @@ def _element(rs, rho_image):
 
 
 class WeylElem:
-    """A Weyl group element: its weight-lattice matrix, its image of rho and
-    a reduced word. Only ``WeylGroup`` makes them."""
+    """A Weyl group element: its image of rho and a reduced word. Only
+    ``WeylGroup`` makes them."""
 
-    __slots__ = ("root_system", "matrix", "rho", "_word")
+    __slots__ = ("root_system", "rho", "_word")
 
-    def __init__(self, root_system, matrix, rho, word):
+    def __init__(self, root_system, rho, word):
         self.root_system = root_system
-        self.matrix = matrix
         self.rho = rho
         self._word = word
 
@@ -105,7 +89,7 @@ class WeylElem:
     def act(self, lam):
         """w(lam) for a Weight in fundamental coordinates."""
         rs = one_root_system(self, lam)
-        return Weight(rs, _matvec(self.matrix, lam.coords))
+        return Weight(rs, tuple(rs.reflect_along(reversed(self._word), lam.coords)))
 
     def act_root(self, beta):
         """w(beta) for a root in the simple-root basis."""
@@ -118,11 +102,11 @@ class WeylElem:
     def compose(self, other):
         """w o other (other acts first)."""
         rs = one_root_system(self, other)
-        return _element(rs, _matvec(self.matrix, other.rho))
+        return _element(rs, rs.reflect_along(reversed(self._word), other.rho))
 
     def inverse(self):
         rs = self.root_system
-        return _element(rs, _reflect_along(rs, self._word, rs.rho.coords))
+        return _element(rs, rs.reflect_along(self._word, rs.rho.coords))
 
     @property
     def length(self):
@@ -174,7 +158,8 @@ def identity(rs):
 
 def simple_reflection(rs, i):
     """s_i (1-based i)."""
-    return _element(rs, _reflect_along(rs, (i,), rs.rho.coords))
+    rs.simple_index(i)
+    return _element(rs, rs.reflect_along((i,), rs.rho.coords))
 
 
 def reflection(rs, beta):
@@ -199,49 +184,35 @@ def parse_word(rs, text):
         raise ValueError(f"cannot parse Weyl word {text!r}")
     letters = [int(t) for t in tokens]
     for i in letters:
-        if not 1 <= i <= rs.rank:
-            raise ValueError(f"simple index {i} out of range in {text!r}")
+        rs.simple_index(i)
     # a typed word need not be reduced: look up where it sends rho
-    return _element(rs, _reflect_along(rs, letters[::-1], rs.rho.coords))
+    return _element(rs, rs.reflect_along(letters[::-1], rs.rho.coords))
 
 
 class WeylGroup:
-    """Full enumeration of W, ordered by (length, matrix)."""
+    """Full enumeration of W: the orbit of rho carrying lambda_B, ordered by
+    (length, w(lambda_B)), which is the order by (length, M_w read row by
+    row) since w(lambda_B) holds the rows of M_w in balanced base B."""
 
     def __init__(self, rs):
-        """Walk W layer by layer from the identity: s_i w, for w in a layer,
-        joins the next one where coordinate i of w(rho) is positive and is
-        the first negative coordinate of s_i w(rho). Its matrix is w's with
-        row r less a[r][i] times row i, and each layer is sorted by matrix."""
         self.root_system = rs
-        a = rs.cartan_matrix
         n = rs.rank
-        one = tuple(tuple(int(r == j) for j in range(n)) for r in range(n))
-        layer = [(one, tuple(rs.rho.coords), ())]
+        # B = 2c + 1, and lambda_B = (B^(n - j))_j: the digit values
+        self._base = 2 * max(max(rs.coroot(b)) for b in rs.positive_roots) + 1
+        self._powers = [self._base ** (n - j) for j in range(1, n + 1)]
         self.elements = []
-        while layer:
-            layer.sort()  # by matrix: no two elements share one
-            self.elements += [WeylElem(rs, m, c, word) for m, c, word in layer]
-            nxt = []
-            for m, c, word in layer:
-                for i, ci in enumerate(c):
-                    if ci < 0:
-                        continue
-                    v = tuple(x - ci * ar[i] for x, ar in zip(c, a))
-                    if any(x < 0 for x in v[:i]):
-                        continue
-                    mi = m[i]
-                    m2 = tuple(
-                        tuple(x - ar[i] * y for x, y in zip(row, mi)) if ar[i] else row
-                        for row, ar in zip(m, a)
-                    )
-                    nxt.append((m2, v, (i + 1,) + word))
-            layer = nxt
+        self._lam_B = []  # id -> w(lambda_B)
+        for layer in rs.orbit(rs.rho.coords, self._powers):
+            # by w(lambda_B), which no two elements share
+            layer.sort(key=lambda entry: entry[0][n:])
+            for v, word in layer:
+                self.elements.append(WeylElem(rs, v[:n], word))
+                self._lam_B.append(v[n:])
         # w(rho) -> position in ``elements``
         self.by_rho = {w.rho: i for i, w in enumerate(self.elements)}
         self.longest = self.elements[-1]
         self._rows = {}  # id -> cover_row
-        self._chev = {}  # each Chevalley vector of an upper cover, once
+        self._chev = {}  # <x lambda_B, gamma^vee> -> its Chevalley vector
         # (gamma, gamma^vee, gamma as a weight) per positive root
         self._roots = [
             (g, rs.coroot(g), rs.root_to_weight(g).coords)
@@ -263,11 +234,14 @@ class WeylGroup:
         order, with l(s_gamma x) = l(x) - 1; upper holds pairs (id of
         s_gamma x, Chevalley vector) with l(s_gamma x) = l(x) + 1, where
         entry k of the vector is <x omega_k, gamma^vee>. Filled on first use
-        from s_gamma x(rho) = x(rho) - <x(rho), gamma^vee> gamma."""
+        from s_gamma x(rho) = x(rho) - <x(rho), gamma^vee> gamma. For an
+        upper cover x^-1 gamma > 0, and entry k is coefficient k of its
+        coroot, in 0..c: the vector is the base-B digits of
+        <x lambda_B, gamma^vee>, most significant first."""
         got = self._rows.get(xid)
         if got is None:
             x = self.elements[xid]
-            x_rho, lx, cols = x.rho, x.length, tuple(zip(*x.matrix))
+            x_rho, lx, x_lam = x.rho, x.length, self._lam_B[xid]
             lower, upper = [], []
             for gamma, co, gw in self._roots:
                 h = sum(map(mul, co, x_rho))
@@ -276,10 +250,13 @@ class WeylGroup:
                 if ly == lx - 1:
                     lower.append((gamma, yid))
                 elif ly == lx + 1:
-                    # column k of x's matrix holds x omega_k; equal vectors
-                    # are stored once
-                    chev = tuple(sum(map(mul, co, col)) for col in cols)
-                    upper.append((yid, self._chev.setdefault(chev, chev)))
+                    # equal vectors are stored once, by their packed value
+                    packed = sum(map(mul, co, x_lam))
+                    chev = self._chev.get(packed)
+                    if chev is None:
+                        chev = tuple(packed // p % self._base for p in self._powers)
+                        self._chev[packed] = chev
+                    upper.append((yid, chev))
             got = self._rows[xid] = (lower, upper)
         return got
 
@@ -297,32 +274,20 @@ def require_minimal_rep(w, P):
 
 @lru_cache(maxsize=None)
 def _rep_ids(P):
-    """The ids of W^P, by a walk over the orbit of lambda_P from lambda_P.
-
-    For w in W^P, s_i w is longer and again in W^P exactly where coordinate
-    i of w(lambda_P) is positive. Each layer maps w(lambda_P) to w(rho),
-    which finds the element, and s_i moves both images."""
+    """The ids of W^P: the walk from lambda_P, whose stabilizer is W_P,
+    visits each w in W^P once, and the carried w(rho) finds it."""
     rs = P.root_system
-    W = weyl_group(rs)
-    lam = tuple(int(k not in P.delta_P) for k in range(1, rs.rank + 1))
-    layer = {lam: tuple(rs.rho.coords)}
-    ids = set()
-    while layer:
-        ids.update(W.by_rho[rho] for rho in layer.values())
-        nxt = {}
-        for mu, rho in layer.items():
-            for i, c in enumerate(mu):
-                if c > 0:
-                    mu2 = tuple(_reflect_along(rs, (i + 1,), mu))
-                    if mu2 not in nxt:
-                        nxt[mu2] = tuple(_reflect_along(rs, (i + 1,), rho))
-        layer = nxt
-    return frozenset(ids)
+    by_rho = weyl_group(rs).by_rho
+    lam = [int(k not in P.delta_P) for k in range(1, rs.rank + 1)]
+    return frozenset(
+        by_rho[v[rs.rank:]] for layer in rs.orbit(lam, rs.rho.coords) for v, _ in layer
+    )
 
 
 @lru_cache(maxsize=None)
 def minimal_reps(P):
-    """W^P as a tuple, ordered by (length, matrix) as W is."""
+    """W^P as a tuple, ordered by (length, w(lambda_B)) as W is, which is the
+    order by (length, M_w read row by row)."""
     W = weyl_group(P.root_system)
     return tuple(W.elements[i] for i in sorted(_rep_ids(P)))
 
@@ -343,9 +308,9 @@ def covers(w, P):
 def simple_cover(u, ell):
     """s_ell u if it covers u, else None: s_ell u(rho) = u(rho) - c alpha_ell
     with c coordinate ell of u(rho), and it is longer iff c is positive."""
-    if u.rho[ell - 1] <= 0:
+    if u.rho[u.root_system.simple_index(ell)] <= 0:
         return None
-    return _element(u.root_system, _reflect_along(u.root_system, (ell,), u.rho))
+    return _element(u.root_system, u.root_system.reflect_along((ell,), u.rho))
 
 
 def cover_test(u, ell, P):

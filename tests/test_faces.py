@@ -255,7 +255,7 @@ def _brute_force_facets(rs, s, quotient):
         seen = set()
         for t in tuples:
             if quotient:
-                key = tuple(sorted(w.matrix for w in t))
+                key = tuple(sorted(w.rho for w in t))
                 if key in seen:
                     continue
                 seen.add(key)

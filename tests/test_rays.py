@@ -2,9 +2,13 @@ import functools
 import hashlib
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -570,6 +574,28 @@ def test_invariant_dim_four_factors():
     # End(V x V) for V = C^3: V x V = S^2 V + L^2 V
     assert rays.invariant_dim((w1, w1, w2, w2)) == 2
     assert rays.invariant_dim((w1, w1, w1, w2)) == 0
+
+
+def test_invariant_dim_builds_no_weyl_group():
+    # the oracle walks W-orbits of weights (RootSystem.orbit) and never the
+    # group: in a fresh process, where no other caller has built W, the
+    # weyl_group cache stays empty through three- and four-factor calls
+    script = (
+        "from eigencone import rays, weyl\n"
+        "from eigencone.rootdata import build_root_system\n"
+        "rs = build_root_system('D5')\n"
+        "before = weyl.weyl_group.cache_info().currsize\n"
+        "w1, w2 = rs.omega(1), rs.omega(2)\n"
+        "got = [rays.invariant_dim((w1, w1, w2)), rays.invariant_dim((w1,) * 4)]\n"
+        "print(before, got, weyl.weyl_group.cache_info().currsize)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.split() == ["0", "[1,", "3]", "0"]
 
 
 # -- reference oracle: Fraction Freudenthal and full Brauer-Klimyk ----

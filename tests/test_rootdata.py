@@ -10,6 +10,7 @@ import pytest
 from eigencone import rays, schubert
 from eigencone import rootdata as rd
 from eigencone.weyl import identity, minimal_reps, reflection, weyl_group
+from test_weyl import word_matrix
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -358,8 +359,9 @@ def test_integral_values_are_int(label):
         for i in range(1, n + 1):
             assert all(type(c) is int for c in w.act(rs.omega(i)).coords)
     for beta in rs.positive_roots:
-        mat = reflection(rs, beta).matrix
-        assert all(type(x) is int for row in mat for x in row)
+        s = reflection(rs, beta)
+        assert all(type(x) is int for x in s.rho)
+        assert all(type(x) is int for row in word_matrix(s) for x in row)
         assert type(rd.pair(rs.rho, beta)) is int
     vec = tuple(range(3 * n))
     back = rays.RayTuple.from_vector(rs, 3, vec)

@@ -10,7 +10,7 @@ import pytest
 from eigencone import schubert as sc
 from eigencone.rootdata import ParabolicSpec, build_root_system
 from eigencone.weyl import identity, minimal_reps, parse_word, weyl_group
-from test_weyl import matmul, matrix_length, reflection_matrix
+from test_weyl import matmul, matrix_length, reflection_matrix, word_matrix
 
 
 def test_codim(d4, p2, uvw):
@@ -282,7 +282,9 @@ def test_longest_levi_element(label):
             w0p = W.elements[W.by_rho[sc._levi_rho(P)]]
             assert w0p.length == len(P.levi_positive_roots)
             # the matrix route: w_0 = w_0^P w_{0,P}
-            assert matmul(minimal_reps(P)[-1].matrix, w0p.matrix) == W.longest.matrix
+            assert matmul(word_matrix(minimal_reps(P)[-1]), word_matrix(w0p)) == (
+                word_matrix(W.longest)
+            )
             for k in P.complement:
                 assert w0p.act(rs.omega(k)) == rs.omega(k)
 
@@ -297,11 +299,12 @@ def test_dual_id_against_matrix_products(label):
     for k in range(1, rs.rank + 1):
         P = ParabolicSpec.maximal(rs, k)
         w0p = W.elements[W.by_rho[sc._levi_rho(P)]]
-        assert matmul(minimal_reps(P)[-1].matrix, w0p.matrix) == W.longest.matrix
+        w0 = word_matrix(W.longest)
+        assert matmul(word_matrix(minimal_reps(P)[-1]), word_matrix(w0p)) == w0
         for w in minimal_reps(P):
             xid = sc._dual_id(w, P, table)
-            want = matmul(matmul(W.longest.matrix, w.matrix), w0p.matrix)
-            assert W.elements[xid].matrix == want
+            want = matmul(matmul(w0, word_matrix(w)), word_matrix(w0p))
+            assert word_matrix(W.elements[xid]) == want
             assert sc._dual_id(W.elements[xid], P, table) == W.id_of(w)
 
 
@@ -312,24 +315,25 @@ def test_chevalley_data_against_reflection_route(label):
     rs = build_root_system(label)
     table = sc.ProductTable(rs)
     W = table.W
+    mats = [word_matrix(w) for w in W.elements]
     for xid, x in enumerate(W.elements):
         lower, upper = [], []
         for gamma in rs.positive_roots:
-            y = matmul(reflection_matrix(rs, gamma), x.matrix)
+            y = matmul(reflection_matrix(rs, gamma), mats[xid])
             ly = matrix_length(rs, y)
             if ly == x.length - 1:
                 lower.append((gamma, y))
             elif ly == x.length + 1:
                 upper.append((gamma, y))
         got_lower, got_upper = W.cover_row(xid)
-        assert [(g, W.elements[y].matrix) for g, y in got_lower] == lower
+        assert [(g, mats[y]) for g, y in got_lower] == lower
         # Chevalley: sigma_{s_k} sigma_x has coefficient <omega_k, beta^vee>
         # at x s_beta = s_gamma x, where beta = x^-1 gamma; each upper entry
         # carries these coefficients over k
         xinv = x.inverse()
         upper = [(y, tuple(rs.coroot(xinv.act_root(g)))) for g, y in upper]
-        assert [(W.elements[y].matrix, chev) for y, chev in got_upper] == upper
-        ids = {w.matrix: i for i, w in enumerate(W.elements)}
+        assert [(mats[y], chev) for y, chev in got_upper] == upper
+        ids = {m: i for i, m in enumerate(mats)}
         for k in range(1, rs.rank + 1):
             want = {ids[y]: chev[k - 1] for y, chev in upper if chev[k - 1]}
             assert table._mult_degree_one(k, {xid: 1}) == want

@@ -7,8 +7,9 @@ from eigencone.rootdata import ParabolicSpec, build_root_system, pair
 
 
 # Matrix references that do not go through ``WeylGroup.by_rho``: the library
-# makes every element by looking up its image of rho, so these multiply the
-# weight-lattice matrices themselves. test_schubert.py imports them too.
+# makes every element by looking up its image of rho and keeps no matrix, so
+# these multiply the weight-lattice matrices themselves. test_schubert.py and
+# test_rootdata.py import them too.
 
 def matmul(a, b):
     return tuple(
@@ -30,6 +31,16 @@ def reflection_matrix(rs, beta):
     return tuple(
         tuple(int(r == j) - bw[r] * co[j] for j in range(n)) for r in range(n)
     )
+
+
+def word_matrix(w):
+    """w's matrix on the fundamental weights (column j holds w(omega_j)):
+    the product of the simple reflection matrices along its word."""
+    rs = w.root_system
+    m = unit_matrix(rs.rank)
+    for i in w.word():
+        m = matmul(m, reflection_matrix(rs, rs.simple_roots[i - 1]))
+    return m
 
 
 def matrix_length(rs, m):
@@ -61,16 +72,20 @@ def matrix_closure(rs):
 
 @pytest.mark.parametrize(
     "label",
-    ["A1", "A2", "B2", "G2", "A3", "B3", "C3", "A4", "D4", "F4", "A1xA1xA1"],
+    [
+        "A1", "A2", "B2", "G2", "A3", "B3", "C3", "A4", "D4", "F4", "A1xA1xA1",
+        "B4", "C4", "D5", "B2xG2",
+    ],
 )
 def test_weyl_group_against_matrix_closure(label):
     # the w(rho) walk against the matrix closure it replaced: the same
     # elements in the same (length, matrix) order, the same index by w(rho),
-    # and the words the rho walk reads off
+    # and the words the rho walk reads off; in B2xG2 the base of the
+    # lambda_B order comes from the G2 factor
     rs = build_root_system(label)
     W = wl.weyl_group(rs)
     ref = matrix_closure(rs)
-    assert [(w.length, w.matrix) for w in W] == ref
+    assert [(w.length, word_matrix(w)) for w in W] == ref
     assert W.by_rho == {
         tuple(sum(row) for row in m): i for i, (_, m) in enumerate(ref)
     }
@@ -86,12 +101,33 @@ def test_lookups_against_matrices(label):
     rs = build_root_system(label)
     W = wl.weyl_group(rs)
     for beta in rs.positive_roots:
-        assert wl.reflection(rs, beta).matrix == reflection_matrix(rs, beta)
+        assert word_matrix(wl.reflection(rs, beta)) == reflection_matrix(rs, beta)
     for i, alpha in enumerate(rs.simple_roots, 1):
-        assert wl.simple_reflection(rs, i).matrix == reflection_matrix(rs, alpha)
+        assert word_matrix(wl.simple_reflection(rs, i)) == reflection_matrix(rs, alpha)
+    mats = {w: word_matrix(w) for w in W}
     for u in W:
         for v in W:
-            assert u.compose(v).matrix == matmul(u.matrix, v.matrix)
+            assert word_matrix(u.compose(v)) == matmul(mats[u], mats[v])
+
+
+@pytest.mark.parametrize("i", [0, 4, -1])
+def test_out_of_range_simple_index_is_value_error(i):
+    # a 1-based simple index outside 1..rank must not wrap through negative
+    # indexing (0 -> s3, omega_0 = 0) or escape as a bare IndexError
+    a3 = build_root_system("A3")
+    e = wl.identity(a3)
+    P = ParabolicSpec.maximal(a3, 2)
+    calls = [
+        lambda: wl.simple_reflection(a3, i),
+        lambda: a3.omega(i),
+        lambda: a3.reflect_root(i, (1, 0, 0)),
+        lambda: a3.root_pairing((1, 0, 0), i),
+        lambda: wl.simple_cover(e, i),
+        lambda: wl.cover_test(e, i, P),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"simple index {i} out of range"):
+            call()
 
 
 def test_unreduced_words_resolve_to_group_elements():
@@ -155,15 +191,16 @@ def test_uvw_are_minimal_reps(p2, uvw):
 
 def test_covers_of_v(d4, p2, uvw):
     _, v, _ = uvw
-    s3v = matmul(reflection_matrix(d4, (0, 0, 1, 0)), v.matrix)
+    s3v = matmul(reflection_matrix(d4, (0, 0, 1, 0)), word_matrix(v))
     cv = wl.covers(v, p2)
-    hit = [c for c in cv if c.lower.matrix == s3v]
+    hit = [c for c in cv if word_matrix(c.lower) == s3v]
     assert len(hit) == 1
     assert hit[0].simple and hit[0].beta == (0, 0, 1, 0)
     for c in cv:
         assert c.upper == v
         assert c.lower.length == v.length - 1
-        assert matmul(reflection_matrix(d4, c.beta), c.lower.matrix) == v.matrix
+        lower = word_matrix(c.lower)
+        assert matmul(reflection_matrix(d4, c.beta), lower) == word_matrix(v)
 
 
 def test_covers_a1():
@@ -295,16 +332,16 @@ def test_word_composition_order(d4):
 @pytest.mark.parametrize("label", ["A2", "B3", "C3", "G2", "D4", "F4", "A1xA1xA1"])
 def test_weyl_layer_against_independent_routes(label):
     # the w(rho) walk gives words and lengths, inverses are looked up by
-    # w^-1(rho), and root actions follow the word; check each against a
-    # route that does none of these
+    # w^-1(rho), and weight and root actions follow the word; check each
+    # against a route that does none of these
     rs = build_root_system(label)
     for w in wl.weyl_group(rs):
-        assert w.length == matrix_length(rs, w.matrix)
-        prod = unit_matrix(rs.rank)
-        for i in w.word():
-            prod = matmul(prod, reflection_matrix(rs, rs.simple_roots[i - 1]))
-        assert prod == w.matrix
-        assert matmul(w.matrix, w.inverse().matrix) == unit_matrix(rs.rank)
+        m = word_matrix(w)
+        assert w.length == matrix_length(rs, m)
+        assert tuple(sum(row) for row in m) == w.rho
+        cols = [w.act(rs.omega(j)).coords for j in range(1, rs.rank + 1)]
+        assert tuple(zip(*cols)) == m
+        assert matmul(m, word_matrix(w.inverse())) == unit_matrix(rs.rank)
         for b in rs.positive_roots:
             assert rs.root_to_weight(w.act_root(b)) == w.act(rs.root_to_weight(b))
 
