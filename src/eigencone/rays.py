@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, mul, sub
+from operator import add, mul
 
 from . import cone, faces, linalg, schubert
 from .linalg import clear_denominators
@@ -448,11 +448,63 @@ def classify_face(face):
 # nu = -w0 lambda_s, in V_1 x .. x V_{s-1}: the factors but two fold by
 # Brauer-Klimyk, and that one coefficient is the Racah-Speiser sum over W
 #     mult(V_nu, V_mu x V_lam) = sum_w det(w) m_lam(w(nu + rho) - mu - rho).
-# Each oracle table is computed once per process and kept in an
-# ``lru_cache``: the positive roots of each root system in the forms the
-# oracle reads, the signed W-orbit of each dominant weight, and the weight
-# diagram {weight: multiplicity} of each highest weight, the one Freudenthal
+# Every weight in the loops is one packed int (``_packing``), so a chain
+# step, a diagram lookup and a Racah-Speiser shift are one int sum or
+# difference and one dict probe. Each oracle table is computed once per
+# process and kept in an ``lru_cache``: the packing and the positive roots
+# of each root system in the forms the oracle reads, the signed W-orbits
+# of the fundamental weights over each support, and the weight diagram
+# {packed weight: multiplicity} of each highest weight, the one Freudenthal
 # builds. Callers read them and never change them.
+
+# the inputs' coordinate sum that every root system's packing holds
+_COORD_SUM = 1 << 12
+
+
+class _Packing:
+    """Weights of one root system packed into one int: coordinate i is a
+    signed field of ``width`` bits at bit ``width * i``, so the sum or
+    difference of two packed weights is the packed sum or difference as
+    long as every coordinate stays inside a field.
+
+    The bound: for inputs whose coordinates sum to T over all factors, every
+    coordinate the oracle forms is at most c (T + 2 rank) + 3 in absolute
+    value, c the largest coefficient of a positive coroot. The weights it
+    forms are W-translates of dominant weights, partial sums of such
+    translates and Racah-Speiser shifts x - (mu + rho), x in the orbit of
+    nu + rho; in each case the coordinates are bounded by
+    <Lambda + 2 rho, theta^vee> <= c (T + 2 rank), Lambda the sum of the
+    inputs and theta^vee the highest coroot of a component. A chain step
+    adds one root more, whose coordinates <beta, alpha_i^vee> lie in -3..3.
+    The width is the smallest whose fields hold that bound at
+    T = ``_COORD_SUM`` with a sign; ``limit`` is the largest T it holds,
+    and ``invariant_dim`` raises ``OracleLimitError`` above it."""
+
+    def __init__(self, rs):
+        n, c = rs.rank, rs.coroot_max
+        self.width = (c * (_COORD_SUM + 2 * n) + 3).bit_length() + 1
+        self.half = 1 << (self.width - 1)
+        self.limit = (self.half - 4) // c - 2 * n
+        self.mask = (1 << self.width) - 1
+        self.shifts = [self.width * i for i in range(n)]
+        self.powers = [1 << s for s in self.shifts]
+        self.rho = sum(self.powers)
+        # the sign bit of every field: adding it turns each field into
+        # its coordinate plus half, which has that bit set iff the
+        # coordinate is >= 0
+        self.high = self.half * self.rho
+
+    def pack(self, coords):
+        return sum(map(mul, coords, self.powers))
+
+    def unpack(self, packed):
+        q = packed + self.high
+        return tuple((q >> s & self.mask) - self.half for s in self.shifts)
+
+
+@lru_cache(maxsize=None)
+def _packing(rs):
+    return _Packing(rs)
 
 
 def _scaled_form(rs):
@@ -465,15 +517,15 @@ def _scaled_form(rs):
 
 @lru_cache(maxsize=None)
 def _root_table(rs):
-    """(beta, beta as a weight, D_i beta_i, L (beta, beta)) for each positive
-    root beta, with D and L from ``_scaled_form``: L (x, beta) = x . (D_i
-    beta_i) for x in fundamental coordinates."""
-    form = _scaled_form(rs)
+    """(beta, beta as a packed weight, D_i beta_i, L (beta, beta)) for each
+    positive root beta, with D and L from ``_scaled_form``:
+    L (x, beta) = x . (D_i beta_i) for x in fundamental coordinates."""
+    form, pack = _scaled_form(rs), _packing(rs).pack
     out = []
     for beta in rs.positive_roots:
         bw = rs.root_to_weight(beta).coords
         fb = tuple(map(mul, form, beta))
-        out.append((beta, bw, fb, sum(map(mul, bw, fb))))
+        out.append((beta, pack(bw), fb, sum(map(mul, bw, fb))))
     return tuple(out)
 
 
@@ -481,53 +533,60 @@ def _dominant_weights(rs, lam_coords):
     """(depth, ks, mu) for each dominant mu <= lam, ks = lam - mu in the root
     basis and depth = sum(ks), sorted. Every such mu is reached from lam by
     subtracting positive roots through dominant weights (Stembridge, "The
-    partial order of dominant weights", 1998), so one search finds them."""
-    roots = _root_table(rs)
-    found = {lam_coords: (0,) * rs.rank}
-    frontier = [lam_coords]
+    partial order of dominant weights", 1998), so one search on packed
+    weights finds them."""
+    pk, roots = _packing(rs), _root_table(rs)
+    high = pk.high
+    top = pk.pack(lam_coords)
+    found = {top: (0,) * rs.rank}
+    frontier = [top]
     while frontier:
         nxt = []
         for mu in frontier:
             ks = found[mu]
-            for beta, bw, _, _ in roots:
-                new = tuple(c - b for c, b in zip(mu, bw))
-                if min(new) >= 0 and new not in found:
-                    found[new] = tuple(k + b for k, b in zip(ks, beta))
+            for beta, bp, _, _ in roots:
+                new = mu - bp
+                if (new + high) & high == high and new not in found:
+                    found[new] = tuple(map(add, ks, beta))
                     nxt.append(new)
         frontier = nxt
-    return sorted((sum(ks), ks, mu) for mu, ks in found.items())
+    return sorted((sum(ks), ks, pk.unpack(mu)) for mu, ks in found.items())
 
 
 @lru_cache(maxsize=None)
 def _weight_mults(rs, lam_coords):
-    """The weight diagram {weight: multiplicity} of the irreducible with
-    highest weight lam. The dominant multiplicities come from Freudenthal's
-    formula
+    """The weight diagram {packed weight: multiplicity} of the irreducible
+    with highest weight lam. The dominant multiplicities come from
+    Freudenthal's formula
     m(mu) (lam + mu + 2 rho, lam - mu)
         = 2 sum_{beta > 0} sum_{t >= 1} m(mu + t beta) (mu + t beta, beta),
     and once m(mu) is known every weight of mu's W-orbit gets it. Each chain
     term is looked up in the diagram of the weights found so far, and the
     chain stops at the first miss: root strings of the weights of an
     irreducible module are unbroken."""
-    form, roots = _scaled_form(rs), _root_table(rs)
+    form, roots, pack = _scaled_form(rs), _root_table(rs), _packing(rs).pack
     top = tuple(c + 2 for c in lam_coords)  # lam + 2 rho
     diagram = {}
+    get = diagram.get
     for depth, ks, mu in _dominant_weights(rs, lam_coords):
         m = 1
         if depth:
             # L ((lam + rho)^2 - (mu + rho)^2)
             denom = sum(k * (h + c) * d for k, h, c, d in zip(ks, top, mu, form))
             acc = 0
-            for _, bw, fb, step in roots:
+            packed = pack(mu)
+            for _, bp, fb, step in roots:
+                cand = packed + bp
+                mt = get(cand)
+                if not mt:
+                    continue
                 # L (mu + t beta, beta) = base + t step
                 base = sum(map(mul, mu, fb))
-                cand = tuple(map(add, mu, bw))
-                mt = diagram.get(cand)
                 t = 1
                 while mt:
                     acc += mt * (base + t * step)
-                    cand = tuple(map(add, cand, bw))
-                    mt = diagram.get(cand)
+                    cand += bp
+                    mt = get(cand)
                     t += 1
             m, r = divmod(2 * acc, denom)
             if r:
@@ -535,55 +594,93 @@ def _weight_mults(rs, lam_coords):
                     f"non-integral multiplicity {2 * acc}/{denom} of {mu} in "
                     f"V{lam_coords}"
                 )
-        diagram.update(dict.fromkeys(_signed_orbit(rs, mu), m))
+        diagram.update(dict.fromkeys(_signed_orbit(rs, mu)[0], m))
     return diagram
 
 
 @lru_cache(maxsize=None)
+def _support_orbits(rs, support):
+    """(columns, signs) for a support J, a sorted tuple of 0-based nodes:
+    over the minimal coset representatives w of W / W_{Delta - J}, in the
+    order ``RootSystem.orbit`` walks them from lambda_J = sum_{j in J}
+    omega_j carrying every omega_j, column k holds the packed w(omega_J[k])
+    and ``signs`` the (-1)^l(w). Every dominant weight with support J has
+    the stabilizer W_{Delta - J}, so the one walk serves them all."""
+    n, powers = rs.rank, _packing(rs).powers
+    top = [int(i in support) for i in range(n)]
+    carry = [int(i == j) for j in support for i in range(n)]
+    points, signs = [], []
+    for length, layer in enumerate(rs.orbit(top, carry)):
+        points += [v for v, _ in layer]
+        signs += [(-1) ** length] * len(layer)
+    cols = [
+        [sum(map(mul, v[o : o + n], powers)) for v in points]
+        for o in range(n, n + n * len(support), n)
+    ]
+    return cols, signs
+
+
+@lru_cache(maxsize=None)
 def _signed_orbit(rs, coords):
-    """{w(coords): (-1)^l(w)} over the W-orbit of a dominant weight, w the
-    minimal coset representative that ``RootSystem.orbit`` walks to it; for
-    a regular weight the sign is det(w)."""
-    return {x: (-1) ** len(word) for layer in rs.orbit(coords, ()) for x, word in layer}
+    """(keys, signs): the packed W-orbit of a dominant weight mu, read off
+    ``_support_orbits`` as sum_j mu_j w(omega_j), and (-1)^l(w) for w the
+    minimal coset representative that ``RootSystem.orbit`` walks to it;
+    for a regular weight the sign is det(w)."""
+    support = tuple(j for j, c in enumerate(coords) if c)
+    cols, signs = _support_orbits(rs, support)
+    keys = [0] * len(signs)
+    for j, col in zip(support, cols):
+        c = coords[j]
+        keys = list(map(add, keys, col if c == 1 else map(c.__mul__, col)))
+    return keys, signs
 
 
 def _tensor_decompose(rs, acc, lam_coords):
     """Decompose (sum of irreducibles in acc) tensor V_lam by Brauer-Klimyk:
-    summing the weight diagram of V_lam with shifted dominance reflections."""
+    summing the weight diagram of V_lam with shifted dominance reflections.
+    acc and the result map packed highest weights to multiplicities."""
+    pk = _packing(rs)
+    rho = pk.rho
     diagram = _weight_mults(rs, lam_coords)
     out = {}
     for nu, mult in acc.items():
+        base = nu + rho
         for mu, m in diagram.items():
-            shifted = tuple(a + b + 1 for a, b in zip(nu, mu))
-            dom, word = rs.dominant_walk(shifted)
+            dom, word = rs.dominant_walk(pk.unpack(base + mu))
             # the shifted weight is singular (fixed by some reflection) iff
             # its dominant translate is, and the stabilizer of a dominant
             # weight is generated by the s_i it fixes, i.e. its zero
             # coordinates; singular terms contribute nothing
-            if 0 in dom:
-                continue
-            res = tuple(c - 1 for c in dom)
-            out[res] = out.get(res, 0) + (-1) ** len(word) * mult * m
+            if 0 not in dom:
+                key = pk.pack(dom) - rho
+                out[key] = out.get(key, 0) + (-1) ** len(word) * mult * m
     return {k: v for k, v in out.items() if v}
 
 
 def _coefficient(rs, acc, lam_coords, nu):
     """Multiplicity of V_nu in (sum of irreducibles in acc) tensor V_lam, by
     the Racah-Speiser sum over the signed orbit of nu + rho."""
-    diagram = _weight_mults(rs, lam_coords)
-    orbit = _signed_orbit(rs, tuple(c + 1 for c in nu))
+    get = _weight_mults(rs, lam_coords).get
+    orbit = list(zip(*_signed_orbit(rs, tuple(c + 1 for c in nu))))
+    rho = _packing(rs).rho
     total = 0
     for mu, mult in acc.items():
-        shift = tuple(c + 1 for c in mu)  # mu + rho
-        for x, sign in orbit.items():
-            m = diagram.get(tuple(map(sub, x, shift)))
+        shift = mu + rho
+        for x, sign in orbit:
+            m = get(x - shift)
             if m:
                 total += sign * mult * m
     return total
 
 
 def invariant_dim(x, max_height=20):
-    """dim of the invariant subspace of V_{lambda_1} x .. x V_{lambda_s}."""
+    """dim of the invariant subspace of V_{lambda_1} x .. x V_{lambda_s}.
+
+    Raises ``OracleLimitError`` when a weight's height exceeds
+    ``max_height`` or, for three or more weights, the coordinates of all
+    weights sum beyond the bound of the root system's packing
+    (``_Packing``), before any table is built. One or two weights are
+    answered by comparing them, with nothing packed."""
     ws = tuple(x.weights if isinstance(x, RayTuple) else x)
     if not ws:
         raise ValueError("the oracle needs at least one weight")
@@ -597,14 +694,22 @@ def invariant_dim(x, max_height=20):
                 f"weight height {w.height()} exceeds the bound {max_height}"
             )
     coords = sorted((tuple(int(c) for c in w.coords) for w in ws), key=sum)
+    total = sum(map(sum, coords))
     # the invariants pair V_last with its dual V_nu inside the other
     # factors; nu = -w0 lam is the dominant translate of -lam
     nu = rs.dominant_walk(tuple(-c for c in coords.pop()))[0]
     if len(coords) < 2:
-        # s <= 2: the other factors are V_0 or one irreducible
+        # s <= 2: the other factors are V_0 or one irreducible, and nothing
+        # is packed
         return int(nu == (coords[0] if coords else (0,) * rs.rank))
+    pk = _packing(rs)
+    if total > pk.limit:
+        raise OracleLimitError(
+            f"coordinate sum {total} exceeds the bound {pk.limit} of "
+            f"{rs.cartan_label}"
+        )
     # the cheapest factor enters only through its weight diagram
-    acc = {coords[1]: 1}
+    acc = {pk.pack(coords[1]): 1}
     for lam in coords[2:]:
         acc = _tensor_decompose(rs, acc, lam)
     return _coefficient(rs, acc, coords[0], nu)

@@ -170,6 +170,8 @@ class RootSystem:
         # a long theta has theta^vee = theta = sum_i theta_i d_i alpha_i^vee
         highest = [_highest(self.positive_roots, i) for i in range(self.rank)]
         self.d = tuple(Fraction(table[t][i], t[i]) for i, t in enumerate(highest))
+        # the largest coefficient of a positive coroot
+        self.coroot_max = max(max(co) for co in table.values())
         self._coroots = dict(table)
         for beta, co in table.items():
             self._coroots[tuple(-m for m in beta)] = tuple(-c for c in co)
@@ -253,13 +255,15 @@ class RootSystem:
     def orbit(self, top, carry):
         """Layers of the W-orbit of a dominant weight ``top``: layer k lists
         (w(top) + w(carry), word) over the w of length k minimal in w W_top,
-        ``word`` reduced; ``carry`` is a weight, or () for none. It is
-        ``dominant_walk`` run backwards: from a point it steps by s_i where
-        coordinate i is positive, keeping the new point only where i is its
-        first negative coordinate, so each point arises once and no visited
-        set is kept. A caller may reorder a layer before asking for the next."""
+        ``word`` reduced. ``carry`` is the coordinates of any number of
+        weights, one after another (() for none), and the point holds w of
+        each in the same places after w(top). It is ``dominant_walk`` run
+        backwards: from a point it steps by s_i where coordinate i is
+        positive, keeping the new point only where i is its first negative
+        coordinate, so each point arises once and no visited set is kept. A
+        caller may reorder a layer before asking for the next."""
         n, nbrs, steps = self.rank, self._nbrs, self._steps
-        blocks = range(n, n + len(carry), n)  # the carried block, if any
+        blocks = range(n, n + len(carry), n)  # the carried blocks
         layer = [(tuple(top) + tuple(carry), ())]
         while layer:
             yield layer

@@ -198,7 +198,7 @@ class WeylGroup:
         self.root_system = rs
         n = rs.rank
         # B = 2c + 1, and lambda_B = (B^(n - j))_j: the digit values
-        self._base = 2 * max(max(rs.coroot(b)) for b in rs.positive_roots) + 1
+        self._base = 2 * rs.coroot_max + 1
         self._powers = [self._base ** (n - j) for j in range(1, n + 1)]
         self.elements = []
         self._lam_B = []  # id -> w(lambda_B)

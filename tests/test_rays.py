@@ -8,6 +8,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from importlib import resources
+from operator import sub
 from pathlib import Path
 
 import pytest
@@ -743,6 +744,19 @@ def _dominant_part(diagram):
     return {mu: m for mu, m in diagram.items() if min(mu) >= 0}
 
 
+def _decoded(rs, diagram):
+    """A diagram keyed by packed weights, keyed by coordinate tuples."""
+    unpack = rays._packing(rs).unpack
+    return {unpack(x): m for x, m in diagram.items()}
+
+
+def _decoded_orbit(rs, coords):
+    """The read-off signed orbit of a dominant weight as {coords: sign}."""
+    keys, signs = rays._signed_orbit(rs, coords)
+    assert len(keys) == len(signs)
+    return dict(zip(map(rays._packing(rs).unpack, keys), signs))
+
+
 @pytest.mark.parametrize("label", ORACLE_TYPES)
 def test_weight_mults_match_reference_and_weyl_dimension(label):
     rs = build_root_system(label)
@@ -750,7 +764,7 @@ def test_weight_mults_match_reference_and_weyl_dimension(label):
     lams = [tuple(rng.randint(0, 2) for _ in range(rs.rank)) for _ in range(4)]
     lams += [(0,) * rs.rank, (1,) * rs.rank]
     for lam in lams:
-        diagram = rays._weight_mults(rs, lam)
+        diagram = _decoded(rs, rays._weight_mults(rs, lam))
         mults = _dominant_part(diagram)
         assert mults == _reference_weight_mults(rs, lam)
         assert diagram == _reference_diagram(rs, lam)
@@ -782,7 +796,7 @@ def test_diagram_matches_reference_orbits(label):
     lams = [tuple(rng.randint(0, 2) for _ in range(rs.rank)) for _ in range(3)]
     lams += [(0,) * rs.rank, (1,) * rs.rank]
     for lam in lams:
-        diagram = rays._weight_mults(rs, lam)
+        diagram = _decoded(rs, rays._weight_mults(rs, lam))
         assert diagram == _reference_diagram(rs, lam)
         assert _dominant_part(diagram) == _reference_weight_mults(rs, lam)
 
@@ -845,6 +859,7 @@ def test_invariant_dim_matches_racah_speiser_over_w(label):
     # cold, from emptied oracle tables, then warm, reading the kept ones
     rays._weight_mults.cache_clear()
     rays._signed_orbit.cache_clear()
+    rays._support_orbits.cache_clear()
     for _ in range(2):
         assert [rays.invariant_dim(ws, max_height=100) for ws in cases] == wants
 
@@ -860,24 +875,245 @@ def test_signed_orbit_signs_are_determinants():
     for label in ORACLE_TYPES:
         rs = build_root_system(label)
         W = weyl_group(rs)
-        orbit = rays._signed_orbit(rs, (1,) * rs.rank)
+        orbit = _decoded_orbit(rs, (1,) * rs.rank)
         assert len(orbit) == len(W.elements)
         for w in W.elements:
             assert orbit[w.act(rs.rho).coords] == (-1) ** w.length
 
 
+@pytest.mark.parametrize("label", ORACLE_TYPES + ("A1xA2",))
+def test_read_off_orbits_match_per_weight_walks(label):
+    # one walk per support J carries every omega_j, j in J; the orbit of a
+    # dominant weight with support J, coefficients 1 to 3, is read off it
+    rs = build_root_system(label)
+    for size in range(rs.rank + 1):
+        for support in itertools.combinations(range(rs.rank), size):
+            for first in (1, 2, 3):
+                coords = [0] * rs.rank
+                for t, j in enumerate(support):
+                    coords[j] = (first + t - 1) % 3 + 1
+                coords = tuple(coords)
+                want = {
+                    x: (-1) ** len(word)
+                    for layer in rs.orbit(coords, ())
+                    for x, word in layer
+                }
+                keys = rays._signed_orbit(rs, coords)[0]
+                assert len(set(keys)) == len(keys)
+                assert _decoded_orbit(rs, coords) == want, coords
+
+
+_LIMIT_SCRIPT = """
+from eigencone import rays
+from eigencone.rootdata import build_root_system
+
+def answers(label, tops):
+    # V_a x V_a* x V_r has one invariant when r = 0, T = 2 sum(a) + r: every
+    # limit here is even, so r is 0 at the limit and 1 above it
+    rs = build_root_system(label)
+    limit = rays._packing(rs).limit
+    out = []
+    for total in (limit, limit + 1):
+        a = [0] * rs.rank
+        for i in tops:
+            a[i] += total // (2 * len(tops))
+        a[tops[0]] += total // 2 - sum(a)
+        a = rs.weight(a)
+        dual = rs.weight(rs.dominant_walk((-a).coords)[0])
+        r = rs.weight([total - 2 * sum(a.coords)] + [0] * (rs.rank - 1))
+        try:
+            out.append(rays.invariant_dim((a, dual, r), max_height=10**6))
+        except rays.OracleLimitError:
+            out.append("limit")
+    return out
+
+def small(label):
+    # one or two weights pack nothing: above the limit they are answered
+    rs = build_root_system(label)
+    a = [0] * rs.rank
+    a[0] = rays._packing(rs).limit // 2 + 1
+    a = rs.weight(a)
+    dual = rs.weight(rs.dominant_walk((-a).coords)[0])
+    other = a + rs.omega(rs.rank)
+    return [rays.invariant_dim(ws, max_height=10**6)
+            for ws in ((a, dual), (a, other), (a + a,))]
+
+print(answers("A1", [0]), answers("D4", [0, 1, 2, 3]), answers("G2", [0, 1]),
+      answers("A1xA2", [0, 2]), small("D4"), small("G2"))
+"""
+
+
+def test_invariant_dim_limit_is_the_packing_bound():
+    # at the bound of the root system's packing the oracle answers; one
+    # above it raises OracleLimitError, also under python -O; one or two
+    # weights above it are still answered
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    want = ["[1,", "'limit']"] * 4 + ["[1,", "0,", "0]"] * 2
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", _LIMIT_SCRIPT],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert proc.stdout.split() == want
+
+
+def test_packing_holds_the_stated_bound():
+    # c (T + 2 rank) + 3 bounds every coordinate the oracle forms: it fits
+    # a signed field at T = limit and not at T = limit + 1, and the width
+    # holds T = 2^12 on every type
+    for label in ORACLE_TYPES + ("A1xA2", "F4", "E8"):
+        rs = build_root_system(label)
+        pk = rays._packing(rs)
+
+        def bound(total):
+            return rs.coroot_max * (total + 2 * rs.rank) + 3
+
+        assert pk.limit >= rays._COORD_SUM
+        assert pk.half == 1 << (pk.width - 1)
+        assert bound(pk.limit) < pk.half <= bound(pk.limit + 1)
+        for sign in (1, -1):
+            x = tuple(sign * (-1) ** i * bound(pk.limit) for i in range(rs.rank))
+            assert pk.unpack(pk.pack(x)) == x
+
+
+_ORACLE_TABLES = (
+    rays._packing, rays._root_table, rays._weight_mults,
+    rays._support_orbits, rays._signed_orbit,
+)
+
+
+@pytest.mark.parametrize(
+    "label, cases",
+    [
+        ("D4", [[(0, 3, 0, 0), (0, 3, 0, 0), (1, 3, 1, 1), (0, 10, 0, 0)],
+                [(0, 1, 0, 0), (0, 1, 0, 0), (0, 1, 0, 0), (0, 19, 0, 0)]]),
+        ("G2", [[(1, 3), (1, 3), (0, 4), (0, 4)],
+                [(1, 0), (1, 0), (1, 0), (0, 13)]]),
+    ],
+)
+def test_packed_coordinates_match_tuple_arithmetic(label, cases, monkeypatch):
+    # with _COORD_SUM = 8 the fields are only just wide enough for the
+    # bound c (T + 2 rank) + 3 at T = limit (7 bits, half 64, bound 63), and
+    # four weights sum to that limit. Every weight an s = 4 call forms (the
+    # dominant search and Freudenthal chain steps, the diagram keys, the
+    # fold's terms and its result, the Racah-Speiser shifts) decodes within
+    # the bound and to its value in tuple arithmetic, so a carry from one
+    # field into the next would show; the largest coordinate formed uses
+    # the top magnitude bit of its field
+    rs = build_root_system(label)
+    want_answers = [
+        rays.invariant_dim(map(rs.weight, ws), max_height=100) for ws in cases
+    ]
+    roots = [
+        (rs.root_to_weight(beta).coords, bp)
+        for beta, bp, _, _ in rays._root_table(rs)
+    ]
+    try:
+        with monkeypatch.context() as mp:
+            mp.setattr(rays, "_COORD_SUM", 8)
+            for table in _ORACLE_TABLES:
+                table.cache_clear()
+            pk = rays._packing(rs)
+            assert pk.width == 7
+            roots = [(bw, pk.pack(bw)) for bw, _ in roots]
+            peak = 0
+            for lams, want in zip(cases, want_answers):
+                total = sum(map(sum, lams))
+                assert total == pk.limit
+                bound = rs.coroot_max * (total + 2 * rs.rank) + 3
+                assert bound < pk.half
+
+                def check(packed, coords):
+                    nonlocal peak
+                    got = pk.unpack(packed)
+                    assert got == tuple(coords)
+                    assert max(map(abs, got)) <= bound
+                    peak = max(peak, *map(abs, got))
+
+                # the order invariant_dim folds them in
+                coords = sorted(lams, key=sum)
+                nu = rs.dominant_walk(tuple(-c for c in coords.pop()))[0]
+                for lam in (coords[0], coords[2]):
+                    diagram = rays._weight_mults(rs, lam)
+                    doms = [mu for _, _, mu in rays._dominant_weights(rs, lam)]
+                    orbits = {
+                        x for mu in doms for layer in rs.orbit(mu, ())
+                        for x, _ in layer
+                    }
+                    assert set(_decoded(rs, diagram)) == orbits
+                    for x in orbits:
+                        check(pk.pack(x), x)
+                    for mu in doms:
+                        packed = pk.pack(mu)
+                        for bw, bp in roots:
+                            check(packed - bp, map(sub, mu, bw))
+                            t = 1
+                            while True:
+                                check(packed + t * bp,
+                                      [a + t * b for a, b in zip(mu, bw)])
+                                if packed + t * bp not in diagram:
+                                    break
+                                t += 1
+                acc = {pk.pack(coords[1]): 1}
+                diagram = rays._weight_mults(rs, coords[2])
+                for kappa in acc:
+                    for mu in diagram:
+                        check(kappa + pk.rho + mu,
+                              [a + 1 + b for a, b in
+                               zip(pk.unpack(kappa), pk.unpack(mu))])
+                acc = rays._tensor_decompose(rs, acc, coords[2])
+                assert _decoded(rs, acc) == _tuple_fold(
+                    rs, {coords[1]: 1}, _decoded(rs, diagram)
+                )
+                keys = rays._signed_orbit(rs, tuple(c + 1 for c in nu))[0]
+                for kappa in acc:
+                    check(kappa, pk.unpack(kappa))
+                    for x in keys:
+                        check(x - (kappa + pk.rho),
+                              [a - b - 1 for a, b in
+                               zip(pk.unpack(x), pk.unpack(kappa))])
+                assert rays._coefficient(rs, acc, coords[0], nu) == want
+                assert rays.invariant_dim(map(rs.weight, lams), max_height=100) == want
+            assert peak >= pk.half // 2
+    finally:
+        for table in _ORACLE_TABLES:
+            table.cache_clear()
+    assert any(want_answers)
+
+
+def _tuple_fold(rs, acc, diagram):
+    """Brauer-Klimyk on coordinate tuples: (sum of irreducibles in acc)
+    tensor the module with weight diagram ``diagram``."""
+    out = {}
+    for kappa, mult in acc.items():
+        for mu, m in diagram.items():
+            x = [a + b + 1 for a, b in zip(kappa, mu)]
+            dom, word = rs.dominant_walk(x)
+            if 0 not in dom:
+                key = tuple(c - 1 for c in dom)
+                out[key] = out.get(key, 0) + (-1) ** len(word) * mult * m
+    return {k: v for k, v in out.items() if v}
+
+
 def test_weight_mults_integrality_is_checked(monkeypatch):
     # B2 with the two root lengths swapped in the form: the zero weight of
-    # the 5-dimensional module comes out as 10/7
+    # the 5-dimensional module comes out as 10/7. The root table holds the
+    # form too, so it is built afresh under the swap and dropped after it
     b2 = build_root_system("B2")
     assert rays._scaled_form(b2) == (2, 1)
-    rays._weight_mults.cache_clear()
-    monkeypatch.setattr(rays, "_scaled_form", lambda rs: (1, 2))
+    tables = (rays._root_table, rays._weight_mults)
     try:
-        with pytest.raises(ArithmeticError, match="non-integral"):
-            rays._weight_mults(b2, (1, 0))
+        with monkeypatch.context() as mp:
+            mp.setattr(rays, "_scaled_form", lambda rs: (1, 2))
+            for table in tables:
+                table.cache_clear()
+            with pytest.raises(ArithmeticError, match="non-integral multiplicity 10/7"):
+                rays._weight_mults(b2, (1, 0))
     finally:
-        rays._weight_mults.cache_clear()
+        for table in tables:
+            table.cache_clear()
 
 
 @pytest.mark.parametrize(
