@@ -194,10 +194,10 @@ def _report_payload(rep):
         "c": rep.zero_count,
         "total": rep.total,
         "type1": [r.to_json() for r in rep.basic_rays],
-        "type2": [r.primitive().to_json() for r in rep.type2_rays],
+        "type2": [r.to_json() for r in rep.type2_rays],
         "exotic": [r.to_json() for r in rep.exotic],
         "induction": [
-            [mu.primitive().to_json(), None if img.is_zero() else img.primitive().to_json()]
+            [mu.to_json(), None if img.is_zero() else img.to_json()]
             for mu, img in rep.levi_rays
         ],
     }
@@ -213,14 +213,14 @@ def _report_lines(rep):
     ]
     lines += [f"  {_ray_text(r)}" for r in rep.basic_rays]
     lines.append("type II rays:")
-    lines += [f"  {_ray_text(r.primitive())}" for r in rep.type2_rays]
+    lines += [f"  {_ray_text(r)}" for r in rep.type2_rays]
     if rep.exotic:
         lines.append("exotic induced rays:")
         lines += [f"  {_ray_text(r)}" for r in rep.exotic]
     lines.append("induction of Levi rays:")
     for mu, img in rep.levi_rays:
-        rhs = "0" if img.is_zero() else _ray_text(img.primitive())
-        lines.append(f"  {_ray_text(mu.primitive())}  ->  {rhs}")
+        rhs = "0" if img.is_zero() else _ray_text(img)
+        lines.append(f"  {_ray_text(mu)}  ->  {rhs}")
     return lines
 
 
@@ -318,8 +318,7 @@ def _golden(name):
 
 
 def _coords(rt):
-    prim = rt.primitive()
-    return [list(w.coords) for w in prim.weights]
+    return [list(w.coords) for w in rt.weights]
 
 
 class _Checks:
@@ -366,7 +365,7 @@ def _reproduce_ex1():
     )
     j, word = g["divisor_pair"]
     ray = rays.basic_divisor_class(face, j, parse_word(rs, word))
-    ck.check("divisor class", _coords(ray), g["divisor"])
+    ck.check("divisor class", _coords(ray.primitive()), g["divisor"])
     return ck.finish()
 
 
@@ -460,12 +459,10 @@ def _reproduce_p4():
             total = parts[0] + parts[1]
             ck.check(
                 f"{label} exotic decomposition adds up",
-                _coords(total),
+                _coords(total.primitive()),
                 row["exotic_ray"],
             )
-            ray_set = {
-                r.primitive().to_vector() for r in rays.face_extremal_rays(face)
-            }
+            ray_set = {r.to_vector() for r in rays.face_extremal_rays(face)}
             ck.check(
                 f"{label} decomposition parts extremal",
                 all(p.primitive().to_vector() in ray_set for p in parts),

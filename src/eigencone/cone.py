@@ -312,11 +312,12 @@ def _dd(rows, n):
         new = {}  # ray -> (tight rows, a, b, g, slot i, slot j)
         for j in _bits(negative):
             zj = zrows[j]
+            # every live ray is tight at n - 1 or more processed rows, so
+            # spare >= 1 for n >= 2; at n = 1 there is one ray and no
+            # positive ray to pair with it
             spare = len(zj) - need
-            if spare < 0:
-                continue
-            if spare < 2:  # within[spare - 1] (none at spare 0), within[spare]
-                low, cand = positive if spare else 0, positive
+            if spare < 2:  # within[0], within[1]
+                low = cand = positive
                 for p in zj:
                     t = tight[p]
                     cand = cand & t | low

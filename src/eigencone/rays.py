@@ -119,6 +119,9 @@ class RayTuple:
 
 @dataclass
 class FaceReport:
+    """The inventory of ``classify_face``: every ray in it is a primitive
+    integer vector, and total = q + len(type2_rays)."""
+
     face: object
     q: int
     basic_rays: list
@@ -351,10 +354,10 @@ def decompose_on_face(face, x):
         if a:
             residual = residual - delta.scale(a)
     if any(e != 0 for e in _pair_evals(face, residual)):
-        raise RuntimeError("residual fails to vanish at the cover pairs")
+        raise cone.ConsistencyError("residual fails to vanish at the cover pairs")
     if not residual.is_zero():
         if not faces.tens_membership(residual.primitive().weights):
-            raise RuntimeError("residual left the cone; decomposition bug")
+            raise cone.ConsistencyError("residual left the cone; decomposition bug")
     return coeffs, RayTuple(residual.weights, x.tag)
 
 
@@ -380,51 +383,43 @@ def face_extremal_rays(face):
 def classify_face(face):
     """Full inventory of a face: basic rays, polyhedral extremal rays,
     Levi-ray inductions with zero and exotic counts, and the consistency
-    identities tying them together."""
+    identities tying them together. Rays compare as primitive integer
+    vectors: the DD's and the Levi rays are, and each basic ray and nonzero
+    induced image is reduced once."""
     P = face.P
-    basics = _face_basic_rays(face)
-    q = len(basics)
-    basic_rays = [delta.primitive() for (_, _, _, delta) in basics]
+    basic_rays = [d.primitive() for (_, _, _, d) in _face_basic_rays(face)]
+    q = len(basic_rays)
     all_rays = face_extremal_rays(face)
-    basic_set = {r.to_vector() for r in basic_rays}
-    type2 = []
-    for r in all_rays:
-        if r.primitive().to_vector() in basic_set:
-            continue
-        if any(_pair_evals(face, r)):
+    ray_set = {r.to_vector() for r in all_rays}
+    for r in basic_rays:
+        if r.to_vector() not in ray_set:
             raise cone.ConsistencyError(
-                f"type II ray {r} does not vanish at the cover pairs"
+                f"basic ray {r} is not an extremal ray of the face"
             )
-        type2.append(r)
-    levi = levi_cone_rays(P, face.s)
-    zero_count = 0
-    exotic = []
+    basic_set = {r.to_vector() for r in basic_rays}
+    type2 = [r for r in all_rays if r.to_vector() not in basic_set]
     pairs = []
-    ray_set = {r.primitive().to_vector() for r in all_rays}
-    matched = set()
-    for mu in levi:
+    for mu in levi_cone_rays(P, face.s):
         # the lift's integer numerators: induct is linear and its checks
-        # hold or fail alike under a positive scale, so the image is the
-        # induced ray scaled by the lift's denominator
+        # hold or fail alike under a positive scale, so the image spans
+        # the induced ray
         rows = _levi_lift(mu, P)[1]
         image = induct(face, RayTuple(tuple(map(face.root_system.weight, rows))))
-        pairs.append((mu, image))
-        if image.is_zero():
-            zero_count += 1
-            continue
-        prim = image.primitive()
-        if prim.to_vector() in ray_set:
-            matched.add(prim.to_vector())
-        else:
-            exotic.append(prim)
+        pairs.append((mu, image if image.is_zero() else image.primitive()))
+    zero_count = sum(image.is_zero() for _, image in pairs)
     expected = q - (face.s - 1) * len(P.complement)
     if zero_count != expected:
         raise cone.ConsistencyError(
             f"{zero_count} Levi rays induce to zero, expected "
             f"q - (s - 1)|complement| = {expected}"
         )
+    matched = {image.to_vector() for _, image in pairs}
     for r in type2:
-        if r.primitive().to_vector() not in matched:
+        if any(_pair_evals(face, r)):
+            raise cone.ConsistencyError(
+                f"type II ray {r} does not vanish at the cover pairs"
+            )
+        if r.to_vector() not in matched:
             raise cone.ConsistencyError(
                 f"type II ray {r} is not an induction image"
             )
@@ -435,7 +430,10 @@ def classify_face(face):
         type2_rays=type2,
         levi_rays=pairs,
         zero_count=zero_count,
-        exotic=exotic,
+        exotic=[
+            image for _, image in pairs
+            if not image.is_zero() and image.to_vector() not in ray_set
+        ],
         total=len(all_rays),
     )
 

@@ -130,6 +130,15 @@ IDENTITY_BREAKERS = {
         ["cone-rays", "--type", "A2"],
         "error: extremal ray",
     ),
+    # the face's extremal rays lose its first basic ray
+    "basic-ray": (
+        "fer = rays.face_extremal_rays\n"
+        "lost = lambda face: rays._face_basic_rays(face)[0][3].primitive()\n"
+        "rays.face_extremal_rays = lambda face: [\n"
+        "    r for r in fer(face) if r.to_vector() != lost(face).to_vector()]",
+        ["face-rays", "--type", "D4", "--parabolic", "2", "--words", MAIN_WORDS],
+        "error: basic ray",
+    ),
     # the equality subspace ignores the first equality, so rays leave the face
     "equality-containment": (
         "nullspace = cone.linalg.nullspace\n"

@@ -260,6 +260,26 @@ def test_dd_matches_reference_engine(typ):
         assert cone._dd(order, n) == _reference_dd(order, n)
 
 
+# The edge of the candidate scan: a live ray is tight at n - 1 or more
+# processed rows, so a violating ray keeps at least one spare row for
+# n >= 2, and at n = 1 the only ray has no positive partner. The reference
+# engine still skips a ray without spare rows and scans none at spare 0.
+@pytest.mark.parametrize("rows,want", [
+    ([(1,)], [(1,)]),
+    ([(1,), (-1,)], []),
+    ([(1, 0), (0, 1)], [(0, 1), (1, 0)]),
+    ([(1, 0), (0, 1), (1, -1)], [(1, 0), (1, 1)]),
+    ([(1, 0), (0, 1), (1, -1), (-1, 1)], [(1, 1)]),
+    ([(1, 0), (-1, 0), (0, 1)], [(0, 1)]),
+    ([(1, 0), (0, 1), (-1, -1)], []),
+])
+def test_dd_in_one_and_two_dimensions(rows, want):
+    n = len(rows[0])
+    got = cone._dd(rows, n)
+    assert got == _reference_dd(rows, n)
+    assert sorted(got) == want
+
+
 def _cube_rows(d):
     """The cone over the cube [-1, 1]^d: 2d rows, 2^d rays (1, +-1, ..)."""
     return [

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -260,6 +261,40 @@ def test_decompose_rejects_off_face(d4, main_face):
         )
 
 
+# each patch breaks one identity of the decomposition: every pair
+# evaluation reads 1, also on the residual, or the residual leaves the cone
+@pytest.mark.parametrize("module,name,fake,message", [
+    (rays, "_pair_evals", lambda face, y: [1], "fails to vanish"),
+    (faces, "tens_membership", lambda weights: False, "left the cone"),
+], ids=["pair-evaluations", "membership"])
+def test_decompose_broken_identity(main_face, monkeypatch, module, name,
+                                   fake, message):
+    golden = _golden("subbie.json")
+    x = _tuple_from_rows(main_face.root_system, golden["type2"][0])
+    monkeypatch.setattr(module, name, fake)
+    with pytest.raises(cone.ConsistencyError, match=message):
+        rays.decompose_on_face(main_face, x)
+
+
+def _is_primitive(ray):
+    vec = ray.to_vector()
+    return all(isinstance(c, int) for c in vec) and math.gcd(*vec) == 1
+
+
+@pytest.mark.parametrize("label", ["A2", "G2", "B3", "C3", "D4"])
+def test_face_report_rays_are_primitive(label):
+    # every basic ray is an extremal ray of its face, so the face's rays
+    # are the q basic rays and the type II rays
+    rs = build_root_system(label)
+    for face in faces.enumerate_regular_facets(3, rs, quotient_symmetry=True):
+        rep = rays.classify_face(face)
+        assert rep.total == rep.q + len(rep.type2_rays), face
+        levi = [mu for mu, _ in rep.levi_rays]
+        images = [img for _, img in rep.levi_rays if not img.is_zero()]
+        for ray in rep.basic_rays + rep.type2_rays + rep.exotic + levi + images:
+            assert _is_primitive(ray), (face, ray)
+
+
 def test_classify_main_face(d4, main_face):
     golden = _golden("subbie.json")
     report = rays.classify_face(main_face)
@@ -423,7 +458,7 @@ def test_integer_induction_against_fraction_reference(label):
         for mu, image in rays.classify_face(face).levi_rays:
             shifted = rays.shift_to_degree0(mu, face.P)
             want = _reference_induct(face, shifted)
-            # the report keeps the integer image: same ray, same zero test
+            # the report keeps the primitive image: same ray, same zero test
             assert image.is_zero() == want.is_zero(), (face, mu)
             assert image.primitive().to_vector() == want.primitive().to_vector()
             # the public routes, on the lift and on inputs that may fail:
