@@ -39,16 +39,9 @@ def _count(text):
 
 
 def _parser():
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument(
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument(
         "--format", choices=("text", "json"), default="text", dest="fmt"
-    )
-    shared.add_argument(
-        "--oracle-max-n",
-        type=_count,
-        default=0,
-        metavar="N",
-        help="also certify membership with the invariant oracle up to N",
     )
     p = argparse.ArgumentParser(
         prog="eigencone",
@@ -56,33 +49,33 @@ def _parser():
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, words=False, parabolic=False):
+    # s is an option only where no input fixes it; elsewhere it is the
+    # number of --words or of --input rows
+    def subcommand(name, help, s=False, face=False):
+        sp = sub.add_parser(name, parents=[fmt], help=help)
         sp.add_argument("--type", required=True, dest="cartan")
-        sp.add_argument("--s", type=int, default=3)
-        if parabolic:
+        if s:
+            sp.add_argument("--s", type=int, default=3)
+        if face:
             sp.add_argument(
                 "--parabolic",
                 required=True,
                 help="dropped simple indices, e.g. '2' or '1,2'",
             )
-        if words:
             sp.add_argument(
                 "--words", required=True, help="semicolon-separated Weyl words"
             )
+        return sp
 
-    sp = sub.add_parser("facets", parents=[shared], help="enumerate regular facet data")
-    common(sp)
+    sp = subcommand("facets", "enumerate regular facet data", s=True)
     sp.add_argument("--quotient-symmetry", action="store_true")
 
-    sp = sub.add_parser("face-rays", parents=[shared], help="full ray inventory of one face")
-    common(sp, words=True, parabolic=True)
+    subcommand("face-rays", "full ray inventory of one face", face=True)
 
-    sp = sub.add_parser("divisor", parents=[shared], help="basic divisor class of a cover pair")
-    common(sp, words=True, parabolic=True)
+    sp = subcommand("divisor", "basic divisor class of a cover pair", face=True)
     sp.add_argument("--pair", required=True, help="j:word for the sub-cell")
 
-    sp = sub.add_parser("induct", parents=[shared], help="induction of a Levi weight tuple")
-    common(sp, words=True, parabolic=True)
+    sp = subcommand("induct", "induction of a Levi weight tuple", face=True)
     sp.add_argument("--input", required=True, help="JSON list of weight rows")
     sp.add_argument(
         "--raw",
@@ -90,14 +83,19 @@ def _parser():
         help="apply the raw formula without the degree-0 shift",
     )
 
-    sp = sub.add_parser("membership", parents=[shared], help="saturated tensor cone membership")
-    common(sp)
+    sp = subcommand("membership", "saturated tensor cone membership")
     sp.add_argument("--input", required=True, help="JSON list of weight rows")
+    sp.add_argument(
+        "--oracle-max-n",
+        type=_count,
+        default=0,
+        metavar="N",
+        help="also certify membership with the invariant oracle up to N",
+    )
 
-    sp = sub.add_parser("cone-rays", parents=[shared], help="all extremal rays of the cone")
-    common(sp)
+    subcommand("cone-rays", "all extremal rays of the cone", s=True)
 
-    sp = sub.add_parser("reproduce", parents=[shared], help="check a stored table")
+    sp = sub.add_parser("reproduce", help="check a stored table")
     sp.add_argument(
         "target", choices=("ex1", "subbie", "apples", "p4-table")
     )
@@ -122,12 +120,9 @@ def _parabolic(rs, text):
         raise ParseFailure(str(e))
 
 
-def _words(rs, text, s):
-    parts = [t.strip() for t in text.split(";")]
-    if len(parts) != s:
-        raise ParseFailure(f"expected {s} words, got {len(parts)}")
+def _words(rs, text):
     try:
-        return tuple(parse_word(rs, t) for t in parts)
+        return tuple(parse_word(rs, t.strip()) for t in text.split(";"))
     except ValueError as e:
         raise ParseFailure(str(e))
 
@@ -135,25 +130,21 @@ def _words(rs, text, s):
 def _face(args):
     rs = _root_system(args.cartan)
     P = _parabolic(rs, args.parabolic)
-    words = _words(rs, args.words, args.s)
+    words = _words(rs, args.words)
     for w in words:
         require_minimal_rep(w, P)
-    return faces.FaceSpec(args.s, P, words)
+    return faces.FaceSpec(len(words), P, words)
 
 
-def _weight_tuple(rs, text, s):
+def _weight_tuple(rs, text):
     try:
         rows = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseFailure(f"bad JSON input: {e}")
-    if (
-        not isinstance(rows, list)
-        or len(rows) != s
-        or any(not isinstance(r, list) or len(r) != rs.rank for r in rows)
+    if not isinstance(rows, list) or any(
+        not isinstance(r, list) or len(r) != rs.rank for r in rows
     ):
-        raise ParseFailure(
-            f"expected {s} rows of {rs.rank} coordinates"
-        )
+        raise ParseFailure(f"expected a list of rows of {rs.rank} coordinates")
     return rays.RayTuple(
         tuple(rs.weight([_coordinate(c) for c in r]) for r in rows)
     )
@@ -268,7 +259,12 @@ def _cmd_divisor(args):
 
 def _cmd_induct(args):
     face = _face(args).validate()
-    x = _weight_tuple(face.root_system, args.input, args.s)
+    x = _weight_tuple(face.root_system, args.input)
+    if len(x.weights) != face.s:
+        # induction pairs the rows with the words one to one
+        raise ParseFailure(
+            f"expected {face.s} rows of {face.root_system.rank} coordinates"
+        )
     if args.raw:
         out = rays.induction_image(face, x)
     else:
@@ -279,7 +275,7 @@ def _cmd_induct(args):
 
 def _cmd_membership(args):
     rs = _root_system(args.cartan)
-    x = _weight_tuple(rs, args.input, args.s)
+    x = _weight_tuple(rs, args.input)
     member = faces.tens_membership(x.weights)
     payload = {"member": member}
     lines = [f"member: {member}"]
@@ -462,7 +458,8 @@ def _reproduce_p4():
                 _coords(total.primitive()),
                 row["exotic_ray"],
             )
-            ray_set = {r.to_vector() for r in rays.face_extremal_rays(face)}
+            # classify_face checks that these are the face's extremal rays
+            ray_set = {r.to_vector() for r in rep.basic_rays + rep.type2_rays}
             ck.check(
                 f"{label} decomposition parts extremal",
                 all(p.primitive().to_vector() in ray_set for p in parts),

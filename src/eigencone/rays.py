@@ -327,14 +327,6 @@ def levi_cone_rays(P, s):
     return list(_levi_cone_rays_cached(P, s))
 
 
-def _on_face(face, x):
-    if not all(w.is_dominant() for w in x.weights):
-        return False
-    return all(
-        faces._row_value(face, x.weights, k) == 0 for k in face.P.complement
-    )
-
-
 def _pair_evals(face, x):
     """<x_j, alpha_ell^vee> at each cover pair: coordinate ell of x_j."""
     return [
@@ -345,7 +337,7 @@ def _pair_evals(face, x):
 def decompose_on_face(face, x):
     """Split a face member into basic-class coefficients plus a residual
     vanishing at every cover pair (the type II part)."""
-    if not _on_face(face, x):
+    if not cone.contains(_face_hrep(face), x.to_vector()):
         raise ValueError("tuple does not lie on the face")
     basics = _face_basic_rays(face)
     coeffs = _pair_evals(face, x)
@@ -356,7 +348,7 @@ def decompose_on_face(face, x):
     if any(e != 0 for e in _pair_evals(face, residual)):
         raise cone.ConsistencyError("residual fails to vanish at the cover pairs")
     if not residual.is_zero():
-        if not faces.tens_membership(residual.primitive().weights):
+        if not faces.tens_membership(residual.weights):
             raise cone.ConsistencyError("residual left the cone; decomposition bug")
     return coeffs, RayTuple(residual.weights, x.tag)
 

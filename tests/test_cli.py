@@ -14,6 +14,7 @@ from eigencone.rootdata import build_root_system
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 MAIN_WORDS = "s4 s3 s1 s2; s3 s1 s2 s4 s3 s1 s2; s1 s2 s4 s2 s3 s1 s2"
+FACE_ARGS = ["--type", "D4", "--parabolic", "2", "--words", MAIN_WORDS]
 
 
 def run(capsys, *argv):
@@ -190,18 +191,110 @@ def test_bad_word_is_parse_error(capsys):
     assert code == 2
 
 
-def test_wrong_word_count_is_parse_error(capsys):
-    code, _ = run(
-        capsys,
-        "face-rays",
-        "--type",
-        "D4",
-        "--parabolic",
-        "2",
-        "--words",
-        "s2; s2",
+def test_two_words_is_math_error(capsys):
+    # s is the number of words, and s = 2 fails as a typed ValueError
+    code = cli.main(
+        ["face-rays", "--type", "D4", "--parabolic", "2", "--words", "s2; s2"]
     )
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "error: codimensions sum to 16, expected 9\n"
+
+
+@pytest.mark.parametrize("rows", [
+    "[[0,1,0,0],[0,0,0,0]]",
+    "[[0,1,0,0],[0,0,0,0],[0,0,0,0],[0,0,0,0]]",
+], ids=["two-rows", "four-rows"])
+def test_word_count_must_match_input_rows(capsys, rows):
+    # induct pairs the rows with the words one to one
+    code = cli.main(
+        ["induct", "--type", "D4", "--parabolic", "2", "--words", MAIN_WORDS,
+         "--input", rows]
+    )
+    captured = capsys.readouterr()
     assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: expected 3 rows of 4 coordinates\n"
+
+
+@pytest.mark.parametrize("text", ["x", "9"])
+def test_bad_parabolic_is_parse_error(capsys, text):
+    code = cli.main(
+        ["face-rays", "--type", "D4", "--parabolic", text, "--words", MAIN_WORDS]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+# each subcommand rejects the options it does not read
+@pytest.mark.parametrize("argv", [
+    ["facets", "--type", "A1", "--oracle-max-n", "3"],
+    ["face-rays", *FACE_ARGS, "--oracle-max-n", "3"],
+    ["divisor", *FACE_ARGS, "--pair", "2:s1 s2 s4 s3 s1 s2", "--oracle-max-n", "3"],
+    ["induct", *FACE_ARGS, "--input", "[[0,1,0,0],[0,0,0,0],[0,0,0,0]]",
+     "--oracle-max-n", "3"],
+    ["cone-rays", "--type", "A1", "--oracle-max-n", "3"],
+    ["reproduce", "ex1", "--format", "json"],
+    ["face-rays", *FACE_ARGS, "--s", "3"],
+    ["divisor", *FACE_ARGS, "--pair", "2:s1 s2 s4 s3 s1 s2", "--s", "3"],
+    ["induct", *FACE_ARGS, "--input", "[[0,1,0,0],[0,0,0,0],[0,0,0,0]]",
+     "--s", "3"],
+    ["membership", "--type", "A1", "--input", "[[1],[1],[2]]", "--s", "3"],
+], ids=[
+    "facets-oracle", "face-rays-oracle", "divisor-oracle", "induct-oracle",
+    "cone-rays-oracle", "reproduce-format", "face-rays-s", "divisor-s",
+    "induct-s", "membership-s",
+])
+def test_unread_option_is_parse_error(capsys, argv):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "unrecognized arguments: " + argv[-2] in captured.err
+
+
+def test_membership_reads_s_off_the_rows(capsys):
+    code, out = run(
+        capsys, "membership", "--type", "A1", "--input", "[[1],[1],[1],[1]]"
+    )
+    assert code == 0
+    assert out == "member: True\n"
+
+
+def test_face_rays_reads_s_off_the_words(capsys):
+    code, out = run(
+        capsys, "face-rays", "--type", "A1", "--parabolic", "1",
+        "--words", "e; s1; s1; s1",
+    )
+    assert code == 0
+    assert out == (
+        "face: e; s1; s1; s1  (dropped nodes [1])\n"
+        "q = 3   c = 0   exotic = 0   total rays = 3\n"
+        "type I rays:\n"
+        "  1 ; 1 ; 0 ; 0\n"
+        "  1 ; 0 ; 1 ; 0\n"
+        "  1 ; 0 ; 0 ; 1\n"
+        "type II rays:\n"
+        "induction of Levi rays:\n"
+    )
+
+
+def test_face_rays_text_lists_exotic_rays(capsys):
+    code, out = run(
+        capsys, "face-rays", "--type", "D4", "--parabolic", "4",
+        "--words", "s2 s4; s3 s1 s2 s4; s4 s2 s3 s1 s2 s4",
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[1] == "q = 4   c = 2   exotic = 1   total rays = 19"
+    at = lines.index("exotic induced rays:")
+    assert lines[at + 1:at + 3] == [
+        "  1 0 1 1 ; 0 1 0 1 ; 1 0 1 0",
+        "induction of Levi rays:",
+    ]
 
 
 def test_non_face_is_math_error(capsys):
@@ -255,6 +348,18 @@ def test_divisor(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["weights"] == [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 1, 0]]
+
+
+@pytest.mark.parametrize("pair", [
+    "2 s1 s2 s4 s3 s1 s2", "two:s1 s2 s4 s3 s1 s2", "0:s1 s2 s4 s3 s1 s2",
+    "4:s1 s2 s4 s3 s1 s2", "2:s1 x9",
+], ids=["no-colon", "non-integer-index", "index-0", "index-4", "bad-word"])
+def test_divisor_bad_pair_text_is_parse_error(capsys, pair):
+    code = cli.main(["divisor", *FACE_ARGS, "--pair", pair])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_divisor_bad_pair_is_math_error(capsys):
@@ -366,7 +471,7 @@ def test_membership_with_oracle(capsys):
 
 def test_membership_without_factors_is_math_error(capsys):
     # s = 0 leaves no factor to read the root system from
-    code = cli.main(["membership", "--type", "A2", "--s", "0", "--input", "[]"])
+    code = cli.main(["membership", "--type", "A2", "--input", "[]"])
     err = capsys.readouterr().err
     assert code == 3
     assert err == "error: regular facets need s >= 3 factors, got s = 0\n"
@@ -375,7 +480,7 @@ def test_membership_without_factors_is_math_error(capsys):
 @pytest.mark.parametrize("text", ["[[-1,0]]", "[[1,0]]"])
 def test_membership_with_one_factor_is_math_error(capsys, text):
     # the factor count is checked before dominance
-    code = cli.main(["membership", "--type", "A2", "--s", "1", "--input", text])
+    code = cli.main(["membership", "--type", "A2", "--input", text])
     err = capsys.readouterr().err
     assert code == 3
     assert err == "error: regular facets need s >= 3 factors, got s = 1\n"
@@ -454,3 +559,18 @@ def test_reproduce(capsys, target):
     code, out = run(capsys, "reproduce", target)
     assert code == 0
     assert "ok" in out and "FAIL" not in out
+
+
+def test_reproduce_golden_mismatch_exits_4(capsys, monkeypatch):
+    golden = cli._golden
+
+    def altered(name):
+        g = golden(name)
+        g["q"] += 1
+        return g
+
+    monkeypatch.setattr(cli, "_golden", altered)
+    code, out = run(capsys, "reproduce", "subbie")
+    assert code == 4
+    assert "FAIL q: 7\n" in out
+    assert out.endswith("mismatches:\n  - q: got 7, expected 8\n")

@@ -261,6 +261,17 @@ def test_decompose_rejects_off_face(d4, main_face):
         )
 
 
+def test_decompose_rejects_face_hyperplane_point_outside_the_cone(d4, main_face):
+    # dominant and zero on the face's row, but outside the cone: bad input,
+    # not a broken decomposition
+    x = _tuple_from_rows(d4, [[3, 3, 0, 3], [2, 1, 0, 2], [0, 0, 0, 0]])
+    assert all(w.is_dominant() for w in x.weights)
+    assert faces._row_value(main_face, x.weights, 2) == 0
+    assert not faces.tens_membership(x.weights)
+    with pytest.raises(ValueError, match="does not lie on the face"):
+        rays.decompose_on_face(main_face, x)
+
+
 # each patch breaks one identity of the decomposition: every pair
 # evaluation reads 1, also on the residual, or the residual leaves the cone
 @pytest.mark.parametrize("module,name,fake,message", [
