@@ -253,7 +253,8 @@ def _cmd_divisor(args):
     except ValueError as e:
         raise ParseFailure(str(e))
     ray = rays.basic_divisor_class(face, j, v)
-    _emit(args, ray.to_json(), [_ray_text(ray)])
+    # the JSON holds the primitive ray, the text the class as computed
+    _emit(args, ray.primitive().to_json(), [_ray_text(ray)])
     return EXIT_OK
 
 
@@ -269,7 +270,7 @@ def _cmd_induct(args):
         out = rays.induction_image(face, x)
     else:
         out = rays.induct(face, rays.shift_to_degree0(x, face.P))
-    _emit(args, out.to_json(), [_ray_text(out)])
+    _emit(args, out.primitive().to_json(), [_ray_text(out)])
     return EXIT_OK
 
 

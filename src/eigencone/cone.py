@@ -3,7 +3,9 @@
 Double description over exact integers: convert a homogeneous system of
 inequalities and equalities into the minimal generating set of extremal
 rays. This is the independent verifier for every ray claim made elsewhere:
-nothing in here knows about root systems.
+nothing in here knows about root systems. ``certified_rays`` picks the
+extremal rays out of candidates once it has certified that they generate
+the cone.
 
 Only pointed cones are handled (a line left after restricting to the
 equality subspace raises NotPointedError); all cones in scope are cut out
@@ -25,6 +27,7 @@ __all__ = [
     "HRep",
     "Ray",
     "extremal_rays",
+    "certified_rays",
     "is_extremal",
     "contains",
     "NotPointedError",
@@ -42,8 +45,9 @@ class NotPointedError(ValueError):
 
 class ConsistencyError(ArithmeticError):
     """A computed result broke an identity that it must satisfy: a ray
-    outside its own system, a face inventory against the theorem, or a
-    non-integral weight multiplicity."""
+    outside its own system, candidate rays that do not generate their cone,
+    a face inventory against the theorem, or a non-integral weight
+    multiplicity."""
 
 
 Ray = tuple  # primitive integer tuple
@@ -309,7 +313,7 @@ def _dd(rows, n):
         for s in _bits(zero):
             zrows[s].append(pos)
         positive = live & ~negative & ~zero
-        new = {}  # ray -> (tight rows, a, b, g, slot i, slot j)
+        new = []  # (ray, tight rows, a, b, g, slot i, slot j)
         for j in _bits(negative):
             zj = zrows[j]
             # every live ray is tight at n - 1 or more processed rows, so
@@ -354,18 +358,18 @@ def _dd(rows, n):
                 # Both coefficients are positive and both parents are >= 0
                 # on every processed row, so the combination is zero on a
                 # processed row exactly where both parents are; it is zero
-                # on this row by construction. Combinatorially distinct
-                # parents can give the same ray, with the same zero set; a
-                # surviving ray never equals it, as it would be tight at
-                # every common row and fail the test above.
-                ray = tuple(x // g for x in combo)
-                if ray not in new:
-                    zl = [p for p in zj if tight[p] & bit] + [pos]
-                    new[ray] = (zl, a, b, g, i, j)
-        bound = rows.l1 * max((max(map(abs, ray)) for ray in new), default=0)
+                # on this row by construction. The new ray lies in the
+                # relative interior of the 2-face that the adjacent pair
+                # spans, and distinct pairs span distinct 2-faces, whose
+                # relative interiors are disjoint, so no two new rays
+                # coincide; nor does a new ray equal a surviving one, which
+                # would be tight at every common row and fail the test above.
+                zl = [p for p in zj if tight[p] & bit] + [pos]
+                new.append((tuple(x // g for x in combo), zl, a, b, g, i, j))
+        bound = rows.l1 * max((max(map(abs, t[0])) for t in new), default=0)
         widen(max(bound, len(rays) + len(new)))
         born = []
-        for ray, (zl, a, b, g, i, j) in new.items():
+        for ray, zl, a, b, g, i, j in new:
             packed = a * slack[j] + b * slack[i]
             born.append((ray, packed // g if g > 1 else packed, zl))
         dead = set()  # the processed rows tight at some deleted ray
@@ -414,6 +418,77 @@ def extremal_rays(h):
     if bad:
         raise ConsistencyError(f"extremal ray {bad[0]} violates its own system")
     return result
+
+
+def _zero_rows(rows, vecs):
+    """For each integer vector v, the bitmask of the rows r with r . v = 0,
+    read off its packed slack vector a byte of every field at a time."""
+    if not rows:
+        return [0] * len(vecs)
+    packed, width, bias = _evaluate(rows, vecs)
+    nbytes, size = width // 8, width * len(rows) // 8
+    out = []
+    for p in packed:
+        raw = ((p + bias) ^ bias).to_bytes(size, "little")
+        z = -1
+        for o in range(nbytes):
+            z &= _mask(raw[o::nbytes], _ZERO)
+        out.append(z)
+    return out
+
+
+def certified_rays(h, cands):
+    """The extremal rays of the cone of h, picked from candidates that must
+    generate it; primitive integer vectors, repeats taken once, in the order
+    given. Nothing is trusted about where the candidates came from:
+
+    1. every candidate satisfies h;
+    2. the facets of cone(cands) inside the equality subspace of h are the
+       extremal rays of {a : a . c >= 0 for every candidate c, e . a = 0
+       for every equality e of h}, a small double description;
+       NotPointedError there means the candidates do not span that
+       subspace;
+    3. the candidates tight at each facet a are those tight at some
+       inequality row of h that some candidate is not tight at. That row,
+       zero on a spanning set of the facet and >= 0 on the candidates,
+       restricts to a positive multiple of a on the subspace, so every
+       point of h is in cone(cands), and the two cones are equal;
+    4. a candidate c is extremal iff no other candidate is tight at every
+       row where c is (the adjacency test of ``_dd``): the rows tight at an
+       extremal ray cut out its line, and a point that is not extremal is
+       inside a face of dimension 2 or more, whose extremal rays are
+       candidates tight wherever it is.
+
+    A failure of 1, 2 or 3 raises ConsistencyError.
+    """
+    cands = list(dict.fromkeys(map(tuple, cands)))
+    bad = _violators(h, cands)
+    if bad:
+        raise ConsistencyError(f"candidate {bad[0]} is outside the cone")
+    try:
+        normals = extremal_rays(HRep(h.dim, cands, h.equalities))
+    except NotPointedError:
+        raise ConsistencyError(
+            "the candidates do not span the equality subspace of the cone"
+        ) from None
+    zeros = _zero_rows(h.inequalities, cands)
+    everything = (1 << len(h.inequalities)) - 1
+    for a, z in zip(normals, _zero_rows(cands, normals)):
+        inside, outside = everything, 0
+        for c, zc in enumerate(zeros):
+            if z >> c & 1:
+                inside &= zc
+            else:
+                outside |= zc
+        if not inside & ~outside:
+            raise ConsistencyError(
+                f"the candidates miss part of the cone: their facet {a} is "
+                "the face of no inequality"
+            )
+    return [
+        c for i, (c, zc) in enumerate(zip(cands, zeros))
+        if not any(zc & ~zd == 0 for k, zd in enumerate(zeros) if k != i)
+    ]
 
 
 def is_extremal(h, r):

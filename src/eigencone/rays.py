@@ -9,12 +9,13 @@ Two mechanisms produce rays on a face F(w, P):
 
 Both run on integers: the face's inequality rows are ``faces._int_row``, and
 the induction carries each entry as integer numerators over one positive
-denominator, divided once at the end. ``classify_face`` combines both with
-the polyhedral engine to reproduce the complete extremal-ray inventory of a
-face, and ``invariant_dim`` is the
-independent representation-theoretic oracle (tensor invariant dimensions from
-Freudenthal's multiplicity formula, Brauer-Klimyk folding and one
-Racah-Speiser coefficient, all in integers).
+denominator, divided once at the end. By the main theorem every extremal
+ray of a face comes from one of the two, so ``classify_face`` hands both to
+``cone.certified_rays``, which certifies that they generate the face and
+keeps the extremal ones: the complete inventory, with no double description
+of the face. ``invariant_dim`` is the independent representation-theoretic
+oracle (tensor invariant dimensions from Freudenthal's multiplicity formula,
+Brauer-Klimyk folding and one Racah-Speiser coefficient, all in integers).
 """
 
 from __future__ import annotations
@@ -107,9 +108,10 @@ class RayTuple:
         return RayTuple(tuple(w.scale(c) for w in self.weights), self.tag)
 
     def to_json(self):
-        prim = self.primitive()
+        """The coordinates as they are; a caller whose ray may not be
+        primitive reduces it first."""
         return {
-            "weights": [list(w.coords) for w in prim.weights],
+            "weights": [list(w.coords) for w in self.weights],
             "tag": self.tag,
         }
 
@@ -373,23 +375,17 @@ def face_extremal_rays(face):
 
 
 def classify_face(face):
-    """Full inventory of a face: basic rays, polyhedral extremal rays,
-    Levi-ray inductions with zero and exotic counts, and the consistency
-    identities tying them together. Rays compare as primitive integer
-    vectors: the DD's and the Levi rays are, and each basic ray and nonzero
-    induced image is reduced once."""
+    """Full inventory of a face: basic rays, extremal rays, Levi-ray
+    inductions with zero and exotic counts, and the consistency identities
+    tying them together. By the main theorem every extremal ray of the face
+    is a basic ray or a nonzero induced image, so those are the candidates
+    of ``cone.certified_rays``, which certifies that they generate the face
+    and keeps the extremal ones; no double description runs on the face.
+    Rays compare as primitive integer vectors: the Levi rays are, and each
+    basic ray and nonzero induced image is reduced once."""
     P = face.P
     basic_rays = [d.primitive() for (_, _, _, d) in _face_basic_rays(face)]
     q = len(basic_rays)
-    all_rays = face_extremal_rays(face)
-    ray_set = {r.to_vector() for r in all_rays}
-    for r in basic_rays:
-        if r.to_vector() not in ray_set:
-            raise cone.ConsistencyError(
-                f"basic ray {r} is not an extremal ray of the face"
-            )
-    basic_set = {r.to_vector() for r in basic_rays}
-    type2 = [r for r in all_rays if r.to_vector() not in basic_set]
     pairs = []
     for mu in levi_cone_rays(P, face.s):
         # the lift's integer numerators: induct is linear and its checks
@@ -405,15 +401,22 @@ def classify_face(face):
             f"{zero_count} Levi rays induce to zero, expected "
             f"q - (s - 1)|complement| = {expected}"
         )
-    matched = {image.to_vector() for _, image in pairs}
+    basic = [r.to_vector() for r in basic_rays]
+    images = [image.to_vector() for _, image in pairs if not image.is_zero()]
+    ray_set = set(cone.certified_rays(_face_hrep(face), basic + images))
+    type2 = [
+        RayTuple.from_vector(face.root_system, face.s, r, "dd")
+        for r in sorted(ray_set.difference(basic))
+    ]
     for r in type2:
         if any(_pair_evals(face, r)):
             raise cone.ConsistencyError(
                 f"type II ray {r} does not vanish at the cover pairs"
             )
-        if r.to_vector() not in matched:
+    for r, vec in zip(basic_rays, basic):
+        if vec not in ray_set:
             raise cone.ConsistencyError(
-                f"type II ray {r} is not an induction image"
+                f"basic ray {r} is not an extremal ray of the face"
             )
     return FaceReport(
         face=face,
@@ -426,7 +429,7 @@ def classify_face(face):
             image for _, image in pairs
             if not image.is_zero() and image.to_vector() not in ray_set
         ],
-        total=len(all_rays),
+        total=len(ray_set),
     )
 
 

@@ -118,9 +118,12 @@ IDENTITY_BREAKERS = {
         ["face-rays", "--type", "D4", "--parabolic", "2", "--words", MAIN_WORDS],
         "error: 9 Levi rays induce to zero",
     ),
+    # an induced candidate twice the first basic ray takes that ray's place:
+    # it is extremal but not a basic ray, and fails the type II test
     "induction-image": (
-        "induct = rays.induct\n"
-        "rays.induct = lambda face, x: rays.RayTuple(induct(face, x).weights[::-1])",
+        "certified = cone.certified_rays\n"
+        "cone.certified_rays = lambda h, cands: certified(\n"
+        "    h, cands[1:] + [tuple(2 * x for x in cands[0])])",
         ["face-rays", "--type", "D4", "--parabolic", "2", "--words", MAIN_WORDS],
         "error: type II ray",
     ),
@@ -131,19 +134,47 @@ IDENTITY_BREAKERS = {
         ["cone-rays", "--type", "A2"],
         "error: extremal ray",
     ),
-    # the face's extremal rays lose its first basic ray
+    # the candidates carry the first basic ray twice, once doubled, so
+    # neither copy passes the extremality test
     "basic-ray": (
-        "fer = rays.face_extremal_rays\n"
-        "lost = lambda face: rays._face_basic_rays(face)[0][3].primitive()\n"
-        "rays.face_extremal_rays = lambda face: [\n"
-        "    r for r in fer(face) if r.to_vector() != lost(face).to_vector()]",
+        "certified = cone.certified_rays\n"
+        "cone.certified_rays = lambda h, cands: certified(\n"
+        "    h, cands + [tuple(2 * x for x in cands[0])])",
         ["face-rays", "--type", "D4", "--parabolic", "2", "--words", MAIN_WORDS],
         "error: basic ray",
     ),
-    # the equality subspace ignores the first equality, so rays leave the face
+    # induct reverses the weights of each image, which leaves the face
+    "candidate-off-face": (
+        "induct = rays.induct\n"
+        "rays.induct = lambda face, x: rays.RayTuple(induct(face, x).weights[::-1])",
+        ["face-rays", "--type", "D4", "--parabolic", "2", "--words", MAIN_WORDS],
+        "error: candidate",
+    ),
+    # the last candidate, a type II ray of a face with 20 rays in 11
+    # dimensions, is dropped; the others still span the face
+    "missing-candidate": (
+        "certified = cone.certified_rays\n"
+        "cone.certified_rays = lambda h, cands: certified(h, cands[:-1])",
+        ["face-rays", "--type", "D4", "--parabolic", "1", "--words",
+         "s1 s2 s3 s4 s2 s1; s1 s2 s3 s4 s2 s1; e"],
+        "error: the candidates miss part of the cone",
+    ),
+    # the main face has 11 rays in 11 dimensions: without its last type II
+    # ray the candidates span a hyperplane of the face's span
+    "candidate-span": (
+        "certified = cone.certified_rays\n"
+        "cone.certified_rays = lambda h, cands: certified(h, cands[:-1])",
+        ["face-rays", "--type", "D4", "--parabolic", "2", "--words", MAIN_WORDS],
+        "error: the candidates do not span",
+    ),
+    # each basis vector of an equality subspace is moved along the first
+    # equality, so the rays of the candidates' facet DD leave the subspace
     "equality-containment": (
         "nullspace = cone.linalg.nullspace\n"
-        "cone.linalg.nullspace = lambda mat, ncols: nullspace(mat[1:], ncols)",
+        "def bent(mat, ncols):\n"
+        "    basis = nullspace(mat, ncols)\n"
+        "    return [[x + y for x, y in zip(v, mat[0])] for v in basis] if mat else basis\n"
+        "cone.linalg.nullspace = bent",
         ["face-rays", "--type", "D4", "--parabolic", "2", "--words", MAIN_WORDS],
         "error: extremal ray",
     ),

@@ -194,3 +194,59 @@ def test_hrep_shares_a_block_of_another_hrep():
     assert face.inequalities is full.inequalities
     assert face.inequalities == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     assert cone.extremal_rays(face) == [(0, 1, 0), (1, 0, 0)]
+
+
+# the cone over the square with corners (+-1, +-1) at height 1
+SQUARE = [(-1, 0, 1), (1, 0, 1), (0, -1, 1), (0, 1, 1)]
+CORNERS = [(1, 1, 1), (1, -1, 1), (-1, 1, 1), (-1, -1, 1)]
+
+
+def test_certified_rays_keep_the_extremal_candidates():
+    h = cone.HRep(3, SQUARE)
+    # the apex direction, an edge midpoint and a repeat are not kept
+    cands = [(0, 0, 1), CORNERS[2], (1, 0, 1), *CORNERS, CORNERS[0]]
+    assert cone.certified_rays(h, cands) == [CORNERS[2], CORNERS[0], *CORNERS[1::2]]
+    assert sorted(cone.certified_rays(h, CORNERS)) == cone.extremal_rays(h)
+
+
+def test_certified_rays_of_a_face():
+    # the facet x = z of the square cone spans the plane x = z
+    h = cone.HRep(3, SQUARE, [(1, 0, -1)])
+    assert cone.certified_rays(h, [(1, 0, 1), (1, 1, 1), (1, -1, 1)]) == [
+        (1, 1, 1), (1, -1, 1),
+    ]
+
+
+def test_certified_rays_reject_a_candidate_outside_the_cone():
+    h = cone.HRep(3, SQUARE)
+    with pytest.raises(cone.ConsistencyError, match=r"candidate \(2, 0, 1\) is outside"):
+        cone.certified_rays(h, CORNERS + [(2, 0, 1)])
+    face = cone.HRep(3, SQUARE, [(1, 0, -1)])
+    with pytest.raises(cone.ConsistencyError, match="outside"):
+        cone.certified_rays(face, CORNERS[:2] + [(-1, 1, 1)])
+
+
+def test_certified_rays_reject_candidates_that_do_not_span():
+    h = cone.HRep(3, SQUARE)
+    with pytest.raises(cone.ConsistencyError, match="do not span"):
+        cone.certified_rays(h, CORNERS[:2])
+    with pytest.raises(cone.ConsistencyError, match="do not span"):
+        cone.certified_rays(h, [])
+
+
+def test_certified_rays_reject_candidates_that_miss_part_of_the_cone():
+    # three corners span the space, but their cone misses the fourth corner:
+    # its facet through the diagonal is no row of h
+    h = cone.HRep(3, SQUARE)
+    with pytest.raises(cone.ConsistencyError, match="miss part of the cone"):
+        cone.certified_rays(h, CORNERS[:3] + [(0, 0, 1)])
+    # with no inequality at all, a half-line misses the other half
+    with pytest.raises(cone.ConsistencyError, match="miss part of the cone"):
+        cone.certified_rays(cone.HRep(1), [(1,)])
+
+
+def test_certified_rays_want_primitive_candidates():
+    # a corner given twice, once doubled: neither copy is alone on its line
+    h = cone.HRep(3, SQUARE)
+    got = cone.certified_rays(h, CORNERS + [(2, 2, 2)])
+    assert got == CORNERS[1:]

@@ -491,3 +491,30 @@ def test_equality_faces_match_brute_force(seed):
     rng.shuffle(ineqs)
     rng.shuffle(eqs)
     assert cone.extremal_rays(cone.HRep(n, ineqs, eqs)) == expected
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_certified_rays_match_brute_force(seed):
+    # The brute-force rays of a full-dimensional pointed cone, shuffled with
+    # positive sums of two or three of them, certify to exactly those rays;
+    # without one ray, the rest and the sums generate a smaller cone, which
+    # the certificate must refuse.
+    rng = random.Random(3000 + seed)
+    n = 3 + seed % 3
+    while True:
+        rows = _random_pointed_rows(rng, n)
+        want = _brute_force_rays(rows, n)
+        if want and len(linalg.rref_int(want)[1]) == n:
+            break
+    sums = [
+        clear_denominators([sum(c) for c in zip(*rng.sample(want, k))])
+        for k in (2, 3, 2)
+        if k <= len(want)
+    ]
+    cands = want + sums
+    rng.shuffle(cands)
+    h = cone.HRep(n, rows)
+    assert sorted(cone.certified_rays(h, cands)) == want
+    lost = rng.choice(want)
+    with pytest.raises(cone.ConsistencyError):
+        cone.certified_rays(h, [c for c in cands if c != lost])

@@ -34,7 +34,12 @@ def test_ray_tuple_vector_round_trip(d4):
     back = RayTuple.from_vector(d4, 3, x.to_vector())
     assert back.to_vector() == x.to_vector()
     assert x.scale(6).primitive().to_vector() == x.to_vector()
+    # to_json writes the coordinates as they are
     assert x.scale(6).to_json() == {
+        "weights": [[0, 6, 0, 0], [0, 0, 6, 0], [6, 6, 6, 6]],
+        "tag": "user",
+    }
+    assert x.scale(6).primitive().to_json() == {
         "weights": [[0, 1, 0, 0], [0, 0, 1, 0], [1, 1, 1, 1]],
         "tag": "user",
     }
@@ -304,6 +309,47 @@ def test_face_report_rays_are_primitive(label):
         images = [img for _, img in rep.levi_rays if not img.is_zero()]
         for ray in rep.basic_rays + rep.type2_rays + rep.exotic + levi + images:
             assert _is_primitive(ray), (face, ray)
+
+
+def _dd_face_rays(face):
+    """The reference inventory: the face's extremal rays by a double
+    description of its H-rep, as classify_face found them before it took
+    them from the theorem's certified candidates."""
+    return set(cone.extremal_rays(rays._face_hrep(face)))
+
+
+@pytest.mark.parametrize("label", ["A2", "B3", "C3", "A4", "D4"])
+def test_face_rays_match_the_double_description(label):
+    rs = build_root_system(label)
+    for face in faces.enumerate_regular_facets(3, rs, quotient_symmetry=True):
+        rep = rays.classify_face(face)
+        got = {r.to_vector() for r in rep.basic_rays + rep.type2_rays}
+        assert got == _dd_face_rays(face), face
+
+
+def test_classify_face_runs_no_double_description_on_the_face(
+    d4, p4, main_face, monkeypatch
+):
+    def refuse(face):
+        raise AssertionError("classify_face called face_extremal_rays")
+
+    full = rays.gamma_hrep(d4, 3).inequalities
+    extremal_rays = cone.extremal_rays
+
+    def guarded(h):
+        if h.inequalities is full:
+            raise AssertionError("a double description ran on the cone's rows")
+        return extremal_rays(h)
+
+    monkeypatch.setattr(rays, "face_extremal_rays", refuse)
+    monkeypatch.setattr(cone, "extremal_rays", guarded)
+    all_faces = [main_face] + [
+        faces.FaceSpec(3, p4, tuple(parse_word(d4, w) for w in row["words"]))
+        for row in _golden("p4_table.json")["rows"]
+    ]
+    for face in all_faces:
+        rep = rays.classify_face(face)
+        assert rep.total == rep.q + len(rep.type2_rays)
 
 
 def test_classify_main_face(d4, main_face):
