@@ -7,6 +7,13 @@ nothing in here knows about root systems. ``certified_rays`` picks the
 extremal rays out of candidates once it has certified that they generate
 the cone.
 
+An H-rep may declare ``blocks``: its rows are invariant under permuting
+that many equal coordinate blocks, as the rows of an s-fold tensor cone are
+under permuting the s factors. ``extremal_rays`` then runs the double
+description on one fundamental domain of that symmetric group only and
+closes the result under it (Bremner, Dutour Sikiric and Schuermann,
+"Polyhedral representation conversion up to symmetries", 2009).
+
 Only pointed cones are handled (a line left after restricting to the
 equality subspace raises NotPointedError); all cones in scope are cut out
 inside a dominant chamber, so this is not a restriction in practice.
@@ -14,11 +21,12 @@ inside a dominant chamber, so this is not a restriction in practice.
 
 from __future__ import annotations
 
+import itertools
 import sys
 from array import array
 from dataclasses import dataclass, field
 from math import gcd
-from operator import mul
+from operator import itemgetter, mul
 
 from . import linalg
 from .linalg import clear_denominators
@@ -70,13 +78,22 @@ def _normalize_rows(rows):
 class HRep:
     """Homogeneous system {x : ineq . x >= 0, eq . x = 0}. Each block of rows
     is normalized once into a ``_Rows``, which keeps its packed columns; a
-    block of another H-rep is shared as it is. Replace blocks, never edit."""
+    block of another H-rep is shared as it is. Replace blocks, never edit.
+
+    ``blocks`` declares that the inequalities and the equality subspace are
+    invariant under permuting that many equal blocks of coordinates;
+    ``extremal_rays`` checks it."""
 
     dim: int
     inequalities: list = field(default_factory=list)
     equalities: list = field(default_factory=list)
+    blocks: int = 1
 
     def __post_init__(self):
+        if self.blocks < 1 or self.dim % self.blocks:
+            raise ValueError(
+                f"{self.blocks} blocks do not divide dimension {self.dim}"
+            )
         for name in ("inequalities", "equalities"):
             rows = getattr(self, name)
             if not isinstance(rows, _Rows):
@@ -390,6 +407,81 @@ def _dd(rows, n):
     return list(rays.values())
 
 
+def _check_blocks(h, basis):
+    """ValueError unless the inequalities of h, as a set, and its equality
+    subspace, spanned by ``basis``, are invariant under swapping any two
+    adjacent blocks; those swaps generate every block permutation."""
+    size = h.dim // h.blocks
+    have = set(h.inequalities)
+    for t in range(1, h.blocks):
+        a, b, c = (t - 1) * size, t * size, (t + 1) * size
+        swap = itemgetter(*range(a), *range(b, c), *range(a, b), *range(c, h.dim))
+        if any(swap(row) not in have for row in h.inequalities):
+            what = "inequalities are"
+        elif any(_evaluate(h.equalities, [swap(v) for v in basis])[0]):
+            what = "equality subspace is"
+        else:
+            continue
+        raise ValueError(
+            f"the {what} not invariant under swapping blocks {t} and {t + 1} "
+            f"of {h.blocks}"
+        )
+
+
+def _walls(h):
+    """The rows (sum of block t) - (sum of block t + 1), t = 1 .. blocks - 1:
+    where all are >= 0 is a fundamental domain D of the block permutations."""
+    s, size = h.blocks, h.dim // h.blocks
+    return [
+        tuple(int(u == t) - int(u == t + 1) for u in range(s) for _ in range(size))
+        for t in range(s - 1)
+    ]
+
+
+def _unfold(h, found):
+    """The extremal rays of the block-symmetric cone C of h, from the
+    extremal rays ``found`` of C n D, D cut out by ``_walls``.
+
+    A found ray off every wall is kept: C n D and C agree near it. A found
+    ray c on a wall is kept iff it passes the candidate test of
+    ``certified_rays`` against the pool of every block permutation of every
+    found ray, which holds every extremal ray of C. A block permutation g
+    maps the rows of C onto themselves, so g^-1 e is tight wherever c is
+    iff e is tight wherever g c is: c is kept iff, for every g, no found ray
+    but g c itself is tight at every row where g c is. Those rows are the
+    images under g of the rows where c is, so neither the pool nor the
+    images of c are ever evaluated. The kept rays are then closed under the
+    permutations.
+    """
+    rows, size = h.inequalities, h.dim // h.blocks
+    at = {row: p for p, row in enumerate(rows)}
+    # each block permutation as an itemgetter on coordinates, which maps
+    # rows to rows too, and as a list on row positions
+    moves = []
+    for perm in itertools.permutations(range(h.blocks)):
+        move = itemgetter(*(t * size + i for t in perm for i in range(size)))
+        moves.append((move, [at[move(row)] for row in rows]))
+    zeros, cols = _zero_masks(rows, found)
+    full = (1 << len(found)) - 1
+    index = {r: i for i, r in enumerate(found)}
+
+    def extremal(c, z):
+        tight = list(_bits(z))
+        for move, perm in moves:
+            i = index.get(move(c))
+            own = 0 if i is None else 1 << i
+            if not _alone(cols, map(perm.__getitem__, tight), full, own):
+                return False
+        return True
+
+    walls = _walls(h)
+    kept = [
+        c for c, z in zip(found, zeros)
+        if all(sum(map(mul, w, c)) for w in walls) or extremal(c, z)
+    ]
+    return sorted({move(c) for c in kept for move, _ in moves})
+
+
 def extremal_rays(h):
     """Minimal generating rays of the cone, primitive and lex sorted.
 
@@ -398,8 +490,24 @@ def extremal_rays(h):
     off packed columns. Every ray found is then evaluated exactly, again
     from packed columns, against every inequality and every equality of h
     itself; a ray outside the system raises ConsistencyError.
+
+    With ``h.blocks`` = s > 1 the inequalities and the equality subspace
+    must be invariant under permuting the s coordinate blocks (ValueError
+    otherwise, before any double description). The double description then
+    runs on C n D, C plus the s - 1 rows of ``_walls``, where D = {sum of
+    block 1 >= .. >= sum of block s} is a fundamental domain of those
+    permutations, and ``_unfold`` turns its rays into those of C. This is
+    exact. Sorting the block sums moves every extremal ray of C into D,
+    where it is still extremal, so the permutations of the rays of C n D
+    hold every extremal ray of C. A point of C that is not extremal is a
+    positive sum of the extremal rays of its face, each tight wherever the
+    point is, so a ray of that pool is extremal iff no other one is tight
+    at every row where it is (the test of ``certified_rays``). C n D can be
+    pointed where C is not, so C's own rows are checked for a line first.
     """
     basis = linalg.nullspace(h.equalities, ncols=h.dim)
+    if h.blocks > 1:
+        _check_blocks(h, basis)
     n = len(basis)
     if n == 0:
         return []
@@ -410,31 +518,58 @@ def extremal_rays(h):
         return [clear_denominators(v) for v in _values(list(zip(*basis)), vecs)]
 
     try:
+        if h.blocks > 1:
+            # full rank on the first n rows, as with unit rows first, settles it
+            line = linalg.nullspace(proj[:n], ncols=n)
+            line = line and linalg.nullspace(proj, ncols=n)
+            if line:
+                raise NotPointedError(line[0])
+            proj = _normalize_rows(proj + list(zip(*_values(_walls(h), basis))))
         found = _dd(proj, n)
     except NotPointedError as e:
         raise NotPointedError(ambient([e.vector])[0]) from None
     result = sorted(set(ambient(found)))
+    if h.blocks > 1:
+        result = _unfold(h, result)
     bad = _violators(h, result)
     if bad:
         raise ConsistencyError(f"extremal ray {bad[0]} violates its own system")
     return result
 
 
-def _zero_rows(rows, vecs):
-    """For each integer vector v, the bitmask of the rows r with r . v = 0,
-    read off its packed slack vector a byte of every field at a time."""
-    if not rows:
-        return [0] * len(vecs)
+def _zero_masks(rows, vecs):
+    """Where the slacks of integer vectors at rows are zero, both ways: for
+    each vector v the bitmask of the rows r with r . v = 0, read off its
+    packed slack vector a byte of every field at a time, as in ``_dd``, and
+    for each row r the bitmask of those vectors, its transpose."""
+    m, k = len(rows), len(vecs)
+    if not (m and k):
+        return [0] * k, [0] * m
     packed, width, bias = _evaluate(rows, vecs)
-    nbytes, size = width // 8, width * len(rows) // 8
-    out = []
+    nbytes, size = width // 8, width * m // 8
+    by_vec = []
     for p in packed:
         raw = ((p + bias) ^ bias).to_bytes(size, "little")
         z = -1
         for o in range(nbytes):
             z &= _mask(raw[o::nbytes], _ZERO)
-        out.append(z)
-    return out
+        by_vec.append(z)
+    # one m-digit block per vector, the last vector's first: digit m - 1 - r
+    # of each block is bit r of its mask
+    digits = "".join(format(z, f"0{m}b") for z in reversed(by_vec))
+    return by_vec, [int(digits[m - 1 - r::m], 2) for r in range(m)]
+
+
+def _alone(cols, tight, full, own):
+    """The candidate test: is ``own`` all that is left of the vector bitmask
+    ``full`` after the AND of cols[p], the vectors tight at row p, over the
+    rows p in ``tight``? own is the bit of the candidate itself among the
+    vectors, or 0 if it is none of them."""
+    for p in tight:
+        if full == own:
+            break
+        full &= cols[p]
+    return full == own
 
 
 def certified_rays(h, cands):
@@ -454,10 +589,10 @@ def certified_rays(h, cands):
        restricts to a positive multiple of a on the subspace, so every
        point of h is in cone(cands), and the two cones are equal;
     4. a candidate c is extremal iff no other candidate is tight at every
-       row where c is (the adjacency test of ``_dd``): the rows tight at an
-       extremal ray cut out its line, and a point that is not extremal is
-       inside a face of dimension 2 or more, whose extremal rays are
-       candidates tight wherever it is.
+       row where c is (``_alone``, the adjacency test of ``_dd``): the
+       rows tight at an extremal ray cut out its line, and a point that is
+       not extremal is inside a face of dimension 2 or more, whose extremal
+       rays are candidates tight wherever it is.
 
     A failure of 1, 2 or 3 raises ConsistencyError.
     """
@@ -471,9 +606,9 @@ def certified_rays(h, cands):
         raise ConsistencyError(
             "the candidates do not span the equality subspace of the cone"
         ) from None
-    zeros = _zero_rows(h.inequalities, cands)
+    zeros, cols = _zero_masks(h.inequalities, cands)
     everything = (1 << len(h.inequalities)) - 1
-    for a, z in zip(normals, _zero_rows(cands, normals)):
+    for a, z in zip(normals, _zero_masks(cands, normals)[0]):
         inside, outside = everything, 0
         for c, zc in enumerate(zeros):
             if z >> c & 1:
@@ -485,9 +620,10 @@ def certified_rays(h, cands):
                 f"the candidates miss part of the cone: their facet {a} is "
                 "the face of no inequality"
             )
+    full = (1 << len(cands)) - 1
     return [
         c for i, (c, zc) in enumerate(zip(cands, zeros))
-        if not any(zc & ~zd == 0 for k, zd in enumerate(zeros) if k != i)
+        if _alone(cols, _bits(zc), full, 1 << i)
     ]
 
 

@@ -207,12 +207,14 @@ def inequality_row(face, k):
 @lru_cache(maxsize=None)
 def _cone_hrep(rs, s):
     """The H-rep of the s-fold tensor cone: the dominance rows, then the
-    ``_int_row`` of every regular facet inequality."""
+    ``_int_row`` of every regular facet inequality. The facets are closed
+    under permuting the s factors, so the rows are invariant under
+    permuting the s blocks of coordinates."""
     n = s * rs.rank
     ineqs = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     for f in enumerate_regular_facets(s, rs):
         ineqs.extend(_int_row(f, k) for k in f.P.complement)
-    return cone.HRep(n, ineqs)
+    return cone.HRep(n, ineqs, blocks=s)
 
 
 def tens_membership(x):

@@ -196,6 +196,66 @@ def test_hrep_shares_a_block_of_another_hrep():
     assert cone.extremal_rays(face) == [(0, 1, 0), (1, 0, 0)]
 
 
+@pytest.mark.parametrize("dim,blocks", [(4, 0), (4, -2), (4, 3), (5, 2)])
+def test_blocks_must_divide_the_dimension(dim, blocks):
+    with pytest.raises(ValueError, match="blocks do not divide"):
+        cone.HRep(dim, blocks=blocks)
+
+
+UNITS = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+
+@pytest.mark.parametrize("ineqs,eqs,member,what", [
+    # each invariant under swapping blocks 1 and 2 of 3, not 2 and 3
+    ([(1, 0, 0), (0, 1, 0), (1, 1, -1)], [], (1, 1, 1), "inequalities are"),
+    (UNITS, [(1, -1, 0)], (1, 1, 1), "equality subspace is"),
+    (UNITS, [(1, 0, 0), (0, 1, 0)], (0, 0, 1), "equality subspace is"),
+])
+def test_rows_must_be_invariant_under_the_block_swaps(
+    ineqs, eqs, member, what, monkeypatch
+):
+    def refuse(rows, n):
+        raise AssertionError("a double description ran")
+
+    h = cone.HRep(3, ineqs, eqs, blocks=3)  # not checked here: membership
+    assert cone.contains(h, member)         # tests never pay for it
+    monkeypatch.setattr(cone, "_dd", refuse)
+    with pytest.raises(ValueError, match=f"the {what} not invariant under "
+                       "swapping blocks 2 and 3 of 3"):
+        cone.extremal_rays(h)
+
+
+def test_an_equality_subspace_is_invariant_whatever_its_rows():
+    # x1 = x2 = x3 is invariant under every swap, though its rows are not
+    h = cone.HRep(3, UNITS, [(1, -1, 0), (0, 1, -1)], blocks=3)
+    assert cone.extremal_rays(h) == [(1, 1, 1)]
+
+
+def test_block_route_on_the_orthant():
+    # D = {x1 >= x2} meets the quadrant in the rays (1, 0), off the wall,
+    # and (1, 1), on it: no row of the quadrant is tight at (1, 1), so (1, 0)
+    # is tight wherever it is, and only (1, 0) and its image are kept
+    assert cone.extremal_rays(cone.HRep(2, [(1, 0), (0, 1)], blocks=2)) == [
+        (0, 1), (1, 0),
+    ]
+    # the orthant of Q^4 in two blocks of two, cut by a symmetric equality
+    h = cone.HRep(4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)],
+                  [(1, -1, 1, -1)], blocks=2)
+    want = [(0, 0, 1, 1), (0, 1, 1, 0), (1, 0, 0, 1), (1, 1, 0, 0)]
+    assert cone.extremal_rays(h) == want
+    assert cone.extremal_rays(cone.HRep(4, h.inequalities, h.equalities)) == want
+
+
+def test_block_route_finds_the_line_of_a_cone_that_is_not_pointed():
+    # {x1 + x2 >= 0} is a half-plane, but its part x1 >= x2 is pointed
+    rows = [(1, 1)]
+    with pytest.raises(cone.NotPointedError) as plain:
+        cone.extremal_rays(cone.HRep(2, rows))
+    with pytest.raises(cone.NotPointedError) as route:
+        cone.extremal_rays(cone.HRep(2, rows, blocks=2))
+    assert route.value.vector == plain.value.vector == (-1, 1)
+
+
 # the cone over the square with corners (+-1, +-1) at height 1
 SQUARE = [(-1, 0, 1), (1, 0, 1), (0, -1, 1), (0, 1, 1)]
 CORNERS = [(1, 1, 1), (1, -1, 1), (-1, 1, 1), (-1, -1, 1)]
@@ -250,3 +310,20 @@ def test_certified_rays_want_primitive_candidates():
     h = cone.HRep(3, SQUARE)
     got = cone.certified_rays(h, CORNERS + [(2, 2, 2)])
     assert got == CORNERS[1:]
+
+
+def test_certified_rays_build_their_dual_cone_without_blocks(monkeypatch):
+    # the candidates' dual cone has no reason to be block-symmetric, even
+    # when the cone itself is
+    h = cone.HRep(4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)],
+                  blocks=2)
+    units = [(0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0)]
+    seen, extremal_rays = [], cone.extremal_rays
+
+    def spy(h):
+        seen.append(h.blocks)
+        return extremal_rays(h)
+
+    monkeypatch.setattr(cone, "extremal_rays", spy)
+    assert cone.certified_rays(h, [(1, 1, 0, 0)] + units) == units
+    assert seen == [1]

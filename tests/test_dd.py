@@ -465,6 +465,30 @@ def test_packed_row_evaluation_matches_dot_products(width):
             assert (p == 0) == all(v == 0 for v in want)
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_zero_masks_match_dot_products(seed):
+    # both directions of the zero pattern, per vector and per row, with
+    # slacks up to 2^50 so that the fields widen past 32 bits
+    rng = random.Random(6000 + seed)
+    n = rng.randint(1, 5)
+    rows = [
+        tuple(rng.choice((-(2**20), -1, 0, 0, 1, 3)) for _ in range(n))
+        for _ in range(rng.randint(1, 40))
+    ]
+    vecs = [
+        tuple(rng.choice((-1, 0, 0, 1, 2**30)) for _ in range(n))
+        for _ in range(rng.randint(1, 30))
+    ]
+    by_vec, by_row = cone._zero_masks(rows, vecs)
+    for v, x in enumerate(vecs):
+        for r, row in enumerate(rows):
+            zero = not sum(map(mul, row, x))
+            assert by_vec[v] >> r & 1 == zero
+            assert by_row[r] >> v & 1 == zero
+    assert cone._zero_masks(rows, []) == ([], [0] * len(rows))
+    assert cone._zero_masks([], vecs) == ([0] * len(vecs), [])
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_equality_faces_match_brute_force(seed):
     # One or two rows tight at some extremal ray become equalities. A face
@@ -518,3 +542,95 @@ def test_certified_rays_match_brute_force(seed):
     lost = rng.choice(want)
     with pytest.raises(cone.ConsistencyError):
         cone.certified_rays(h, [c for c in cands if c != lost])
+
+
+# -- the block route ------------------------------------------------------
+
+
+@pytest.mark.parametrize("typ", ["A2", "B2", "G2", "A3", "B3", "C3"])
+def test_block_route_matches_the_plain_double_description_at_s4(typ):
+    # the s = 4 cone through its 24 block permutations, against one double
+    # description of the same rows declared without symmetry
+    h = rays.gamma_hrep(build_root_system(typ), 4)
+    assert h.blocks == 4
+    plain = cone.HRep(h.dim, h.inequalities, h.equalities)
+    assert plain.blocks == 1
+    assert cone.extremal_rays(h) == cone.extremal_rays(plain)
+
+
+# (blocks, block size, orbits of random rows, with the unit rows)
+SYMMETRIC_SHAPES = [(2, 1, 3, False), (3, 1, 2, False), (2, 2, 2, True),
+                    (3, 1, 3, True), (4, 1, 1, True), (3, 2, 1, True)]
+
+
+def _block_orbits(seeds, s, size):
+    """Every image of every seed row under permuting s blocks of ``size``
+    coordinates, sorted."""
+    return sorted({
+        tuple(r[t * size + i] for t in perm for i in range(size))
+        for r in seeds
+        for perm in itertools.permutations(range(s))
+    })
+
+
+def _random_symmetric_rows(rng, s, size, orbits, units):
+    """A pointed cone whose rows are the orbits of a few random rows."""
+    n = s * size
+    while True:
+        seeds = [
+            tuple(rng.choice((-1, 0, 0, 1, 1, 2)) for _ in range(n))
+            for _ in range(orbits)
+        ]
+        if units:
+            seeds.append((1,) + (0,) * (n - 1))
+        rows = _block_orbits(seeds, s, size)
+        if len(linalg.rref_int(rows)[1]) == n:
+            return rows
+
+
+def _symmetric_case(seed):
+    rng = random.Random(4000 + seed)
+    s, size, orbits, units = SYMMETRIC_SHAPES[seed % len(SYMMETRIC_SHAPES)]
+    rows = _random_symmetric_rows(rng, s, size, orbits, units)
+    return s, rows, _brute_force_rays(rows, s * size)
+
+
+@pytest.mark.parametrize("seed", range(48))
+def test_block_route_matches_brute_force(seed):
+    s, rows, want = _symmetric_case(seed)
+    n = len(rows[0])
+    assert cone.extremal_rays(cone.HRep(n, rows, blocks=s)) == want
+    random.Random(seed).shuffle(rows)
+    assert cone.extremal_rays(cone.HRep(n, rows, blocks=s)) == want
+
+
+def test_block_route_cases_reach_the_walls():
+    # Over the cases above, the cone cut by the walls has extremal rays on
+    # a wall that are extremal rays of the cone, and others on two walls
+    # that are not: the route must keep the first and drop the second.
+    kept = dropped = 0
+    for seed in range(48):
+        s, rows, want = _symmetric_case(seed)
+        size = len(rows[0]) // s
+        walls = [
+            tuple(int(u == t) - int(u == t + 1) for u in range(s) for _ in range(size))
+            for t in range(s - 1)
+        ]
+        for x in _brute_force_rays(rows + walls, len(rows[0])):
+            on = sum(not sum(map(mul, w, x)) for w in walls)
+            kept += on >= 1 and x in want
+            dropped += on >= 2 and x not in want
+    assert kept and dropped
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_block_route_with_symmetric_equalities(seed):
+    # the orbit of one more random row as equalities: the route against the
+    # plain engine, which the brute-force tests above cover with equalities
+    rng = random.Random(5000 + seed)
+    s, size, orbits, _ = SYMMETRIC_SHAPES[seed % len(SYMMETRIC_SHAPES)]
+    rows = _random_symmetric_rows(rng, s, size, orbits, True)
+    n = s * size
+    eqs = _block_orbits([tuple(rng.choice((-1, 0, 1)) for _ in range(n))], s, size)
+    plain = cone.extremal_rays(cone.HRep(n, rows, eqs))
+    assert cone.extremal_rays(cone.HRep(n, rows, eqs, blocks=s)) == plain
