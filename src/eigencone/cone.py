@@ -7,12 +7,12 @@ nothing in here knows about root systems. ``certified_rays`` picks the
 extremal rays out of candidates once it has certified that they generate
 the cone.
 
-An H-rep may declare ``blocks``: its rows are invariant under permuting
-that many equal coordinate blocks, as the rows of an s-fold tensor cone are
-under permuting the s factors. ``extremal_rays`` then runs the double
-description on one fundamental domain of that symmetric group only and
-closes the result under it (Bremner, Dutour Sikiric and Schuermann,
-"Polyhedral representation conversion up to symmetries", 2009).
+When the rows of an H-rep are invariant under permuting some number of
+equal coordinate blocks, as the rows of an s-fold tensor cone are under
+permuting the s factors, ``extremal_rays`` finds that symmetry itself, runs
+the double description on one fundamental domain of that symmetric group
+only and closes the result under it (Bremner, Dutour Sikiric and
+Schuermann, "Polyhedral representation conversion up to symmetries", 2009).
 
 Only pointed cones are handled (a line left after restricting to the
 equality subspace raises NotPointedError); all cones in scope are cut out
@@ -78,22 +78,13 @@ def _normalize_rows(rows):
 class HRep:
     """Homogeneous system {x : ineq . x >= 0, eq . x = 0}. Each block of rows
     is normalized once into a ``_Rows``, which keeps its packed columns; a
-    block of another H-rep is shared as it is. Replace blocks, never edit.
-
-    ``blocks`` declares that the inequalities and the equality subspace are
-    invariant under permuting that many equal blocks of coordinates;
-    ``extremal_rays`` checks it."""
+    block of another H-rep is shared as it is. Replace blocks, never edit."""
 
     dim: int
     inequalities: list = field(default_factory=list)
     equalities: list = field(default_factory=list)
-    blocks: int = 1
 
     def __post_init__(self):
-        if self.blocks < 1 or self.dim % self.blocks:
-            raise ValueError(
-                f"{self.blocks} blocks do not divide dimension {self.dim}"
-            )
         for name in ("inequalities", "equalities"):
             rows = getattr(self, name)
             if not isinstance(rows, _Rows):
@@ -407,40 +398,43 @@ def _dd(rows, n):
     return list(rays.values())
 
 
-def _check_blocks(h, basis):
-    """ValueError unless the inequalities of h, as a set, and its equality
-    subspace, spanned by ``basis``, are invariant under swapping any two
-    adjacent blocks; those swaps generate every block permutation."""
-    size = h.dim // h.blocks
+def _blocks(h, basis):
+    """The largest s >= 2 dividing h.dim such that the inequalities of h, as
+    a set, and its equality subspace, spanned by ``basis``, are invariant
+    under swapping any two adjacent of s equal coordinate blocks; those swaps
+    generate every block permutation. 1 if there is no such s."""
     have = set(h.inequalities)
-    for t in range(1, h.blocks):
-        a, b, c = (t - 1) * size, t * size, (t + 1) * size
-        swap = itemgetter(*range(a), *range(b, c), *range(a, b), *range(c, h.dim))
-        if any(swap(row) not in have for row in h.inequalities):
-            what = "inequalities are"
-        elif any(_evaluate(h.equalities, [swap(v) for v in basis])[0]):
-            what = "equality subspace is"
-        else:
+    for s in range(h.dim, 1, -1):
+        if h.dim % s:
             continue
-        raise ValueError(
-            f"the {what} not invariant under swapping blocks {t} and {t + 1} "
-            f"of {h.blocks}"
-        )
+        size = h.dim // s
+        for t in range(1, s):
+            a, b, c = (t - 1) * size, t * size, (t + 1) * size
+            swap = itemgetter(*range(a), *range(b, c), *range(a, b), *range(c, h.dim))
+            if not all(swap(row) in have for row in h.inequalities) or any(
+                _evaluate(h.equalities, [swap(v) for v in basis])[0]
+            ):
+                break
+        else:
+            return s
+    return 1
 
 
-def _walls(h):
-    """The rows (sum of block t) - (sum of block t + 1), t = 1 .. blocks - 1:
-    where all are >= 0 is a fundamental domain D of the block permutations."""
-    s, size = h.blocks, h.dim // h.blocks
+def _walls(dim, s):
+    """The rows (sum of block t) - (sum of block t + 1), t = 1 .. s - 1, of s
+    equal blocks: where all are >= 0 is a fundamental domain D of the block
+    permutations."""
+    size = dim // s
     return [
         tuple(int(u == t) - int(u == t + 1) for u in range(s) for _ in range(size))
         for t in range(s - 1)
     ]
 
 
-def _unfold(h, found):
-    """The extremal rays of the block-symmetric cone C of h, from the
-    extremal rays ``found`` of C n D, D cut out by ``_walls``.
+def _unfold(h, s, found):
+    """The extremal rays of the cone C of h, whose rows are invariant under
+    permuting s coordinate blocks, from the extremal rays ``found`` of C n D,
+    D cut out by ``_walls``.
 
     A found ray off every wall is kept: C n D and C agree near it. A found
     ray c on a wall is kept iff it passes the candidate test of
@@ -453,12 +447,12 @@ def _unfold(h, found):
     images of c are ever evaluated. The kept rays are then closed under the
     permutations.
     """
-    rows, size = h.inequalities, h.dim // h.blocks
+    rows, size = h.inequalities, h.dim // s
     at = {row: p for p, row in enumerate(rows)}
     # each block permutation as an itemgetter on coordinates, which maps
     # rows to rows too, and as a list on row positions
     moves = []
-    for perm in itertools.permutations(range(h.blocks)):
+    for perm in itertools.permutations(range(s)):
         move = itemgetter(*(t * size + i for t in perm for i in range(size)))
         moves.append((move, [at[move(row)] for row in rows]))
     zeros, cols = _zero_masks(rows, found)
@@ -474,7 +468,7 @@ def _unfold(h, found):
                 return False
         return True
 
-    walls = _walls(h)
+    walls = _walls(h.dim, s)
     kept = [
         c for c, z in zip(found, zeros)
         if all(sum(map(mul, w, c)) for w in walls) or extremal(c, z)
@@ -491,26 +485,25 @@ def extremal_rays(h):
     from packed columns, against every inequality and every equality of h
     itself; a ray outside the system raises ConsistencyError.
 
-    With ``h.blocks`` = s > 1 the inequalities and the equality subspace
-    must be invariant under permuting the s coordinate blocks (ValueError
-    otherwise, before any double description). The double description then
-    runs on C n D, C plus the s - 1 rows of ``_walls``, where D = {sum of
-    block 1 >= .. >= sum of block s} is a fundamental domain of those
-    permutations, and ``_unfold`` turns its rays into those of C. This is
-    exact. Sorting the block sums moves every extremal ray of C into D,
-    where it is still extremal, so the permutations of the rays of C n D
-    hold every extremal ray of C. A point of C that is not extremal is a
-    positive sum of the extremal rays of its face, each tight wherever the
-    point is, so a ray of that pool is extremal iff no other one is tight
-    at every row where it is (the test of ``certified_rays``). C n D can be
-    pointed where C is not, so C's own rows are checked for a line first.
+    When the inequalities and the equality subspace are invariant under
+    permuting s > 1 equal coordinate blocks (``_blocks``, the largest such
+    s), the double description runs on C n D instead, C plus the s - 1 rows
+    of ``_walls``, where D = {sum of block 1 >= .. >= sum of block s} is a
+    fundamental domain of those permutations, and ``_unfold`` turns its rays
+    into those of C. This is exact. Sorting the block sums moves every
+    extremal ray of C into D, where it is still extremal, so the
+    permutations of the rays of C n D hold every extremal ray of C. A point
+    of C that is not extremal is a positive sum of the extremal rays of its
+    face, each tight wherever the point is, so a ray of that pool is
+    extremal iff no other one is tight at every row where it is (the test of
+    ``certified_rays``). C n D can be pointed where C is not, so C's own
+    rows are checked for a line first.
     """
     basis = linalg.nullspace(h.equalities, ncols=h.dim)
-    if h.blocks > 1:
-        _check_blocks(h, basis)
     n = len(basis)
     if n == 0:
         return []
+    s = _blocks(h, basis)
     proj = _normalize_rows(zip(*_values(h.inequalities, basis)))
 
     def ambient(vecs):
@@ -518,19 +511,19 @@ def extremal_rays(h):
         return [clear_denominators(v) for v in _values(list(zip(*basis)), vecs)]
 
     try:
-        if h.blocks > 1:
+        if s > 1:
             # full rank on the first n rows, as with unit rows first, settles it
             line = linalg.nullspace(proj[:n], ncols=n)
             line = line and linalg.nullspace(proj, ncols=n)
             if line:
                 raise NotPointedError(line[0])
-            proj = _normalize_rows(proj + list(zip(*_values(_walls(h), basis))))
+            proj = _normalize_rows(proj + list(zip(*_values(_walls(h.dim, s), basis))))
         found = _dd(proj, n)
     except NotPointedError as e:
         raise NotPointedError(ambient([e.vector])[0]) from None
     result = sorted(set(ambient(found)))
-    if h.blocks > 1:
-        result = _unfold(h, result)
+    if s > 1:
+        result = _unfold(h, s, result)
     bad = _violators(h, result)
     if bad:
         raise ConsistencyError(f"extremal ray {bad[0]} violates its own system")

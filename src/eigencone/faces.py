@@ -214,7 +214,7 @@ def _cone_hrep(rs, s):
     ineqs = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     for f in enumerate_regular_facets(s, rs):
         ineqs.extend(_int_row(f, k) for k in f.P.complement)
-    return cone.HRep(n, ineqs, blocks=s)
+    return cone.HRep(n, ineqs)
 
 
 def tens_membership(x):

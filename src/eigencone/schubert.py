@@ -175,12 +175,14 @@ class ProductTable:
             result = self._mult_degree_one(k, {vid: 1})
         else:
             denom, expr = self._expression(uid)
-            acc = {}
+            by_k = {}  # k -> the terms' combination of sigma_x, multiplied once
             for num, k, xid in expr:
-                inner = self.product_ids(xid, vid)
-                step = self._mult_degree_one(k, inner)
+                by_k.setdefault(k, {})[xid] = num
+            acc = {}
+            for k, terms in by_k.items():
+                step = self._mult_degree_one(k, self.product_vec(terms, {vid: 1}))
                 for w, c in step.items():
-                    acc[w] = acc.get(w, 0) + num * c
+                    acc[w] = acc.get(w, 0) + c
             result = {}
             for w, c in acc.items():
                 q, r = divmod(c, denom)

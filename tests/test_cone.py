@@ -5,6 +5,7 @@ from operator import mul
 import pytest
 
 from eigencone import cone
+from test_dd import _blocks, _brute_force_rays, _plain
 
 
 def test_orthant():
@@ -196,12 +197,6 @@ def test_hrep_shares_a_block_of_another_hrep():
     assert cone.extremal_rays(face) == [(0, 1, 0), (1, 0, 0)]
 
 
-@pytest.mark.parametrize("dim,blocks", [(4, 0), (4, -2), (4, 3), (5, 2)])
-def test_blocks_must_divide_the_dimension(dim, blocks):
-    with pytest.raises(ValueError, match="blocks do not divide"):
-        cone.HRep(dim, blocks=blocks)
-
-
 UNITS = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
 
@@ -211,48 +206,65 @@ UNITS = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     (UNITS, [(1, -1, 0)], (1, 1, 1), "equality subspace is"),
     (UNITS, [(1, 0, 0), (0, 1, 0)], (0, 0, 1), "equality subspace is"),
 ])
-def test_rows_must_be_invariant_under_the_block_swaps(
-    ineqs, eqs, member, what, monkeypatch
-):
-    def refuse(rows, n):
-        raise AssertionError("a double description ran")
-
-    h = cone.HRep(3, ineqs, eqs, blocks=3)  # not checked here: membership
-    assert cone.contains(h, member)         # tests never pay for it
-    monkeypatch.setattr(cone, "_dd", refuse)
-    with pytest.raises(ValueError, match=f"the {what} not invariant under "
-                       "swapping blocks 2 and 3 of 3"):
-        cone.extremal_rays(h)
+def test_rows_must_be_invariant_under_the_block_swaps(ineqs, eqs, member, what):
+    # one swap that moves the ``what`` of h is enough to refuse the route,
+    # so the plain engine runs; brute force on the equalities as two
+    # inequalities each
+    h = cone.HRep(3, ineqs, eqs)
+    assert _blocks(h) == 1
+    assert cone.contains(h, member)
+    both = ineqs + eqs + [tuple(-x for x in e) for e in eqs]
+    assert cone.extremal_rays(h) == _brute_force_rays(both, 3)
 
 
 def test_an_equality_subspace_is_invariant_whatever_its_rows():
     # x1 = x2 = x3 is invariant under every swap, though its rows are not
-    h = cone.HRep(3, UNITS, [(1, -1, 0), (0, 1, -1)], blocks=3)
+    h = cone.HRep(3, UNITS, [(1, -1, 0), (0, 1, -1)])
+    assert _blocks(h) == 3
     assert cone.extremal_rays(h) == [(1, 1, 1)]
 
 
-def test_block_route_on_the_orthant():
+def test_block_route_on_the_orthant(monkeypatch):
     # D = {x1 >= x2} meets the quadrant in the rays (1, 0), off the wall,
     # and (1, 1), on it: no row of the quadrant is tight at (1, 1), so (1, 0)
     # is tight wherever it is, and only (1, 0) and its image are kept
-    assert cone.extremal_rays(cone.HRep(2, [(1, 0), (0, 1)], blocks=2)) == [
-        (0, 1), (1, 0),
-    ]
-    # the orthant of Q^4 in two blocks of two, cut by a symmetric equality
+    quadrant = cone.HRep(2, [(1, 0), (0, 1)])
+    assert _blocks(quadrant) == 2
+    assert cone.extremal_rays(quadrant) == [(0, 1), (1, 0)]
+    # the orthant of Q^4 cut by an equality that only the swap of its two
+    # blocks of two keeps
     h = cone.HRep(4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)],
-                  [(1, -1, 1, -1)], blocks=2)
+                  [(1, -1, 1, -1)])
+    assert _blocks(h) == 2
     want = [(0, 0, 1, 1), (0, 1, 1, 0), (1, 0, 0, 1), (1, 1, 0, 0)]
     assert cone.extremal_rays(h) == want
-    assert cone.extremal_rays(cone.HRep(4, h.inequalities, h.equalities)) == want
+    _plain(monkeypatch)
+    assert cone.extremal_rays(h) == want
 
 
-def test_block_route_finds_the_line_of_a_cone_that_is_not_pointed():
+def test_the_largest_block_count_is_detected():
+    # the orthant of Q^4 is invariant under permuting 4 blocks of one
+    # coordinate and 2 blocks of two; the route takes 4
+    rows = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+    h = cone.HRep(4, rows)
+    assert _blocks(h) == 4
+    assert cone.extremal_rays(h) == _brute_force_rays(rows, 4)
+    # a row that only the 2-block swap keeps, with its image
+    rows += [(1, -1, 1, 0), (1, 0, 1, -1)]
+    h = cone.HRep(4, rows)
+    assert _blocks(h) == 2
+    assert cone.extremal_rays(h) == _brute_force_rays(rows, 4)
+
+
+def test_block_route_finds_the_line_of_a_cone_that_is_not_pointed(monkeypatch):
     # {x1 + x2 >= 0} is a half-plane, but its part x1 >= x2 is pointed
-    rows = [(1, 1)]
-    with pytest.raises(cone.NotPointedError) as plain:
-        cone.extremal_rays(cone.HRep(2, rows))
+    h = cone.HRep(2, [(1, 1)])
+    assert _blocks(h) == 2
     with pytest.raises(cone.NotPointedError) as route:
-        cone.extremal_rays(cone.HRep(2, rows, blocks=2))
+        cone.extremal_rays(h)
+    _plain(monkeypatch)
+    with pytest.raises(cone.NotPointedError) as plain:
+        cone.extremal_rays(h)
     assert route.value.vector == plain.value.vector == (-1, 1)
 
 
@@ -315,15 +327,16 @@ def test_certified_rays_want_primitive_candidates():
 def test_certified_rays_build_their_dual_cone_without_blocks(monkeypatch):
     # the candidates' dual cone has no reason to be block-symmetric, even
     # when the cone itself is
-    h = cone.HRep(4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)],
-                  blocks=2)
+    h = cone.HRep(4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
     units = [(0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0)]
-    seen, extremal_rays = [], cone.extremal_rays
+    seen, blocks = [], cone._blocks
 
-    def spy(h):
-        seen.append(h.blocks)
-        return extremal_rays(h)
+    def spy(h, basis):
+        seen.append(blocks(h, basis))
+        return seen[-1]
 
-    monkeypatch.setattr(cone, "extremal_rays", spy)
+    monkeypatch.setattr(cone, "_blocks", spy)
     assert cone.certified_rays(h, [(1, 1, 0, 0)] + units) == units
     assert seen == [1]
+    assert cone.extremal_rays(h) == sorted(units)
+    assert seen == [1, 4]

@@ -78,18 +78,32 @@ GATE = {
 }
 
 
+def _blocks(h):
+    """The block count that extremal_rays detects for h."""
+    return cone._blocks(h, linalg.nullspace(h.equalities, ncols=h.dim))
+
+
+def _plain(monkeypatch):
+    """From here on, extremal_rays detects no symmetry and runs the plain
+    double description, without walls: a reference for the block route."""
+    monkeypatch.setattr(cone, "_blocks", lambda h, basis: 1)
+
+
 def _digest(ray_list):
     text = "".join(" ".join(map(str, r)) + "\n" for r in ray_list)
     return hashlib.sha256(text.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("typ", sorted(GATE))
-def test_gamma_cone_rays_match_recorded(typ):
+def test_gamma_cone_rays_match_recorded(typ, monkeypatch):
+    # the block route on the cone, then the plain engine on reordered rows
     count, digest = GATE[typ]
     h = rays.gamma_hrep(build_root_system(typ), 3)
+    assert _blocks(h) == 3
     got = cone.extremal_rays(h)
     assert len(got) == count
     assert _digest(got) == digest
+    _plain(monkeypatch)
     rows = list(h.inequalities)
     random.Random(0).shuffle(rows)
     for order in (rows, h.inequalities[::-1]):
@@ -548,14 +562,14 @@ def test_certified_rays_match_brute_force(seed):
 
 
 @pytest.mark.parametrize("typ", ["A2", "B2", "G2", "A3", "B3", "C3"])
-def test_block_route_matches_the_plain_double_description_at_s4(typ):
+def test_block_route_matches_the_plain_double_description_at_s4(typ, monkeypatch):
     # the s = 4 cone through its 24 block permutations, against one double
-    # description of the same rows declared without symmetry
+    # description of the same rows
     h = rays.gamma_hrep(build_root_system(typ), 4)
-    assert h.blocks == 4
-    plain = cone.HRep(h.dim, h.inequalities, h.equalities)
-    assert plain.blocks == 1
-    assert cone.extremal_rays(h) == cone.extremal_rays(plain)
+    assert _blocks(h) == 4
+    route = cone.extremal_rays(h)
+    _plain(monkeypatch)
+    assert route == cone.extremal_rays(h)
 
 
 # (blocks, block size, orbits of random rows, with the unit rows)
@@ -599,9 +613,10 @@ def _symmetric_case(seed):
 def test_block_route_matches_brute_force(seed):
     s, rows, want = _symmetric_case(seed)
     n = len(rows[0])
-    assert cone.extremal_rays(cone.HRep(n, rows, blocks=s)) == want
+    assert _blocks(cone.HRep(n, rows)) >= s  # s qualifies; a larger one may too
+    assert cone.extremal_rays(cone.HRep(n, rows)) == want
     random.Random(seed).shuffle(rows)
-    assert cone.extremal_rays(cone.HRep(n, rows, blocks=s)) == want
+    assert cone.extremal_rays(cone.HRep(n, rows)) == want
 
 
 def test_block_route_cases_reach_the_walls():
@@ -624,7 +639,7 @@ def test_block_route_cases_reach_the_walls():
 
 
 @pytest.mark.parametrize("seed", range(12))
-def test_block_route_with_symmetric_equalities(seed):
+def test_block_route_with_symmetric_equalities(seed, monkeypatch):
     # the orbit of one more random row as equalities: the route against the
     # plain engine, which the brute-force tests above cover with equalities
     rng = random.Random(5000 + seed)
@@ -632,5 +647,8 @@ def test_block_route_with_symmetric_equalities(seed):
     rows = _random_symmetric_rows(rng, s, size, orbits, True)
     n = s * size
     eqs = _block_orbits([tuple(rng.choice((-1, 0, 1)) for _ in range(n))], s, size)
-    plain = cone.extremal_rays(cone.HRep(n, rows, eqs))
-    assert cone.extremal_rays(cone.HRep(n, rows, eqs, blocks=s)) == plain
+    h = cone.HRep(n, rows, eqs)
+    assert _blocks(h) >= s
+    route = cone.extremal_rays(h)
+    _plain(monkeypatch)
+    assert route == cone.extremal_rays(h)

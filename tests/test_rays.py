@@ -18,6 +18,7 @@ from eigencone import cli, cone, faces, rays, schubert
 from eigencone.rays import RayTuple
 from eigencone.rootdata import ParabolicSpec, build_root_system, eval_x, pair
 from eigencone.weyl import covers, parse_word, weyl_group
+from test_dd import _blocks
 
 
 def _golden(name):
@@ -327,28 +328,30 @@ def test_face_rays_match_the_double_description(label):
         assert got == _dd_face_rays(face), face
 
 
-def test_only_whole_tensor_cones_declare_the_factor_symmetry(d4, monkeypatch):
+def test_detected_factor_symmetry_of_every_d4_hrep(d4, monkeypatch):
     # The cone's rows are invariant under permuting the s factors, and so
     # are those of each Levi factor's cone, so their double descriptions
     # take the block route; a face's equalities are the rows of one tuple,
-    # which a permutation of the factors moves, so a face H-rep keeps one
-    # block, and so does the dual cone of certified_rays.
+    # which a permutation of the factors moves, so a face H-rep shows no
+    # symmetry, and neither does the dual cone of certified_rays.
     for s in (3, 4):
-        assert rays.gamma_hrep(d4, s).blocks == s
-    seen, extremal_rays = [], cone.extremal_rays
+        assert _blocks(rays.gamma_hrep(d4, s)) == s
+    reps = faces.enumerate_regular_facets(3, d4, quotient_symmetry=True)
+    assert {_blocks(rays._face_hrep(face)) for face in reps} == {1}
+    seen, blocks = [], cone._blocks
 
-    def spy(h):
-        seen.append((h.dim, h.blocks, bool(h.equalities)))
-        return extremal_rays(h)
+    def spy(h, basis):
+        seen.append((h.dim, bool(h.equalities), blocks(h, basis)))
+        return seen[-1][2]
 
-    monkeypatch.setattr(cone, "extremal_rays", spy)
-    for face in faces.enumerate_regular_facets(3, d4, quotient_symmetry=True):
-        assert rays._face_hrep(face).blocks == 1
+    monkeypatch.setattr(cone, "_blocks", spy)
+    for face in reps:
         rays._levi_cone_rays_cached.__wrapped__(face.P, 3)
         rays.classify_face(face)
-    levi = {(dim, blocks) for dim, blocks, eqs in seen if dim < 12}
+    levi = {(dim, found) for dim, eqs, found in seen if dim < 12}
     assert levi == {(3, 3), (9, 3)}  # the A1 and A3 factors
-    assert {(dim, blocks) for dim, blocks, eqs in seen if dim == 12} == {(12, 1)}
+    duals = [found for dim, eqs, found in seen if dim == 12]
+    assert set(duals) == {1} and len(duals) == len(reps)
 
 
 def test_classify_face_runs_no_double_description_on_the_face(
