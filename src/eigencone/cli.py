@@ -15,7 +15,7 @@ from importlib import resources
 
 from . import cone, faces, rays, schubert
 from .rootdata import CartanLabelError, ParabolicSpec, build_root_system
-from .weyl import parse_word, require_minimal_rep, simple_reflection
+from .weyl import parse_word, simple_reflection
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -131,8 +131,6 @@ def _face(args):
     rs = _root_system(args.cartan)
     P = _parabolic(rs, args.parabolic)
     words = _words(rs, args.words)
-    for w in words:
-        require_minimal_rep(w, P)
     return faces.FaceSpec(len(words), P, words)
 
 
@@ -499,8 +497,7 @@ def main(argv=None):
     except ParseFailure as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
-    except (ValueError, rays.OracleLimitError, cone.NotPointedError,
-            schubert.ProductTableError, cone.ConsistencyError) as e:
+    except (ValueError, rays.OracleLimitError, cone.ConsistencyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_MATH
 

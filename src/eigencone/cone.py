@@ -33,7 +33,6 @@ from .linalg import clear_denominators
 
 __all__ = [
     "HRep",
-    "Ray",
     "extremal_rays",
     "certified_rays",
     "is_extremal",
@@ -54,11 +53,9 @@ class NotPointedError(ValueError):
 class ConsistencyError(ArithmeticError):
     """A computed result broke an identity that it must satisfy: a ray
     outside its own system, candidate rays that do not generate their cone,
-    a face inventory against the theorem, or a non-integral weight
-    multiplicity."""
-
-
-Ray = tuple  # primitive integer tuple
+    a face inventory against the theorem, a non-integral weight
+    multiplicity, or a product table against its own exactness
+    (``schubert.ProductTableError``)."""
 
 
 def _normalize_rows(rows):
@@ -567,8 +564,11 @@ def _alone(cols, tight, full, own):
 
 def certified_rays(h, cands):
     """The extremal rays of the cone of h, picked from candidates that must
-    generate it; primitive integer vectors, repeats taken once, in the order
-    given. Nothing is trusted about where the candidates came from:
+    generate it; primitive integer vectors of length h.dim, in the order
+    given, repeats taken once and zero vectors skipped (the origin lies on
+    every face, so it would hide every ray from step 4). A candidate of
+    another length raises ValueError before anything else. Nothing is
+    trusted about where the candidates came from:
 
     1. every candidate satisfies h;
     2. the facets of cone(cands) inside the equality subspace of h are the
@@ -576,20 +576,26 @@ def certified_rays(h, cands):
        for every equality e of h}, a small double description;
        NotPointedError there means the candidates do not span that
        subspace;
-    3. the candidates tight at each facet a are those tight at some
-       inequality row of h that some candidate is not tight at. That row,
-       zero on a spanning set of the facet and >= 0 on the candidates,
+    3. the candidates on each facet a are exactly those tight at some
+       inequality row of h, one set probe per facet. That row, zero on a
+       spanning set of the facet and > 0 at the other candidates,
        restricts to a positive multiple of a on the subspace, so every
        point of h is in cone(cands), and the two cones are equal;
-    4. a candidate c is extremal iff no other candidate is tight at every
-       row where c is (``_alone``, the adjacency test of ``_dd``): the
-       rows tight at an extremal ray cut out its line, and a point that is
-       not extremal is inside a face of dimension 2 or more, whose extremal
-       rays are candidates tight wherever it is.
+    4. the facets are then an H-rep of the cone inside its span, so a
+       candidate c is extremal iff no other candidate is on every facet
+       through c (``_alone``, the adjacency test of ``_dd``, on the
+       facet-candidate incidence): the facets through an extremal ray cut
+       out its line, and a point that is not extremal is inside a face of
+       dimension 2 or more, whose extremal rays are candidates on every
+       facet through it.
 
     A failure of 1, 2 or 3 raises ConsistencyError.
     """
-    cands = list(dict.fromkeys(map(tuple, cands)))
+    cands = [tuple(c) for c in cands]
+    for c in cands:
+        if len(c) != h.dim:
+            raise ValueError(f"candidate {c} has length {len(c)}, expected {h.dim}")
+    cands = list(dict.fromkeys(c for c in cands if any(c)))
     bad = _violators(h, cands)
     if bad:
         raise ConsistencyError(f"candidate {bad[0]} is outside the cone")
@@ -599,24 +605,18 @@ def certified_rays(h, cands):
         raise ConsistencyError(
             "the candidates do not span the equality subspace of the cone"
         ) from None
-    zeros, cols = _zero_masks(h.inequalities, cands)
-    everything = (1 << len(h.inequalities)) - 1
-    for a, z in zip(normals, _zero_masks(cands, normals)[0]):
-        inside, outside = everything, 0
-        for c, zc in enumerate(zeros):
-            if z >> c & 1:
-                inside &= zc
-            else:
-                outside |= zc
-        if not inside & ~outside:
+    on_facet, facets_at = _zero_masks(cands, normals)
+    rows = set(_zero_masks(h.inequalities, cands)[1])
+    for a, f in zip(normals, on_facet):
+        if f not in rows:
             raise ConsistencyError(
                 f"the candidates miss part of the cone: their facet {a} is "
                 "the face of no inequality"
             )
     full = (1 << len(cands)) - 1
     return [
-        c for i, (c, zc) in enumerate(zip(cands, zeros))
-        if _alone(cols, _bits(zc), full, 1 << i)
+        c for i, c in enumerate(cands)
+        if _alone(on_facet, _bits(facets_at[i]), full, 1 << i)
     ]
 
 

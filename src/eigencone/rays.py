@@ -303,30 +303,23 @@ def gamma_hrep(rs, s):
 
 
 @lru_cache(maxsize=None)
-def _levi_cone_rays_cached(P, s):
+def levi_cone_rays(P, s):
+    """Extremal rays of the product of the Levi factors' tensor cones,
+    embedded in G's fundamental-weight coordinates (supported on Delta(P));
+    a tuple, as the cached value is shared."""
     rs = P.root_system
     out = []
     for comp in P.levi_components():
         sub, nodes = P.levi_factor(comp)
-        h = gamma_hrep(sub, s)
-        sub_rays = cone.extremal_rays(h)
-        r = sub.rank
-        for ray in sub_rays:
-            coords = [[0] * rs.rank for _ in range(s)]
-            flat = [ray[t * r : (t + 1) * r] for t in range(s)]
-            for t in range(s):
-                for pos, node in enumerate(nodes):
-                    coords[t][node - 1] = flat[t][pos]
-            out.append(
-                RayTuple(tuple(rs.weight(c) for c in coords), "user")
-            )
+        # coordinate t * sub.rank + pos of a factor ray goes to node
+        # nodes[pos] of entry t
+        at = [t * rs.rank + node - 1 for t in range(s) for node in nodes]
+        for ray in cone.extremal_rays(gamma_hrep(sub, s)):
+            vec = [0] * (s * rs.rank)
+            for i, c in zip(at, ray):
+                vec[i] = c
+            out.append(RayTuple.from_vector(rs, s, vec))
     return tuple(out)
-
-
-def levi_cone_rays(P, s):
-    """Extremal rays of the product of the Levi factors' tensor cones,
-    embedded in G's fundamental-weight coordinates (supported on Delta(P))."""
-    return list(_levi_cone_rays_cached(P, s))
 
 
 def _pair_evals(face, x):
@@ -674,7 +667,7 @@ def invariant_dim(x, max_height=20):
     weights sum beyond the bound of the root system's packing
     (``_Packing``), before any table is built. One or two weights are
     answered by comparing them, with nothing packed."""
-    ws = tuple(x.weights if isinstance(x, RayTuple) else x)
+    ws = faces._weights(x)
     if not ws:
         raise ValueError("the oracle needs at least one weight")
     rs = faces._root_system(ws)

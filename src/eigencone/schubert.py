@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import linalg
+from .cone import ConsistencyError
 from .rootdata import ParabolicSpec
 from .weyl import minimal_reps, require_minimal_rep, weyl_group
 
@@ -79,7 +80,7 @@ class SchubertClass:
         )
 
 
-class ProductTableError(ArithmeticError):
+class ProductTableError(ConsistencyError):
     """The product engine broke one of its own exactness invariants."""
 
 

@@ -324,6 +324,23 @@ def test_certified_rays_want_primitive_candidates():
     assert got == CORNERS[1:]
 
 
+def test_certified_rays_skip_a_zero_candidate():
+    # the origin is on every facet: kept, it would leave no ray alone
+    h = cone.HRep(3, SQUARE)
+    assert cone.certified_rays(h, CORNERS + [(0, 0, 0)]) == CORNERS
+    face = cone.HRep(3, SQUARE, [(1, 0, -1)])
+    assert cone.certified_rays(face, [(1, 1, 1), (1, -1, 1), (0, 0, 0)]) == [
+        (1, 1, 1), (1, -1, 1),
+    ]
+
+
+@pytest.mark.parametrize("bad", [(0, 0), (1, 1, 1, 1)])
+def test_certified_rays_reject_a_candidate_of_the_wrong_length(bad):
+    h = cone.HRep(3, SQUARE)
+    with pytest.raises(ValueError, match=f"has length {len(bad)}, expected 3"):
+        cone.certified_rays(h, CORNERS + [bad])
+
+
 def test_certified_rays_build_their_dual_cone_without_blocks(monkeypatch):
     # the candidates' dual cone has no reason to be block-symmetric, even
     # when the cone itself is

@@ -531,19 +531,10 @@ def test_equality_faces_match_brute_force(seed):
     assert cone.extremal_rays(cone.HRep(n, ineqs, eqs)) == expected
 
 
-@pytest.mark.parametrize("seed", range(40))
-def test_certified_rays_match_brute_force(seed):
-    # The brute-force rays of a full-dimensional pointed cone, shuffled with
-    # positive sums of two or three of them, certify to exactly those rays;
-    # without one ray, the rest and the sums generate a smaller cone, which
-    # the certificate must refuse.
-    rng = random.Random(3000 + seed)
-    n = 3 + seed % 3
-    while True:
-        rows = _random_pointed_rows(rng, n)
-        want = _brute_force_rays(rows, n)
-        if want and len(linalg.rref_int(want)[1]) == n:
-            break
+def _check_certificate(rng, h, want):
+    # the rays want of h, shuffled with positive sums of two or three of
+    # them, certify to exactly those rays; without one ray, the rest and the
+    # sums generate a smaller cone, which the certificate must refuse
     sums = [
         clear_denominators([sum(c) for c in zip(*rng.sample(want, k))])
         for k in (2, 3, 2)
@@ -551,11 +542,37 @@ def test_certified_rays_match_brute_force(seed):
     ]
     cands = want + sums
     rng.shuffle(cands)
-    h = cone.HRep(n, rows)
     assert sorted(cone.certified_rays(h, cands)) == want
     lost = rng.choice(want)
     with pytest.raises(cone.ConsistencyError):
         cone.certified_rays(h, [c for c in cands if c != lost])
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_certified_rays_match_brute_force(seed):
+    # on the brute-force rays of a full-dimensional pointed cone, then on a
+    # face of it cut out as in test_equality_faces_match_brute_force, where
+    # the facets of step 4 lie inside a proper subspace; the certificate
+    # wants the face to span the equality subspace, so the face is drawn
+    # again until it does
+    rng = random.Random(3000 + seed)
+    n = 3 + seed % 3
+    while True:
+        rows = _random_pointed_rows(rng, n)
+        want = _brute_force_rays(rows, n)
+        if want and len(linalg.rref_int(want)[1]) == n:
+            break
+    _check_certificate(rng, cone.HRep(n, rows), want)
+    while True:
+        ray = rng.choice(want)
+        tight = [row for row in rows if not sum(map(mul, row, ray))]
+        eqs = rng.sample(tight, 1 + seed % 2)
+        face = [x for x in want if not any(sum(map(mul, e, x)) for e in eqs)]
+        rank = len(linalg.rref_int(face)[1]) + len(linalg.rref_int(eqs)[1])
+        if rank == n:
+            break
+    ineqs = [row for row in rows if row not in eqs]
+    _check_certificate(rng, cone.HRep(n, ineqs, eqs), face)
 
 
 # -- the block route ------------------------------------------------------

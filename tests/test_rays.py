@@ -346,7 +346,7 @@ def test_detected_factor_symmetry_of_every_d4_hrep(d4, monkeypatch):
 
     monkeypatch.setattr(cone, "_blocks", spy)
     for face in reps:
-        rays._levi_cone_rays_cached.__wrapped__(face.P, 3)
+        rays.levi_cone_rays.__wrapped__(face.P, 3)
         rays.classify_face(face)
     levi = {(dim, found) for dim, eqs, found in seen if dim < 12}
     assert levi == {(3, 3), (9, 3)}  # the A1 and A3 factors

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from eigencone import cone
 from eigencone import schubert as sc
 from eigencone.rootdata import ParabolicSpec, build_root_system
 from eigencone.weyl import identity, minimal_reps, parse_word, weyl_group
@@ -387,6 +388,9 @@ def test_engine_invariants_raise_typed_errors(monkeypatch, breaker, message):
     uid, vid = _nonzero_pair(sc.ProductTable(rs))
     breaker(monkeypatch)
     with pytest.raises(sc.ProductTableError, match=message):
+        sc.ProductTable(rs).product_ids(uid, vid)
+    # the one broken-identity error that the CLI maps to exit 3
+    with pytest.raises(cone.ConsistencyError, match=message):
         sc.ProductTable(rs).product_ids(uid, vid)
 
 
