@@ -575,7 +575,10 @@ def certified_rays(h, cands):
        extremal rays of {a : a . c >= 0 for every candidate c, e . a = 0
        for every equality e of h}, a small double description;
        NotPointedError there means the candidates do not span that
-       subspace;
+       subspace. So the cone of h must span it, as every regular face
+       does: a cone of lower dimension is refused even for a correct
+       candidate set, since telling the two apart needs the cone's
+       implicit equalities, an LP;
     3. the candidates on each facet a are exactly those tight at some
        inequality row of h, one set probe per facet. That row, zero on a
        spanning set of the facet and > 0 at the other candidates,

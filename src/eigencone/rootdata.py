@@ -22,7 +22,7 @@ Conventions:
 * the inverse Cartan matrix (row k is x_k) is held as integer rows over one
   denominator;
 * integral coordinates stay ``int``; a ``Fraction`` appears only where a
-  division makes one (d_i, rho^L, simple-root coordinates and x_k values of
+  division makes one (d_i, simple-root coordinates and x_k values of
   a weight); integral values such as chi_w(x_k) are found in integers.
 """
 
@@ -462,19 +462,6 @@ class ParabolicSpec:
     def dim_flag(self):
         """dim G/P = number of positive roots outside the Levi."""
         return len(self.root_system.positive_roots) - len(self.levi_positive_roots)
-
-    @cached_property
-    def _rho_L(self):
-        rs = self.root_system
-        total = [Fraction(0)] * rs.rank
-        for b in self.levi_positive_roots:
-            w = rs.root_to_weight(b)
-            total = [t + c for t, c in zip(total, w.coords)]
-        return rs.weight([t / 2 for t in total])
-
-    def rho_L(self):
-        """Half sum of the positive roots of the Levi."""
-        return self._rho_L
 
     def levi_components(self):
         """Connected components of Delta(P), each a sorted tuple of 1-based

@@ -9,7 +9,8 @@ dual index w |-> w_0 w w_{0,P}.
 The multiplication engine is the Chevalley rule for degree-one classes plus
 the fact that H*(G/B;Q) is generated in degree two: every basis class is a
 rational combination of (degree-one class) * (shorter class), solved exactly
-degree by degree, and arbitrary products recurse through that expression.
+degree by degree. The unit is returned without being stored; every other
+product, degree one included, recurses through its class's expression.
 All of it runs in integers. The Chevalley rule reads its covers from the
 Weyl group's cover table, which multiplies on the left: the cover
 x -> x s_beta is s_gamma x with gamma = x(beta), and its coefficient
@@ -31,6 +32,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 
 from . import linalg
 from .cone import ConsistencyError
@@ -161,38 +163,31 @@ class ProductTable:
             )
 
     def product_ids(self, uid, vid):
-        """sigma_u * sigma_v as a dict {id: int}."""
+        """sigma_u * sigma_v as a dict {id: int}; the unit (id 0) is not stored."""
         if self.W.elements[uid].length > self.W.elements[vid].length:
             uid, vid = vid, uid
+        if uid == 0:
+            return {vid: 1}
         key = (uid, vid)
         got = self._products.get(key)
         if got is not None:
             return got
-        lu = self.W.elements[uid].length
-        if lu == 0:
-            result = {vid: 1}
-        elif lu == 1:
-            k = self.W.elements[uid].word()[0]
-            result = self._mult_degree_one(k, {vid: 1})
-        else:
-            denom, expr = self._expression(uid)
-            by_k = {}  # k -> the terms' combination of sigma_x, multiplied once
-            for num, k, xid in expr:
-                by_k.setdefault(k, {})[xid] = num
-            acc = {}
-            for k, terms in by_k.items():
-                step = self._mult_degree_one(k, self.product_vec(terms, {vid: 1}))
-                for w, c in step.items():
-                    acc[w] = acc.get(w, 0) + c
-            result = {}
-            for w, c in acc.items():
-                q, r = divmod(c, denom)
-                if r:
-                    raise ProductTableError(
-                        f"non-integral structure constant {c}/{denom}"
-                    )
-                if q:
-                    result[w] = q
+        denom, expr = self._expression(uid)
+        by_k = {}  # k -> the terms' combination of sigma_x, multiplied once
+        for num, k, xid in expr:
+            by_k.setdefault(k, {})[xid] = num
+        acc = {}
+        for k, terms in by_k.items():
+            step = self._mult_degree_one(k, self.product_vec(terms, {vid: 1}))
+            for w, c in step.items():
+                acc[w] = acc.get(w, 0) + c
+        result = {}
+        for w, c in acc.items():
+            q, r = divmod(c, denom)
+            if r:
+                raise ProductTableError(f"non-integral structure constant {c}/{denom}")
+            if q:
+                result[w] = q
         self._products[key] = result
         return result
 
@@ -322,10 +317,9 @@ def multi_coeff(words, P):
 
 
 def chi(w, P):
-    """The weight rho - 2 rho^L + w^-1 rho."""
+    """The weight rho - 2 rho^L + w^-1 rho = w_{0,P} rho + w^-1 rho."""
     require_minimal_rep(w, P)
-    rs = P.root_system
-    return rs.rho - P.rho_L().scale(2) + w.inverse().act(rs.rho)
+    return P.root_system.weight(map(add, _levi_rho(P), w.inverse().rho))
 
 
 def degree_gaps(words, P):

@@ -306,6 +306,16 @@ def test_certified_rays_reject_candidates_that_do_not_span():
         cone.certified_rays(h, [])
 
 
+def test_certified_rays_need_a_cone_that_spans_its_equality_subspace():
+    # x + y = 2z meets the square cone in the one ray (1, 1, 1), a line
+    # inside a plane: the certificate refuses the correct candidate, since
+    # telling it from a short candidate set needs the implicit equalities
+    h = cone.HRep(3, SQUARE, [(1, 1, -2)])
+    assert cone.extremal_rays(h) == [(1, 1, 1)]
+    with pytest.raises(cone.ConsistencyError, match="do not span the equality subspace"):
+        cone.certified_rays(h, [(1, 1, 1)])
+
+
 def test_certified_rays_reject_candidates_that_miss_part_of_the_cone():
     # three corners span the space, but their cone misses the fourth corner:
     # its facet through the diagonal is no row of h

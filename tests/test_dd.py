@@ -578,12 +578,16 @@ def test_certified_rays_match_brute_force(seed):
 # -- the block route ------------------------------------------------------
 
 
-@pytest.mark.parametrize("typ", ["A2", "B2", "G2", "A3", "B3", "C3"])
-def test_block_route_matches_the_plain_double_description_at_s4(typ, monkeypatch):
-    # the s = 4 cone through its 24 block permutations, against one double
-    # description of the same rows
-    h = rays.gamma_hrep(build_root_system(typ), 4)
-    assert _blocks(h) == 4
+@pytest.mark.parametrize(
+    "typ, s",
+    [pytest.param(t, 4, id=t) for t in ("A2", "B2", "G2", "A3", "B3", "C3")]
+    + [pytest.param(t, 5, id=f"{t}-s5") for t in ("A1", "A2", "B2", "G2")],
+)
+def test_block_route_matches_the_plain_double_description_at_s4(typ, s, monkeypatch):
+    # the s-fold cone through its s! block permutations, against one double
+    # description of the same rows; s = 5 as well, a few ms each
+    h = rays.gamma_hrep(build_root_system(typ), s)
+    assert _blocks(h) == s
     route = cone.extremal_rays(h)
     _plain(monkeypatch)
     assert route == cone.extremal_rays(h)

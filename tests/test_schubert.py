@@ -9,8 +9,10 @@ import pytest
 
 from eigencone import cone
 from eigencone import schubert as sc
+from eigencone.faces import enumerate_regular_facets
 from eigencone.rootdata import ParabolicSpec, build_root_system
 from eigencone.weyl import identity, minimal_reps, parse_word, weyl_group
+from test_rootdata import _rho_l
 from test_weyl import matmul, matrix_length, reflection_matrix, word_matrix
 
 
@@ -219,10 +221,29 @@ def test_commutativity_and_associativity(d4, p2):
         assert a == b
 
 
+def _chi_formula(w, P):
+    """rho - 2 rho^L + w^-1 rho, with rho^L summed from the Levi's roots."""
+    rs = P.root_system
+    return tuple(
+        r - 2 * c + x
+        for r, c, x in zip(rs.rho.coords, _rho_l(P), w.inverse().act(rs.rho).coords)
+    )
+
+
 def test_chi_identity_element(d4, p2):
     e = identity(d4)
     got = sc.chi(e, p2)
-    assert got.coords == (d4.rho - p2.rho_L().scale(2) + d4.rho).coords
+    assert got.coords == _chi_formula(e, p2)
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "C3", "G2", "D4", "F4"])
+def test_chi_matches_the_rho_l_formula(label):
+    rs = build_root_system(label)
+    parabolics = [ParabolicSpec.maximal(rs, k) for k in range(1, rs.rank + 1)]
+    parabolics += [ParabolicSpec.borel(rs), ParabolicSpec(rs, {1})]
+    for P in parabolics:
+        for w in minimal_reps(P):
+            assert sc.chi(w, P).coords == _chi_formula(w, P)
 
 
 def test_degree_gaps_main_triple(p2, uvw):
@@ -353,6 +374,28 @@ def test_expressions_reproduce_basis_classes(label):
             for w, c in table._mult_degree_one(k, {xid: 1}).items():
                 total[w] = total.get(w, 0) + num * c
         assert {w: c for w, c in total.items() if c} == {uid: denom}
+
+
+@pytest.mark.parametrize("label", ["B3", "D4", "G2"])
+def test_degree_one_products_match_the_chevalley_rule(label):
+    # _mult_degree_one is the Chevalley rule itself, the reference for the
+    # degree-one products that go through their classes' expressions
+    table = sc.ProductTable(build_root_system(label))
+    for uid in table._by_length[1]:
+        (k,) = table.W.elements[uid].word()
+        for vid in range(len(table.W.elements)):
+            assert table.product_ids(uid, vid) == table._mult_degree_one(k, {vid: 1})
+            assert table.product_ids(vid, uid) == table.product_ids(uid, vid)
+
+
+def test_unit_products_are_not_stored(d4):
+    table = sc.product_table(d4)
+    enumerate_regular_facets(3, d4)
+    enumerate_regular_facets(3, d4, quotient_symmetry=True)
+    assert table._products
+    assert all(0 not in key for key in table._products)
+    assert table.product_ids(0, 5) == {5: 1} and table.product_ids(5, 0) == {5: 1}
+    assert all(0 not in key for key in table._products)
 
 
 def _nonzero_pair(table):
