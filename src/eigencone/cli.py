@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Subcommands: facets, face-rays, divisor, induct, membership, cone-rays,
-reproduce. Exit codes: 0 success, 2 argument/parse error, 3 mathematical
-precondition failure, 4 golden-value mismatch.
+``_parser`` declares each subcommand once, with its handler. Exit codes:
+0 success, 2 argument/parse error, 3 mathematical precondition failure,
+4 golden-value mismatch.
 """
 
 from __future__ import annotations
@@ -51,8 +51,9 @@ def _parser():
 
     # s is an option only where no input fixes it; elsewhere it is the
     # number of --words or of --input rows
-    def subcommand(name, help, s=False, face=False):
+    def subcommand(name, run, help, s=False, face=False):
         sp = sub.add_parser(name, parents=[fmt], help=help)
+        sp.set_defaults(run=run)
         sp.add_argument("--type", required=True, dest="cartan")
         if s:
             sp.add_argument("--s", type=int, default=3)
@@ -67,15 +68,16 @@ def _parser():
             )
         return sp
 
-    sp = subcommand("facets", "enumerate regular facet data", s=True)
+    sp = subcommand("facets", _cmd_facets, "enumerate regular facet data", s=True)
     sp.add_argument("--quotient-symmetry", action="store_true")
 
-    subcommand("face-rays", "full ray inventory of one face", face=True)
+    subcommand("face-rays", _cmd_face_rays, "full ray inventory of one face", face=True)
 
-    sp = subcommand("divisor", "basic divisor class of a cover pair", face=True)
+    sp = subcommand("divisor", _cmd_divisor, "basic divisor class of a cover pair",
+                    face=True)
     sp.add_argument("--pair", required=True, help="j:word for the sub-cell")
 
-    sp = subcommand("induct", "induction of a Levi weight tuple", face=True)
+    sp = subcommand("induct", _cmd_induct, "induction of a Levi weight tuple", face=True)
     sp.add_argument("--input", required=True, help="JSON list of weight rows")
     sp.add_argument(
         "--raw",
@@ -83,7 +85,7 @@ def _parser():
         help="apply the raw formula without the degree-0 shift",
     )
 
-    sp = subcommand("membership", "saturated tensor cone membership")
+    sp = subcommand("membership", _cmd_membership, "saturated tensor cone membership")
     sp.add_argument("--input", required=True, help="JSON list of weight rows")
     sp.add_argument(
         "--oracle-max-n",
@@ -93,12 +95,11 @@ def _parser():
         help="also certify membership with the invariant oracle up to N",
     )
 
-    subcommand("cone-rays", "all extremal rays of the cone", s=True)
+    subcommand("cone-rays", _cmd_cone_rays, "all extremal rays of the cone", s=True)
 
     sp = sub.add_parser("reproduce", help="check a stored table")
-    sp.add_argument(
-        "target", choices=("ex1", "subbie", "apples", "p4-table")
-    )
+    sp.add_argument("target", choices=_REPRODUCE)
+    sp.set_defaults(run=_cmd_reproduce)
     return p
 
 
@@ -174,6 +175,7 @@ def _emit(args, payload, text_lines):
     else:
         for line in text_lines:
             print(line)
+    return EXIT_OK
 
 
 def _report_payload(rep):
@@ -224,15 +226,13 @@ def _cmd_facets(args):
         for f in out
     ]
     lines.append(f"# {len(out)} facet data")
-    _emit(args, payload, lines)
-    return EXIT_OK
+    return _emit(args, payload, lines)
 
 
 def _cmd_face_rays(args):
     face = _face(args).validate()
     rep = rays.classify_face(face)
-    _emit(args, _report_payload(rep), _report_lines(rep))
-    return EXIT_OK
+    return _emit(args, _report_payload(rep), _report_lines(rep))
 
 
 def _cmd_divisor(args):
@@ -252,8 +252,7 @@ def _cmd_divisor(args):
         raise ParseFailure(str(e))
     ray = rays.basic_divisor_class(face, j, v)
     # the JSON holds the primitive ray, the text the class as computed
-    _emit(args, ray.primitive().to_json(), [_ray_text(ray)])
-    return EXIT_OK
+    return _emit(args, ray.primitive().to_json(), [_ray_text(ray)])
 
 
 def _cmd_induct(args):
@@ -268,8 +267,7 @@ def _cmd_induct(args):
         out = rays.induction_image(face, x)
     else:
         out = rays.induct(face, rays.shift_to_degree0(x, face.P))
-    _emit(args, out.primitive().to_json(), [_ray_text(out)])
-    return EXIT_OK
+    return _emit(args, out.primitive().to_json(), [_ray_text(out)])
 
 
 def _cmd_membership(args):
@@ -289,8 +287,7 @@ def _cmd_membership(args):
                 break
         payload["invariant_witness_n"] = found
         lines.append(f"invariant witness at N = {found}")
-    _emit(args, payload, lines)
-    return EXIT_OK
+    return _emit(args, payload, lines)
 
 
 def _cmd_cone_rays(args):
@@ -300,8 +297,7 @@ def _cmd_cone_rays(args):
     tuples = [rays.RayTuple.from_vector(rs, args.s, r, "dd") for r in out]
     payload = [t.to_json() for t in tuples]
     lines = [_ray_text(t) for t in tuples] + [f"# {len(out)} rays"]
-    _emit(args, payload, lines)
-    return EXIT_OK
+    return _emit(args, payload, lines)
 
 
 # -- reproduce ---------------------------------------------------------
@@ -338,11 +334,9 @@ class _Checks:
         return EXIT_OK
 
 
-def _reproduce_ex1():
-    g = _golden("ex1")
+def _reproduce_ex1(g, ck):
     face = faces.face_from_json(g)
     rs = face.root_system
-    ck = _Checks()
     movable, c = schubert.levi_movable(list(face.words), face.P)
     ck.check("deformed product coefficient", [movable, c], [True, g["deformed_coefficient"]])
     u, v, w = face.words
@@ -361,14 +355,11 @@ def _reproduce_ex1():
     j, word = g["divisor_pair"]
     ray = rays.basic_divisor_class(face, j, parse_word(rs, word))
     ck.check("divisor class", _coords(ray.primitive()), g["divisor"])
-    return ck.finish()
 
 
-def _reproduce_subbie():
-    g = _golden("subbie")
+def _reproduce_subbie(g, ck):
     face = faces.face_from_json(g).validate()
     rep = rays.classify_face(face)
-    ck = _Checks()
     ck.check("q", rep.q, g["q"])
     ck.check("c", rep.zero_count, g["c"])
     ck.check("total rays", rep.total, g["total"])
@@ -385,14 +376,11 @@ def _reproduce_subbie():
     for mu, img in g["induction_table"]:
         key = tuple(map(tuple, mu))
         ck.check(f"induction of {mu}", table.get(key, "missing"), img)
-    return ck.finish()
 
 
-def _reproduce_apples():
-    g = _golden("apples")
+def _reproduce_apples(g, ck):
     face = faces.face_from_json(g)
     rs = face.root_system
-    ck = _Checks()
     om2 = rs.omega(2)
     for j, w in enumerate(face.words):
         ck.check(
@@ -420,14 +408,11 @@ def _reproduce_apples():
     ck.check(
         "membership", faces.tens_membership(induced.weights), g["member"]
     )
-    return ck.finish()
 
 
-def _reproduce_p4():
-    g = _golden("p4_table")
+def _reproduce_p4(g, ck):
     rs = build_root_system(g["type"])
     P = ParabolicSpec.dropping(rs, g["parabolic"])
-    ck = _Checks()
     ck.check(
         "Levi ray count", len(rays.levi_cone_rays(P, g["s"])), g["levi_ray_count"]
     )
@@ -464,17 +449,21 @@ def _reproduce_p4():
                 all(p.primitive().to_vector() in ray_set for p in parts),
                 True,
             )
-    return ck.finish()
+
+
+# each stored-table target, its check and, with "_" for "-", its golden file
+_REPRODUCE = {
+    "ex1": _reproduce_ex1,
+    "subbie": _reproduce_subbie,
+    "apples": _reproduce_apples,
+    "p4-table": _reproduce_p4,
+}
 
 
 def _cmd_reproduce(args):
-    target = {
-        "ex1": _reproduce_ex1,
-        "subbie": _reproduce_subbie,
-        "apples": _reproduce_apples,
-        "p4-table": _reproduce_p4,
-    }[args.target]
-    return target()
+    ck = _Checks()
+    _REPRODUCE[args.target](_golden(args.target.replace("-", "_")), ck)
+    return ck.finish()
 
 
 def main(argv=None):
@@ -483,17 +472,8 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as e:
         return e.code if e.code is not None else EXIT_PARSE
-    handlers = {
-        "facets": _cmd_facets,
-        "face-rays": _cmd_face_rays,
-        "divisor": _cmd_divisor,
-        "induct": _cmd_induct,
-        "membership": _cmd_membership,
-        "cone-rays": _cmd_cone_rays,
-        "reproduce": _cmd_reproduce,
-    }
     try:
-        return handlers[args.command](args)
+        return args.run(args)
     except ParseFailure as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE

@@ -148,8 +148,7 @@ def _type_label(rs):
 class RootSystem:
     """Immutable root datum for one finite Cartan type (possibly a product)."""
 
-    def __init__(self, cartan, label):
-        self.cartan_label = label
+    def __init__(self, cartan, label=None):
         self.rank = len(cartan)
         self.cartan_matrix = tuple(tuple(int(x) for x in row) for row in cartan)
         a, n = self.cartan_matrix, self.rank
@@ -178,6 +177,8 @@ class RootSystem:
         # x_k is row k - 1 of the inverse Cartan matrix, integers over x_den
         self.x_den, x_rows = linalg.inverse(self.cartan_matrix)
         self.x_rows = tuple(map(tuple, x_rows))
+        # a connected block built without a label is named by its type
+        self.cartan_label = _type_label(self) if label is None else label
 
     # -- basic vectors -------------------------------------------------
 
@@ -483,9 +484,7 @@ class ParabolicSpec:
         """
         nodes = tuple(component)
         a = self.root_system.cartan_matrix
-        factor = RootSystem([[a[i - 1][j - 1] for j in nodes] for i in nodes], None)
-        factor.cartan_label = _type_label(factor)
-        return factor, nodes
+        return RootSystem([[a[i - 1][j - 1] for j in nodes] for i in nodes]), nodes
 
     def __repr__(self):
         return (

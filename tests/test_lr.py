@@ -2,12 +2,13 @@
 
 Every maximal parabolic P_k of A_n gives the Grassmannian Gr(k, n + 1),
 which is cominuscule, so the deformed product equals the cup product
-(Belkale-Kumar 2006), and the regular facets of the s = 3 cone are the
-triples of Schubert classes with intersection number 1 (Belkale 2001;
-Knutson-Tao-Woodward 2004). Here that number is the Littlewood-Richardson
-coefficient c_{lambda mu}^{nu^vee}, counted with LR tableaux; nothing of the
-Schubert product table is used. The map from W^P to partitions reads the
-k-subset w({1..k}) off w(omega_k).
+(Belkale-Kumar 2006), and the regular facets of the s-factor cone are the
+s-tuples of Schubert classes with intersection number 1 (Belkale 2001;
+Knutson-Tao-Woodward 2004). At s = 3 that number is the Littlewood-Richardson
+coefficient c_{lambda mu}^{nu^vee}, at s = 4 the sum over kappa of
+c_{lambda mu}^kappa c_{kappa nu}^{rho^vee}; the coefficients are counted with
+LR tableaux, and nothing of the Schubert product table is used. The map from
+W^P to partitions reads the k-subset w({1..k}) off w(omega_k).
 """
 
 import itertools
@@ -77,9 +78,11 @@ def lr_coefficient(lam, mu, nu):
     return fill(0)
 
 
-def lr_facets(n):
-    """{(k, three k-subsets)} of the regular facets of the s = 3 cone of A_n,
-    from the Littlewood-Richardson rule alone."""
+def lr_facets(n, s=3):
+    """{(k, s k-subsets)} of the regular facets of the s-factor cone of A_n,
+    from the Littlewood-Richardson rule alone: the product of the first
+    s - 1 classes, expanded in the k x m box, has coefficient 1 at the dual
+    of the last."""
     out = set()
     for k in range(1, n + 1):
         m = n + 1 - k
@@ -88,19 +91,37 @@ def lr_facets(n):
             lam = partition(subset, k, m)
             by_size.setdefault(sum(lam), []).append((subset, lam))
         classes = [x for size in sorted(by_size) for x in by_size[size]]
-        for (a, lam), (b, mu) in itertools.product(classes, repeat=2):
-            for c, nu in by_size.get(k * m - sum(lam) - sum(mu), ()):
-                if lr_coefficient(lam, mu, complement(nu, k, m)) == 1:
-                    out.add((k, (a, b, c)))
+
+        def times(prod, size, mu):
+            # prod * sigma_mu as {nu: coefficient}; every kappa in prod has |kappa| = size
+            nxt = {}
+            for _, nu in by_size.get(size + sum(mu), ()):
+                c = sum(x * lr_coefficient(kappa, mu, nu) for kappa, x in prod.items())
+                if c:
+                    nxt[nu] = c
+            return nxt
+
+        def walk(prefix, prod, size):
+            if len(prefix) == s - 1:
+                for c, nu in by_size.get(k * m - size, ()):
+                    if prod.get(complement(nu, k, m)) == 1:
+                        out.add((k, prefix + (c,)))
+                return
+            for subset, lam in classes:
+                nxt = times(prod, size, lam) if prefix else {lam: 1}
+                if nxt:
+                    walk(prefix + (subset,), nxt, size + sum(lam))
+
+        walk((), {}, 0)
     return out
 
 
-def engine_facets(n):
-    """The same set read off ``enumerate_regular_facets(3, A_n)``."""
+def engine_facets(n, s=3):
+    """The same set read off ``enumerate_regular_facets(s, A_n)``."""
     rs = build_root_system(f"A{n}")
     return [
         (face.P.complement[0], tuple(subset_of(w, face.P.complement[0]) for w in face.words))
-        for face in enumerate_regular_facets(3, rs)
+        for face in enumerate_regular_facets(s, rs)
     ]
 
 
@@ -135,3 +156,10 @@ def test_type_a_facets_match_the_littlewood_richardson_rule(n, count):
     got = engine_facets(n)
     assert len(got) == len(set(got)) == count
     assert set(got) == lr_facets(n)
+
+
+@pytest.mark.parametrize("n, count", [(1, 4), (2, 20), (3, 92), (4, 450), (5, 2370)])
+def test_type_a_facets_at_s4_match_the_littlewood_richardson_rule(n, count):
+    got = engine_facets(n, s=4)
+    assert len(got) == len(set(got)) == count
+    assert set(got) == lr_facets(n, s=4)

@@ -325,6 +325,16 @@ def test_parsed_label_is_kept():
     assert _levi_labels(rd.ParabolicSpec(d3, {1, 2, 3})) == ["A3"]
 
 
+def test_unlabelled_root_system_is_named_when_built():
+    # F4's block at {2, 3, 4} is C3 numbered in reverse; built without a
+    # label, the root system already carries the one levi_factor gives it
+    f4 = rd.build_root_system("F4")
+    a = f4.cartan_matrix
+    rs = rd.RootSystem([[a[i][j] for j in (1, 2, 3)] for i in (1, 2, 3)])
+    P = rd.ParabolicSpec(f4, {2, 3, 4})
+    assert rs.cartan_label == P.levi_factor((2, 3, 4))[0].cartan_label == "C3"
+
+
 COROOT_TABLE_SIZES = {
     "A2": 3, "B2": 4, "B3": 9, "C3": 9, "C4": 16, "G2": 6, "F4": 24,
     "D4": 12, "E6": 36, "A1xA1": 2,
