@@ -112,49 +112,55 @@ def _int_block(w, k):
     return tuple(-c for c in y)
 
 
+def _arrangements(t):
+    """The distinct orderings of the tuple t, each once."""
+    if len(t) < 2:
+        return [t]
+    return [
+        (x,) + rest
+        for i, x in enumerate(t) if x not in t[:i]
+        for rest in _arrangements(t[:i] + t[i + 1:])
+    ]
+
+
 @lru_cache(maxsize=None)
 def _facets_cached(rs, s):
     """(all facets, orbit representatives) of the s-fold cone, from one scan.
 
     The codimension and gap sums and the coefficient are symmetric in the s
-    factors, so only the first tuple of each S_s orbit in the scan's order
-    is tested. The full list is the orbits of the representatives that pass,
-    sorted back into that order (see ``enumerate_regular_facets``).
+    factors, so each S_s orbit is tested once, as its tuple sorted by
+    (codimension, position); see ``enumerate_regular_facets``.
     """
     plain, reps = [], []
     for k in range(1, rs.rank + 1):
         P = ParabolicSpec.maximal(rs, k)
         table = schubert.class_table(P)
-        entries = tuple(table.values())
-        e = entries[0]  # the identity, the only element of length 0
-        by_codim, by_key = {}, {}
-        for x in entries:
-            by_codim.setdefault(x.codim, []).append(x)
-            by_key.setdefault((x.codim, x.gaps[k]), []).append(x)
-        seen, found = set(), []
-        for parts in itertools.product(sorted(by_codim), repeat=s - 1):
-            rest = P.dim_flag - sum(parts)
-            if rest not in by_codim:
-                continue
-            for head in itertools.product(*(by_codim[c] for c in parts)):
-                # the last factor must close both the codimension and the gap
-                need = e.gaps[k] - sum(x.gaps[k] for x in head)
-                product = None  # formed for the first last factor tested
-                for last in by_key.get((rest, need), ()):
-                    tup = tuple(x.w for x in head) + (last.w,)
-                    key = tuple(sorted(w.rho for w in tup))
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    if product is None:
-                        product = schubert.head_product(head, P)
-                    if schubert.duality_coeff(product, last, P) == 1:
-                        found.append(tup)
         pos = {w: i for i, w in enumerate(table)}
-        orbits = {t for rep in found for t in itertools.permutations(rep)}
-        plain.extend(FaceSpec(s, P, t) for t in sorted(orbits, key=lambda t: (
-            [table[w].codim for w in t[:-1]], [pos[w] for w in t]
-        )))
+        e = next(iter(table.values()))  # the identity, the only element of length 0
+        entries = sorted(table.values(), key=lambda x: x.codim)  # then by position
+        by_key = {}
+        for i, x in enumerate(entries):
+            by_key.setdefault((x.codim, x.gaps[k]), []).append(i)
+        found = []
+        for ids in itertools.combinations_with_replacement(range(len(entries)), s - 1):
+            head = [entries[i] for i in ids]
+            # the last factor must close both the codimension and the gap,
+            # and come no earlier than the head's last entry
+            rest = P.dim_flag - sum(x.codim for x in head)
+            need = e.gaps[k] - sum(x.gaps[k] for x in head)
+            lasts = [entries[i] for i in by_key.get((rest, need), ()) if i >= ids[-1]]
+            if lasts:  # one product of the head for all its last factors
+                product = schubert.head_product(head, P)
+                found.extend(tuple(x.w for x in head) + (last.w,) for last in lasts
+                             if schubert.duality_coeff(product, last, P) == 1)
+
+        def order(t):
+            return [table[w].codim for w in t[:-1]], [pos[w] for w in t]
+
+        found.sort(key=order)
+        plain.extend(FaceSpec(s, P, t) for t in sorted(
+            (a for rep in found for a in _arrangements(rep)), key=order
+        ))
         reps.extend(FaceSpec(s, P, t) for t in found)
     return tuple(plain), tuple(reps)
 
@@ -165,35 +171,27 @@ def enumerate_regular_facets(s, rs, quotient_symmetry=False):
     The order is P_1, P_2, ..., then the codimensions of the first s - 1
     words, then the words' positions in ``minimal_reps``. With
     ``quotient_symmetry`` only the first tuple of each orbit under permuting
-    the s factors, in that order, is kept. Only those representatives are
-    tested: the full list is the expansion of their orbits, sorted back into
-    the same order.
+    the s factors, in that order, is kept: the orbit sorted by (codimension,
+    position). Only those representatives are tested: the full list is their
+    distinct arrangements, sorted into the same order.
     """
     if s < 3:
         raise ValueError(f"regular facets need s >= 3 factors, got s = {s}")
     return list(_facets_cached(rs, s)[bool(quotient_symmetry)])
 
 
-def _row_value(face, lams, k):
-    """x_den times (inequality row for x_k) . (lambda_1 .. lambda_s): >= 0 on
-    the cone, 0 on the face, an integer for integral weights."""
-    return sum(
-        sum(map(mul, _int_block(w, k), lam.coords))
-        for w, lam in zip(face.words, lams)
-    )
+def _int_row(face, k):
+    """``x_den`` times ``inequality_row(face, k)``: the words' integer
+    blocks, concatenated."""
+    return tuple(b for w in face.words for b in _int_block(w, k))
 
 
 def eval_inequality(face, x, k):
     """sum_j (w_j^-1 lambda_j)(x_k), exact; <= 0 on the cone, 0 on the face."""
     if k in face.P.delta_P:
         raise ValueError(f"index {k} lies inside Delta(P)")
-    return Fraction(-_row_value(face, _weights(x), k), face.root_system.x_den)
-
-
-def _int_row(face, k):
-    """``x_den`` times ``inequality_row(face, k)``: the words' integer
-    blocks, concatenated."""
-    return tuple(b for w in face.words for b in _int_block(w, k))
+    coords = (c for lam in _weights(x) for c in lam.coords)
+    return Fraction(-sum(map(mul, _int_row(face, k), coords)), face.root_system.x_den)
 
 
 def inequality_row(face, k):

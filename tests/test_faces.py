@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -93,12 +94,12 @@ def test_tens_membership(d4):
 
 
 def _reference_membership(lams):
-    """The per-facet loop: dominant, and x_den times every facet row is
-    >= 0 at the tuple."""
+    """The per-facet loop: dominant, and every facet inequality holds at the
+    tuple."""
     if not all(lam.is_dominant() for lam in lams):
         return False
     return all(
-        faces._row_value(face, lams, k) >= 0
+        faces.eval_inequality(face, lams, k) <= 0
         for face in faces.enumerate_regular_facets(len(lams), lams[0].root_system)
         for k in face.P.complement
     )
@@ -264,21 +265,45 @@ def _brute_force_facets(rs, s, quotient):
     return out
 
 
-# (plain, quotiented) counts at s = 4: the only gate on the order for s >= 4
-S4_COUNTS = {"A2": (20, 4), "B2": (32, 4), "G2": (56, 6), "A3": (92, 12)}
+# (plain, quotiented) counts at s = 4 and 5: the only gate on the order for
+# s >= 4
+LARGER_S_COUNTS = {
+    "A2": {4: (20, 4), 5: (30, 4)},
+    "B2": {4: (32, 4), 5: (50, 4)},
+    "G2": {4: (56, 6), 5: (90, 6)},
+    "A3": {4: (92, 12), 5: (175, 12)},
+}
 
 
 @pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", "B3", "C3"])
 def test_facets_match_brute_force(label):
     rs = build_root_system(label)
-    for s in (3, 4) if label in S4_COUNTS else (3,):
+    counts = LARGER_S_COUNTS.get(label, {})
+    for s in (3, *counts):
         got = [faces.enumerate_regular_facets(s, rs, quotient_symmetry=q)
                for q in (False, True)]
         for quotient, facet_list in zip((False, True), got):
             want = _brute_force_facets(rs, s, quotient)
             assert _facet_lines(facet_list) == _facet_lines(want), (s, quotient)
-        if s == 4:
-            assert tuple(map(len, got)) == S4_COUNTS[label]
+        if s in counts:
+            assert tuple(map(len, got)) == counts[s]
+
+
+def test_large_s_scans_one_tuple_per_orbit():
+    """The scan tests one sorted tuple per S_s orbit and expands only the
+    distinct arrangements, so A1 at s = 12 (12! orderings of one orbit of
+    twelve facets) takes milliseconds."""
+    rs = build_root_system("A1")
+    start = time.process_time()
+    plain = faces.enumerate_regular_facets(12, rs)
+    reps = faces.enumerate_regular_facets(12, rs, quotient_symmetry=True)
+    assert time.process_time() - start < 1
+    assert _facet_lines(reps) == ["[1]: " + "s1 ; " * 11 + "e"]
+    # e, the one factor of positive codimension, moves forward from the end
+    assert _facet_lines(plain) == [
+        "[1]: " + " ; ".join("e" if j == i else "s1" for j in range(12))
+        for i in reversed(range(12))
+    ]
 
 
 @pytest.mark.parametrize("label", ["B3", "D4", "B4"])

@@ -272,7 +272,7 @@ def test_decompose_rejects_face_hyperplane_point_outside_the_cone(d4, main_face)
     # not a broken decomposition
     x = _tuple_from_rows(d4, [[3, 3, 0, 3], [2, 1, 0, 2], [0, 0, 0, 0]])
     assert all(w.is_dominant() for w in x.weights)
-    assert faces._row_value(main_face, x.weights, 2) == 0
+    assert faces.eval_inequality(main_face, x, 2) == 0
     assert not faces.tens_membership(x.weights)
     with pytest.raises(ValueError, match="does not lie on the face"):
         rays.decompose_on_face(main_face, x)
